@@ -17,10 +17,21 @@ solution is certified by the first-order conditions:
     b_j != 0:  2 x_j'(Y - XB) = lam w_j b_j / ||b_j||
     b_j  = 0:  ||x_j'(Y - XB)|| <= lam w_j / 2
 
-The kernel runs a whole vector of penalty levels in one pass (the residual
-block is laid out (n, L*q), so each row update is a single matrix-vector
-product across all levels); :func:`bcd_solve` is the single-level case and
-:func:`bcd_solve_path` exposes the batched form for cross-validation.
+The kernel runs a whole vector of penalty levels in one pass, the levels
+laid side by side in blocks of L*q columns.  With R = Y - XB, H = X'R and
+delta_j the change of row j, it reads and updates the gradient in Gram
+form (the covariance updates of Friedman, Hastie and Tibshirani, JSS
+33(1), 2010):
+
+    g_j = H_j + s_j b_j,    H -= (X'X)[:, j] delta_j'
+
+so a row costs O(p) instead of the O(n) of reading x_j'R and updating R.
+R, and H from it, are recomputed from B after every sweep, so the traces
+and the KKT certificate never rest on the cancelling expansion
+||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).  With the
+entrywise soft-threshold as row update and the entrywise KKT conditions as
+certificate, it solves :func:`larn.simbench.lasso_path`; :func:`bcd_solve`
+and :func:`bcd_solve_path` solve the group lasso at one level or many.
 """
 
 import numpy as np
@@ -158,6 +169,32 @@ def _kkt_per_level(G3, B3, shrink):
     return res.max(axis=0)
 
 
+def _kkt_entrywise_per_level(G3, B3, shrink):
+    """Max entry residual per level: |2g - lam sign(b)| or (|g| - lam/2)_+."""
+    lam = shrink[:, :, None]
+    return np.where(B3 != 0, np.abs(2.0 * G3 - lam * np.sign(B3)),
+                    np.maximum(np.abs(G3) - 0.5 * lam, 0.0)).max(axis=(0, 2))
+
+
+def _group_prox(g, half, s):
+    """Row update for the l2 row penalty; g is (A, q), half is (A,)."""
+    gnorm = np.sqrt(np.einsum("lq,lq->l", g, g))
+    inv = np.divide(1.0, gnorm, out=np.zeros(len(g)), where=gnorm > 0)
+    return (np.maximum(1.0 - half * inv, 0.0) / s)[:, None] * g
+
+
+def _entrywise_prox(g, half, s):
+    """Row update for the entrywise l1 penalty (soft-threshold at half)."""
+    return np.sign(g) * np.maximum(np.abs(g) - half[:, None], 0.0) / s
+
+
+# (row update, per-row penalty norms (p, A), per-level KKT residual)
+_GROUP = (_group_prox, lambda B: np.sqrt(np.einsum("plq,plq->pl", B, B)),
+          _kkt_per_level)
+_ENTRYWISE = (_entrywise_prox, lambda B: np.abs(B).sum(axis=2),
+              _kkt_entrywise_per_level)
+
+
 def _column_norms_squared(X):
     col_ss = np.einsum("ij,ij->j", X, X)
     dead = np.flatnonzero(col_ss == 0.0)
@@ -186,16 +223,20 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     B : ndarray (L, p, q)
     traces : list of per-level objective traces (start plus one value per sweep).
     """
-    if settings is None:
-        settings = SolverSettings()
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     weights, lambdas, init = _check_problem(data, weights, lambdas, init,
                                             allow_stack=True)
+    return _cd_path(data, weights, lambdas, init, settings or SolverSettings(), _GROUP)
+
+
+def _cd_path(data, weights, lambdas, init, settings, penalty):
+    """Batched cyclic coordinate descent on validated inputs (``_GROUP`` or ``_ENTRYWISE``)."""
+    prox, row_norms, kkt = penalty
     X, Y = data.X, data.Y
     n, p, q = data.n, data.p, data.q
     L = len(lambdas)
     col_ss = _column_norms_squared(X)
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(p)]
+    G = X.T @ X                                    # symmetric: row j is column j
 
     # work arrays cover the active levels only; solved levels retire into
     # ``out`` and the remaining blocks are compacted
@@ -206,33 +247,29 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     B2 = B.reshape(p, -1)
     Yb = np.repeat(Y[:, None, :], L, axis=1).reshape(n, L * q)
     R = Yb - X @ B2                                # (n, A*q), C-contiguous
+    H = X.T @ R                                    # (p, A*q)
     lam_w = lambdas.copy()
-    shrink = lam_w[None, :] * weights[:, None]     # (p, A)
+    half = 0.5 * lam_w[None, :] * weights[:, None]  # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
 
-    def objectives(n_act):
-        resid = np.einsum("ab,ab->b", R, R).reshape(n_act, q).sum(axis=1)
-        norms = np.sqrt(np.einsum("plq,plq->pl", B, B))
-        return resid + lam_w * (weights @ norms)
+    def objectives():
+        resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
+        return resid + lam_w * (weights @ row_norms(B))
 
-    obj = objectives(L)
+    obj = objectives()
     traces = [[float(v)] for v in obj]
 
     for _ in range(settings.max_sweeps):
         A = len(act)
         changed = False
         for j in range(p):
-            xj = cols[j]
             b_old = B[j]                           # (A, q) view
-            g = (xj @ R).reshape(A, q)
-            g += col_ss[j] * b_old
-            gnorm = np.sqrt(np.einsum("lq,lq->l", g, g))
-            inv = np.divide(1.0, gnorm, out=np.zeros(A), where=gnorm > 0)
-            factor = np.maximum(1.0 - 0.5 * shrink[j] * inv, 0.0)
-            b_new = (factor / col_ss[j])[:, None] * g
+            g = col_ss[j] * b_old
+            g += H[j].reshape(A, q)
+            b_new = prox(g, half[j], col_ss[j])
             delta = b_new - b_old
             if delta.any():
-                R -= xj[:, None] * delta.reshape(A * q)[None, :]
+                H -= G[j][:, None] * delta.reshape(A * q)[None, :]
                 B[j] = b_new
                 changed = True
         if changed:
@@ -241,15 +278,15 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
                 raise SolverError(f"non-finite update in row {bad}")
             # full refresh keeps traces free of incremental drift
             np.subtract(Yb, X @ B2, out=R)
+            np.matmul(X.T, R, out=H)
         prev = obj
-        obj = objectives(A)
+        obj = objectives()
         for i, l in enumerate(act):
             traces[l].append(float(obj[i]))
         rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))
         ready = rel < settings.tol
         if np.any(ready):
-            G3 = (X.T @ R).reshape(p, A, q)
-            retire = ready & (_kkt_per_level(G3, B, shrink) <= settings.kkt_tol)
+            retire = ready & (kkt(H.reshape(p, A, q), B, 2.0 * half) <= settings.kkt_tol)
             if np.any(retire):
                 for i in np.flatnonzero(retire):
                     out[act[i]] = B[:, i, :]
@@ -262,8 +299,9 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
                 Yb = np.ascontiguousarray(
                     Yb.reshape(n, A, q)[:, keep, :]).reshape(n, -1)
                 R = Yb - X @ B2
+                H = X.T @ R
                 lam_w = lam_w[keep]
-                shrink = np.ascontiguousarray(shrink[:, keep])
+                half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
     for i, l in enumerate(act):
         out[l] = B[:, i, :]

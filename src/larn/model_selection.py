@@ -6,9 +6,9 @@ pre-threshold model is fit, then the whole threshold grid is applied to
 that fit.  A run therefore performs k * len(lambdas) inner solves, never
 k * len(lambdas) * len(thresholds).
 
-Per-fold fits along the lambda axis share the fold's initial estimate
-(whose weights do not depend on lambda) and are warm-started from the
-previous lambda's solution of the same convex problem family.
+Per-fold fits along the lambda axis share the fold's initial estimate B0
+(whose weights do not depend on lambda) and run as one batched solve in
+which every level starts from B0, not from another level's solution.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -140,14 +140,21 @@ def cv_rmse(data, folds, b_per_fold):
     return np.sqrt(sse) / (data.n * data.q)
 
 
+# thresholds are scored in blocks whose stacked fits and residuals hold at
+# most this many entries (2 MB), so the work memory does not grow with n_test
+_SCORE_BLOCK_ENTRIES = 1 << 18
+
+
 def _sse_over_thresholds(X_test, Y_test, B, thresholds):
     """Held-out sum of squares of the thresholded fit at every level."""
+    thresholds = np.asarray(thresholds)
+    absB = np.abs(B)
+    step = max(1, _SCORE_BLOCK_ENTRIES // (max(X_test.shape[0], B.shape[0]) * B.shape[1]))
     out = np.empty(len(thresholds))
-    for t_idx, t in enumerate(thresholds):
-        Bt = B.copy()
-        Bt[np.abs(Bt) <= t] = 0.0
-        R = Y_test - X_test @ Bt
-        out[t_idx] = np.sum(R * R)
+    for s in range(0, len(thresholds), step):
+        R = X_test @ np.where(absB > thresholds[s:s + step, None, None], B, 0.0)
+        np.subtract(Y_test, R, out=R)              # (block, n_test, q)
+        out[s:s + step] = np.sum(np.square(R, out=R), axis=(1, 2))
     return out
 
 

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .estimator import LarnConfig
-from .group_solver import Dataset, SolverError, SolverSettings
+from .group_solver import _ENTRYWISE, Dataset, SolverError, SolverSettings, _cd_path
 from .model_selection import CvGrid, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
@@ -168,61 +168,16 @@ def metrics(B_hat, B0, cv_rmse_value):
 def lasso_path(data, lambdas, max_sweeps=1000, tol=1e-10):
     """Entrywise-penalized fits ||Y - XB||_F^2 + lam ||B||_1 for a level grid.
 
-    Cyclic coordinate descent with the coordinate gradients of a whole row
-    soft-thresholded at lam / 2; columns are independent, and all penalty
-    levels run batched through one residual block.  Returns (L, p, q).
+    The batched kernel of :mod:`larn.group_solver` with the soft-threshold
+    at lam / 2 as row update; a level stops once its objective is flat and
+    every entry meets the lasso KKT conditions to the default ``kkt_tol``
+    (or ``max_sweeps`` runs out).  Returns (L, p, q).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
-    X, Y = data.X, data.Y
-    n, p, q = data.n, data.p, data.q
-    L = len(lambdas)
-    col_ss = np.einsum("ij,ij->j", X, X)
-    dead = np.flatnonzero(col_ss == 0.0)
-    if dead.size:
-        raise SolverError(f"design column {dead[0]} is identically zero")
-    act = np.arange(L)
-    B = np.zeros((p, L, q))
-    B2 = B.reshape(p, -1)
-    Yb = np.repeat(Y[:, None, :], L, axis=1).reshape(n, L * q)
-    R = Yb.copy()
-    lam_w = lambdas.copy()
-    out = np.empty((L, p, q))
-    prev = np.einsum("ab,ab->b", R, R).reshape(L, q).sum(axis=1)
-    for _ in range(max_sweeps):
-        A = len(act)
-        half = 0.5 * lam_w[:, None]
-        for j in range(p):
-            xj = X[:, j]
-            g = (xj @ R).reshape(A, q)
-            g += col_ss[j] * B[j]
-            b_new = np.sign(g) * np.maximum(np.abs(g) - half, 0.0) / col_ss[j]
-            delta = b_new - B[j]
-            if delta.any():
-                R -= xj[:, None] * delta.reshape(A * q)[None, :]
-                B[j] = b_new
-        np.subtract(Yb, X @ B2, out=R)
-        resid = np.einsum("ab,ab->b", R, R).reshape(A, q).sum(axis=1)
-        obj = resid + lam_w * np.abs(B).sum(axis=(0, 2))
-        retire = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev)) < tol
-        if np.any(retire):
-            for i in np.flatnonzero(retire):
-                out[act[i]] = B[:, i, :]
-            keep = ~retire
-            act = act[keep]
-            if act.size == 0:
-                return out
-            B = np.ascontiguousarray(B[:, keep, :])
-            B2 = B.reshape(p, -1)
-            Yb = np.ascontiguousarray(Yb.reshape(n, A, q)[:, keep, :]).reshape(n, -1)
-            R = Yb - X @ B2
-            lam_w = lam_w[keep]
-            obj = obj[keep]
-        prev = obj
-    for i, l in enumerate(act):
-        out[l] = B[:, i, :]
-    return out
+    settings = SolverSettings(max_sweeps=max_sweeps, tol=tol)
+    return _cd_path(data, np.ones(data.p), lambdas, None, settings, _ENTRYWISE)[0]
 
 
 def separate_lasso(data, lam, max_sweeps=1000, tol=1e-10):

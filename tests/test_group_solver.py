@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from larn.group_solver import (Dataset, SolverError, SolverSettings, bcd_solve,
-                               element_support, kkt_residual, objective,
-                               row_support)
+                               bcd_solve_path, element_support, kkt_residual,
+                               objective, row_support)
 
 from oracle_gridsearch import grid_min_objective
 
@@ -160,6 +160,35 @@ class TestConvergence:
         B, _ = bcd_solve(d, w, 1e6)
         np.testing.assert_allclose(B[0], (Q.T @ Y)[0], atol=1e-10)
         assert np.all(B[1:] == 0.0)
+
+
+def residual_form_sweeps(X, Y, w, lam, B, sweeps):
+    # plain cyclic block updates that read x_j'R and update R
+    B = B.copy()
+    R = Y - X @ B
+    s = np.einsum("ij,ij->j", X, X)
+    for _ in range(sweeps):
+        for j in range(X.shape[1]):
+            g = X[:, j] @ R + s[j] * B[j]
+            norm = np.linalg.norm(g)
+            b = max(0.0, 1.0 - lam * w[j] / (2.0 * norm)) * g / s[j] if norm > 0 else 0.0 * g
+            R -= np.outer(X[:, j], b - B[j])
+            B[j] = b
+    return B
+
+
+class TestGramForm:
+    @pytest.mark.parametrize("n, p", [(80, 12), (12, 15)])
+    def test_gram_updates_match_residual_form(self, n, p):
+        # each level equals the residual-form iterate after as many sweeps
+        d = random_instance(21, n=n, p=p, q=5)
+        w = np.random.default_rng(21).uniform(0.2, 2.0, d.p)
+        lambdas = np.logspace(-2, 3, 12)
+        B0 = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
+        stack, traces = bcd_solve_path(d, w, lambdas, init=B0)
+        for B, lam, trace in zip(stack, lambdas, traces):
+            ref = residual_form_sweeps(d.X, d.Y, w, lam, B0, len(trace) - 1)
+            assert np.max(np.abs(B - ref)) <= 1e-10
 
 
 class TestKktResidual:

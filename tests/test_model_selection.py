@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from larn import model_selection
 from larn.estimator import LarnConfig, initial_estimate, group_weights
 from larn.group_solver import Dataset, bcd_solve
 from larn.model_selection import (CvGrid, cross_validate, cv_rmse,
@@ -153,6 +154,15 @@ class TestCrossValidate:
                 R = data.Y[test_idx] - data.X[test_idx] @ Bt
                 assert cv.per_fold_sse[f_idx, 0, t_idx] == pytest.approx(
                     float(np.sum(R * R)), rel=1e-9)
+
+    def test_threshold_blocks_do_not_change_scores(self, monkeypatch):
+        # 30 entries per threshold here: blocks of 3, 3 and 2 thresholds
+        data = make_data(6)
+        grid = CvGrid(lambdas=[0.5, 1.3], n_thresholds=8, k=3, seed=3)
+        whole = cross_validate(data, LarnConfig(), grid).per_fold_sse
+        monkeypatch.setattr(model_selection, "_SCORE_BLOCK_ENTRIES", 90)
+        blocked = cross_validate(data, LarnConfig(), grid).per_fold_sse
+        assert np.array_equal(blocked, whole)
 
     def test_support_monotone_along_threshold_axis(self):
         data = make_data(7)

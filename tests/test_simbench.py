@@ -174,6 +174,16 @@ class TestSeparateLasso:
         for lam, B in zip(lambdas, stack):
             np.testing.assert_allclose(B, separate_lasso(d, lam), atol=1e-8)
 
+    def test_path_certified_on_paper_instance(self):
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
+        lambdas = np.logspace(-2, 4, 100)
+        stack = lasso_path(data, lambdas)
+        for lam, B in zip(lambdas, stack):
+            G = data.X.T @ (data.Y - data.X @ B)
+            res = np.where(B != 0, np.abs(2.0 * G - lam * np.sign(B)),
+                           np.maximum(np.abs(G) - lam / 2, 0.0))
+            assert np.max(res) <= 1e-6
+
 
 class TestUnitWeightSpecialCase:
     def test_larn_fit_with_unit_weights_equals_plain_group_lasso(self):
