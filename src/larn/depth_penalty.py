@@ -62,19 +62,16 @@ class PenaltySpec:
     c : float
         Projection-depth constant; defaults to the 3/4 normal quantile,
         which is the closed form for a spherical Gaussian reference.
-    distribution : str
-        Reference distribution; only the spherical standard Gaussian is
-        implemented.
+
+    The reference distribution is always the spherical standard Gaussian.
     """
 
     def __init__(self, depth=HALFSPACE, transform=MAX_MINUS, lam=1.0,
-                 c=PROJECTION_C, distribution="gaussian"):
+                 c=PROJECTION_C):
         if depth not in DEPTH_FAMILIES:
             raise ValueError(f"unknown depth family {depth!r}; choose from {DEPTH_FAMILIES}")
         if transform not in TRANSFORMS:
             raise ValueError(f"unknown inverse transform {transform!r}; choose from {TRANSFORMS}")
-        if distribution != "gaussian":
-            raise ValueError(f"unsupported reference distribution {distribution!r}")
         if not np.isfinite(lam) or lam < 0:
             raise ValueError(f"lam must be a nonnegative finite real, got {lam!r}")
         if not np.isfinite(c) or c <= 0:
@@ -83,7 +80,6 @@ class PenaltySpec:
         self.transform = transform
         self.lam = float(lam)
         self.c = float(c)
-        self.distribution = distribution
 
     @property
     def concavity_guaranteed(self):
@@ -91,7 +87,7 @@ class PenaltySpec:
         return self.transform == MAX_MINUS
 
     def with_lam(self, lam):
-        return PenaltySpec(self.depth, self.transform, lam, self.c, self.distribution)
+        return PenaltySpec(self.depth, self.transform, lam, self.c)
 
     def __repr__(self):
         return (f"PenaltySpec(depth={self.depth!r}, transform={self.transform!r}, "

@@ -14,9 +14,10 @@ increases.
 The default mode stops after the first reweighted solve from the
 least-squares start (the one-step estimator); full iteration to a
 stationary point is available for diagnostics.  Row-sparse estimates are
-refined by hard-thresholding small entries inside surviving rows, either
-at a cross-validated level or at the closed-form level
-sqrt(8 log(q*|S|) / (C_min * n)) for an estimated nonzero-row set S.
+refined by hard-thresholding small entries inside surviving rows at a
+given level: a cross-validated one, or the closed-form level
+sqrt(8 log(q*|S|) / (C_min * n)) of :func:`theory_threshold` for an
+estimated nonzero-row set S.
 """
 
 import math
@@ -24,11 +25,8 @@ import warnings
 
 import numpy as np
 
-from .depth_penalty import PenaltySpec, inverse_depth, penalty_weight, row_penalty
-from .group_solver import (Dataset, SolverSettings, bcd_solve, kkt_residual,
-                           objective, row_support)
-
-INIT_MODES = ("least_squares", "ridge", "provided")
+from .depth_penalty import PenaltySpec, penalty_weight, row_penalty
+from .group_solver import SolverSettings, bcd_solve, kkt_residual, row_support
 
 
 class LarnConfig:
@@ -45,78 +43,31 @@ class LarnConfig:
     unit_weights : bool
         Replace the depth-based weights by 1 for every row (the plain
         thresholded group lasso).
-    init : {"least_squares", "ridge", "provided"}
-    ridge_eps : float or None
-        Ridge regularizer; defaults to 1e-3 * trace(X'X) / p.
-    init_matrix : ndarray or None
-        Starting matrix for ``init="provided"``.
+
+    Every fit starts from the minimum-norm least-squares estimate
+    (:func:`initial_estimate`).
     """
 
     def __init__(self, penalty=None, one_step=True, max_outer_iters=50,
-                 outer_tol=1e-8, init="least_squares", ridge_eps=None,
-                 init_matrix=None, unit_weights=False, solver=None):
+                 outer_tol=1e-8, unit_weights=False, solver=None):
         self.penalty = PenaltySpec() if penalty is None else penalty
         self.one_step = bool(one_step)
         if max_outer_iters < 1:
             raise ValueError("max_outer_iters must be a positive integer")
         if outer_tol <= 0:
             raise ValueError("outer_tol must be positive")
-        if init not in INIT_MODES:
-            raise ValueError(f"unknown init mode {init!r}; choose from {INIT_MODES}")
-        if init == "provided" and init_matrix is None:
-            raise ValueError("init='provided' requires init_matrix")
         self.max_outer_iters = int(max_outer_iters)
         self.outer_tol = float(outer_tol)
-        self.init = init
-        self.ridge_eps = ridge_eps
-        self.init_matrix = None if init_matrix is None else np.asarray(init_matrix, dtype=float)
         self.unit_weights = bool(unit_weights)
         self.solver = SolverSettings() if solver is None else solver
-
-
-class ThresholdRule:
-    """Within-row threshold level: a fixed value or the closed-form level."""
-
-    def __init__(self, mode="fixed", value=0.0, c_min=1.0, n=None, q=None,
-                 s_hat_size=None):
-        if mode not in ("fixed", "theory"):
-            raise ValueError(f"unknown threshold mode {mode!r}")
-        if mode == "fixed" and (not np.isfinite(value) or value < 0):
-            raise ValueError("fixed threshold must be a nonnegative real")
-        if mode == "theory" and c_min <= 0:
-            raise ValueError("C_min must be positive")
-        self.mode = mode
-        self.value = float(value)
-        self.c_min = float(c_min)
-        self.n = n
-        self.q = q
-        self.s_hat_size = s_hat_size
-
-    @classmethod
-    def fixed(cls, value):
-        return cls("fixed", value=value)
-
-    @classmethod
-    def theory(cls, c_min, n, q=None, s_hat_size=None):
-        return cls("theory", c_min=c_min, n=n, q=q, s_hat_size=s_hat_size)
-
-    def threshold_value(self, B=None):
-        if self.mode == "fixed":
-            return self.value
-        q = self.q if self.q is not None else np.asarray(B).shape[1]
-        s = self.s_hat_size if self.s_hat_size is not None else len(row_support(B))
-        if self.n is None or self.n < 1:
-            raise ValueError("theory threshold needs the sample count n")
-        return theory_threshold(self.n, q, s, self.c_min)
 
 
 class FitResult:
     """Fit output: estimates, tuning values, and per-solve diagnostics."""
 
-    def __init__(self, b_hat, b_one_step, lam, threshold, objective_trace,
-                 kkt_residuals, outer_iters):
+    def __init__(self, b_hat, lam, threshold, objective_trace, kkt_residuals,
+                 outer_iters):
         self.b_hat = b_hat
-        self.b_one_step = b_one_step
         self.lam = lam
         self.threshold = threshold
         self.objective_trace = objective_trace
@@ -137,26 +88,11 @@ class FitResult:
         }
 
 
-def initial_estimate(data, config=None):
-    """Starting matrix for the reweighted loop.
+def initial_estimate(data):
+    """Starting matrix for the reweighted loop: minimum-norm least squares.
 
-    "least_squares" returns the minimum-norm solution through a
-    pseudo-inverse path and warns when X'X is rank deficient; "ridge"
-    solves (X'X + eps I) B = X'Y.
+    Solved through a pseudo-inverse path; warns when X'X is rank deficient.
     """
-    config = config or LarnConfig()
-    if config.init == "provided":
-        B0 = config.init_matrix
-        if B0.shape != (data.p, data.q):
-            raise ValueError(f"provided init has shape {B0.shape}, "
-                             f"expected ({data.p}, {data.q})")
-        return B0.copy()
-    if config.init == "ridge":
-        G = data.X.T @ data.X
-        eps = config.ridge_eps
-        if eps is None:
-            eps = 1e-3 * np.trace(G) / data.p
-        return np.linalg.solve(G + eps * np.eye(data.p), data.X.T @ data.Y)
     B0, _, rank, _ = np.linalg.lstsq(data.X, data.Y, rcond=None)
     if rank < data.p:
         warnings.warn(f"X'X is rank deficient (rank {rank} < p = {data.p}); "
@@ -203,12 +139,12 @@ def larn_fit(data, config, lam):
                       "guaranteed, descent of the outer loop may fail",
                       RuntimeWarning, stacklevel=2)
 
-    B = initial_estimate(data, config)
+    B = initial_estimate(data)
     if config.one_step:
         w = group_weights(B, spec, unit=config.unit_weights)
         B1, trace = bcd_solve(data, w, lam, init=B, settings=config.solver)
         kkt = kkt_residual(data, B1, w, lam)
-        return FitResult(B1, B1, lam, 0.0, trace, kkt, outer_iters=1)
+        return FitResult(B1, lam, 0.0, trace, kkt, outer_iters=1)
 
     q_trace = [true_objective(data, B, spec)]
     w = group_weights(B, spec, unit=config.unit_weights)
@@ -224,7 +160,7 @@ def larn_fit(data, config, lam):
         if rel < config.outer_tol:
             break
     kkt = kkt_residual(data, B, w, lam)
-    return FitResult(B, B, lam, 0.0, q_trace, kkt, outer_iters=iters)
+    return FitResult(B, lam, 0.0, q_trace, kkt, outer_iters=iters)
 
 
 def theory_threshold(n, q, s_hat_size, c_min):
@@ -239,14 +175,13 @@ def theory_threshold(n, q, s_hat_size, c_min):
     return math.sqrt(8.0 * math.log(qs) / (c_min * n))
 
 
-def within_row_threshold(B, rule):
-    """Zero the entries of nonzero rows whose magnitude is at most the level.
+def within_row_threshold(B, t):
+    """Zero the entries of nonzero rows whose magnitude is at most ``t``.
 
-    Surviving entries are kept unchanged (hard thresholding, no
-    re-shrinkage); rows that are already zero stay zero.
+    ``t`` is a float level, such as a cross-validated one or
+    :func:`theory_threshold`.  Surviving entries are kept unchanged (hard
+    thresholding, no re-shrinkage); rows that are already zero stay zero.
     """
-    B = np.asarray(B, dtype=float)
-    t = rule.threshold_value(B) if isinstance(rule, ThresholdRule) else float(rule)
-    out = B.copy()
-    out[np.abs(out) <= t] = 0.0
+    out = np.array(B, dtype=float)
+    out[np.abs(out) <= float(t)] = 0.0
     return out

@@ -89,10 +89,6 @@ class SolverSettings:
         self.tol = float(tol)
         self.kkt_tol = float(kkt_tol)
 
-    def tightened(self, factor):
-        """Same settings with both tolerances divided by ``factor``."""
-        return SolverSettings(self.max_sweeps, self.tol / factor, self.kkt_tol / factor)
-
 
 def row_support(B):
     """Indices of rows with nonzero Euclidean norm."""
@@ -105,7 +101,7 @@ def element_support(B):
     return np.asarray(B) != 0
 
 
-def _check_problem(data, weights, lam, B=None, allow_stack=False):
+def _check_problem(data, weights, lam, B=None):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (data.p,):
         raise ValueError(f"weights must have shape ({data.p},), got {weights.shape}")
@@ -116,9 +112,7 @@ def _check_problem(data, weights, lam, B=None, allow_stack=False):
         raise ValueError("lam must be nonnegative and finite")
     if B is not None:
         B = np.asarray(B, dtype=float)
-        good_shape = (B.shape == (data.p, data.q)
-                      or (allow_stack and B.ndim == 3 and B.shape[1:] == (data.p, data.q)))
-        if not good_shape:
+        if B.shape != (data.p, data.q):
             raise ValueError(f"coefficient matrix must have shape ({data.p}, {data.q}), "
                              f"got {B.shape}")
         if not np.all(np.isfinite(B)):
@@ -141,22 +135,11 @@ def kkt_residual(data, B, weights, lam):
     """
     weights, lam, B = _check_problem(data, weights, float(lam), B)
     G = data.X.T @ (data.Y - data.X @ B)          # p x q
-    return _kkt_from_gradient(G, B, weights, float(lam))
+    return _kkt_rows(G[:, None, :], B[:, None, :], (lam * weights)[:, None])[:, 0]
 
 
-def _kkt_from_gradient(G, B, weights, lam):
-    norms = np.sqrt(np.einsum("jk,jk->j", B, B))
-    nz = norms > 0
-    res = np.maximum(np.sqrt(np.einsum("jk,jk->j", G, G)) - 0.5 * lam * weights, 0.0)
-    if np.any(nz):
-        direction = B[nz] / norms[nz, None]
-        stat = 2.0 * G[nz] - (lam * weights[nz])[:, None] * direction
-        res[nz] = np.sqrt(np.einsum("jk,jk->j", stat, stat))
-    return res
-
-
-def _kkt_per_level(G3, B3, shrink):
-    """Max row residual per level; G3, B3 are (p, L, q), shrink is (p, L)."""
+def _kkt_rows(G3, B3, shrink):
+    """Row residuals (p, L); G3 = X'R and B3 are (p, L, q), shrink is lam w (p, L)."""
     gn = np.sqrt(np.einsum("plq,plq->pl", G3, G3))
     bn = np.sqrt(np.einsum("plq,plq->pl", B3, B3))
     res = np.maximum(gn - 0.5 * shrink, 0.0)
@@ -166,14 +149,14 @@ def _kkt_per_level(G3, B3, shrink):
         stat = 2.0 * G3 - (shrink * inv)[:, :, None] * B3
         sn = np.sqrt(np.einsum("plq,plq->pl", stat, stat))
         res = np.where(nz, sn, res)
-    return res.max(axis=0)
+    return res
 
 
-def _kkt_entrywise_per_level(G3, B3, shrink):
-    """Max entry residual per level: |2g - lam sign(b)| or (|g| - lam/2)_+."""
+def _kkt_entrywise_rows(G3, B3, shrink):
+    """Max entry residual per row (p, L): |2g - lam sign(b)| or (|g| - lam/2)_+."""
     lam = shrink[:, :, None]
     return np.where(B3 != 0, np.abs(2.0 * G3 - lam * np.sign(B3)),
-                    np.maximum(np.abs(G3) - 0.5 * lam, 0.0)).max(axis=(0, 2))
+                    np.maximum(np.abs(G3) - 0.5 * lam, 0.0)).max(axis=2)
 
 
 def _group_prox(g, half, s):
@@ -188,11 +171,11 @@ def _entrywise_prox(g, half, s):
     return np.sign(g) * np.maximum(np.abs(g) - half[:, None], 0.0) / s
 
 
-# (row update, per-row penalty norms (p, A), per-level KKT residual)
+# (row update, per-row penalty norms (p, A), per-row KKT residual (p, A))
 _GROUP = (_group_prox, lambda B: np.sqrt(np.einsum("plq,plq->pl", B, B)),
-          _kkt_per_level)
+          _kkt_rows)
 _ENTRYWISE = (_entrywise_prox, lambda B: np.abs(B).sum(axis=2),
-              _kkt_entrywise_per_level)
+              _kkt_entrywise_rows)
 
 
 def _column_norms_squared(X):
@@ -215,7 +198,8 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     data : Dataset
     weights : array (p,)
     lambdas : array (L,) of nonnegative levels.
-    init : array (p, q) shared start, or (L, p, q) per-level starts.
+    init : array (p, q), optional
+        Start shared by every level; zeros when omitted.
     settings : SolverSettings
 
     Returns
@@ -224,8 +208,7 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     traces : list of per-level objective traces (start plus one value per sweep).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    weights, lambdas, init = _check_problem(data, weights, lambdas, init,
-                                            allow_stack=True)
+    weights, lambdas, init = _check_problem(data, weights, lambdas, init)
     return _cd_path(data, weights, lambdas, init, settings or SolverSettings(), _GROUP)
 
 
@@ -243,7 +226,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     act = np.arange(L)
     B = np.zeros((p, L, q))                        # level axis in the middle
     if init is not None:
-        B[:] = init.transpose(1, 0, 2) if init.ndim == 3 else init[:, None, :]
+        B[:] = init[:, None, :]
     B2 = B.reshape(p, -1)
     Yb = np.repeat(Y[:, None, :], L, axis=1).reshape(n, L * q)
     R = Yb - X @ B2                                # (n, A*q), C-contiguous
@@ -286,7 +269,8 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))
         ready = rel < settings.tol
         if np.any(ready):
-            retire = ready & (kkt(H.reshape(p, A, q), B, 2.0 * half) <= settings.kkt_tol)
+            worst = kkt(H.reshape(p, A, q), B, 2.0 * half).max(axis=0)
+            retire = ready & (worst <= settings.kkt_tol)
             if np.any(retire):
                 for i in np.flatnonzero(retire):
                     out[act[i]] = B[:, i, :]

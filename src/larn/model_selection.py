@@ -166,7 +166,7 @@ def _fold_fits(data, config, lambdas, train_idx):
     """
     train = data.subset(train_idx)
     if config.one_step:
-        B0 = initial_estimate(train, config)
+        B0 = initial_estimate(train)
         w = group_weights(B0, config.penalty, unit=config.unit_weights)
         stack, _ = bcd_solve_path(train, w, lambdas, init=B0, settings=config.solver)
         return list(stack)
@@ -185,8 +185,7 @@ def cross_validate(data, config, grid, jobs=1):
     T = grid.n_thresholds
     folds = kfold_split(data.n, grid.k, grid.seed)
 
-    # full-data fits set the per-lambda threshold grids and serve as the
-    # refit cache for the selected lambda
+    # full-data fits set the per-lambda threshold grids
     full_fits = _fold_fits(data, config, grid.lambdas, np.arange(data.n))
     if grid.thresholds is not None:
         thresholds = np.tile(grid.thresholds, (L, 1))
@@ -243,7 +242,7 @@ def fit_with_selection(data, config, grid, jobs=1):
     cv = cross_validate(data, config, grid, jobs=jobs)
     lam, t = cv.best
     fit = larn_fit(data, config, lam)
-    b_final = within_row_threshold(fit.b_one_step, t)
-    result = FitResult(b_final, fit.b_one_step, lam, t, fit.objective_trace,
-                       fit.kkt_residuals, fit.outer_iters)
+    b_final = within_row_threshold(fit.b_hat, t)
+    result = FitResult(b_final, lam, t, fit.objective_trace, fit.kkt_residuals,
+                       fit.outer_iters)
     return result, cv

@@ -76,7 +76,7 @@ def test_03_brute_force_grid_oracle():
         config = LarnConfig()
         fit = larn_fit(data, config, lam)
         w = group_weights(initial_estimate(data), config.penalty)
-        achieved = objective(data, fit.b_one_step, w, lam)
+        achieved = objective(data, fit.b_hat, w, lam)
         gmin = grid_min_objective(X, Y, w, lam, step=0.01, lo=-3.0, hi=3.0)
         worst_gap = max(worst_gap, achieved - gmin)
     report(3, "brute-force-grid-oracle", worst_gap <= 1e-4,
@@ -94,7 +94,7 @@ def test_04_orthogonal_design_equivalence():
         data = Dataset(Q, Y)
         ref = equivalence_orthogonal(data, lam, pen)
         cfg = LarnConfig()
-        cols = [larn_fit(Dataset(Q, Y[:, [k]]), cfg, lam).b_one_step[:, 0]
+        cols = [larn_fit(Dataset(Q, Y[:, [k]]), cfg, lam).b_hat[:, 0]
                 for k in range(3)]
         worst = max(worst, float(np.max(np.abs(np.column_stack(cols) - ref))))
     report(4, "orthogonal-equivalence", worst <= 1e-4,

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from larn.depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PenaltySpec,
                                 inverse_depth, penalty_weight)
-from larn.estimator import (FitResult, LarnConfig, ThresholdRule, group_weights,
+from larn.estimator import (FitResult, LarnConfig, group_weights,
                             initial_estimate, larn_fit, theory_threshold,
                             true_objective, within_row_threshold)
 from larn.group_solver import Dataset, SolverSettings, row_support
@@ -46,20 +46,6 @@ class TestInitialEstimate:
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             initial_estimate(data)
 
-    def test_ridge_formula(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((12, 4))
-        Y = rng.standard_normal((12, 2))
-        cfg = LarnConfig(init="ridge", ridge_eps=0.5)
-        expected = np.linalg.solve(X.T @ X + 0.5 * np.eye(4), X.T @ Y)
-        np.testing.assert_allclose(
-            initial_estimate(Dataset(X, Y), cfg), expected, atol=1e-10)
-
-    def test_provided(self):
-        data, B0 = sparse_instance(4)
-        cfg = LarnConfig(init="provided", init_matrix=B0)
-        np.testing.assert_allclose(initial_estimate(data, cfg), B0)
-
 
 class TestTrueObjective:
     def test_perfect_fit(self):
@@ -94,7 +80,7 @@ class TestLarnFit:
     def test_lambda_zero_returns_least_squares(self):
         data, _ = sparse_instance(8)
         fit = larn_fit(data, LarnConfig(), 0.0)
-        np.testing.assert_allclose(fit.b_one_step, initial_estimate(data), atol=1e-8)
+        np.testing.assert_allclose(fit.b_hat, initial_estimate(data), atol=1e-8)
 
     def test_huge_lambda_kills_all_rows(self):
         # the depth weight decays with the initial row norm, so the zero
@@ -105,16 +91,16 @@ class TestLarnFit:
         X = (X - X.mean(0)) / X.std(0)
         d = Dataset(X, rng.standard_normal((40, 4)))
         fit = larn_fit(d, LarnConfig(), 1e6)
-        assert np.all(fit.b_one_step == 0.0)
+        assert np.all(fit.b_hat == 0.0)
 
     def test_support_stable_under_tightened_tolerances(self):
         cfg_sim = SimConfig(n=50, p=20, q=20, rho=0.7, seed=1)
         data, _ = generate_instance(cfg_sim)
         base = LarnConfig()
-        tight = LarnConfig(solver=SolverSettings(max_sweeps=5000).tightened(100))
+        tight = LarnConfig(solver=SolverSettings(max_sweeps=5000, tol=1e-10, kkt_tol=1e-8))
         lam = 5.0
-        s1 = set(row_support(larn_fit(data, base, lam).b_one_step))
-        s2 = set(row_support(larn_fit(data, tight, lam).b_one_step))
+        s1 = set(row_support(larn_fit(data, base, lam).b_hat))
+        s2 = set(row_support(larn_fit(data, tight, lam).b_hat))
         assert s1 == s2
 
     def test_exp_transform_warns(self):
@@ -150,7 +136,7 @@ class TestFullIteration:
         spec = PenaltySpec(lam=4.0)
         fit = larn_fit(data, LarnConfig(one_step=False, max_outer_iters=3,
                                         outer_tol=1e-14), 4.0)
-        B_ref = fit.b_one_step
+        B_ref = fit.b_hat
         r_ref = np.linalg.norm(B_ref, axis=1)
         w = penalty_weight(r_ref, spec)
         p_ref = np.asarray(inverse_depth(r_ref, spec))
@@ -171,13 +157,13 @@ class TestFullIteration:
     def test_noiseless_row_support_recovery(self):
         data, B0 = sparse_instance(22, n=40, p=10, q=4, noise=0.0)
         fit = larn_fit(data, LarnConfig(), 0.01)
-        assert set(row_support(fit.b_one_step)) == set(row_support(B0))
+        assert set(row_support(fit.b_hat)) == set(row_support(B0))
 
 
 class TestThreshold:
     def test_zero_threshold_is_identity(self):
         B = np.random.default_rng(0).standard_normal((4, 3))
-        np.testing.assert_array_equal(within_row_threshold(B, ThresholdRule.fixed(0.0)), B)
+        np.testing.assert_array_equal(within_row_threshold(B, 0.0), B)
 
     def test_theory_formula_value(self):
         assert theory_threshold(100, 2, 2, 1.0) == pytest.approx(
@@ -186,45 +172,37 @@ class TestThreshold:
 
     def test_hand_application(self):
         B = np.array([[0.2, 0.5]])
-        out = within_row_threshold(B, ThresholdRule.fixed(0.333))
+        out = within_row_threshold(B, 0.333)
         np.testing.assert_array_equal(out, [[0.0, 0.5]])
 
     def test_zero_rows_stay_zero_and_survivors_unshrunk(self):
         B = np.array([[0.0, 0.0], [0.4, -1.2]])
-        out = within_row_threshold(B, ThresholdRule.fixed(0.5))
+        out = within_row_threshold(B, 0.5)
         np.testing.assert_array_equal(out, [[0.0, 0.0], [0.0, -1.2]])
 
     def test_negative_entries_thresholded_by_magnitude(self):
         B = np.array([[-0.2, -5.0]])
-        out = within_row_threshold(B, ThresholdRule.fixed(0.3))
+        out = within_row_threshold(B, 0.3)
         np.testing.assert_array_equal(out, [[0.0, -5.0]])
 
     def test_support_shrinks_with_level(self):
         B = np.random.default_rng(1).standard_normal((6, 5))
-        sizes = [np.count_nonzero(within_row_threshold(B, ThresholdRule.fixed(t)))
+        sizes = [np.count_nonzero(within_row_threshold(B, t))
                  for t in np.linspace(0, 2, 15)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_theory_rule_from_matrix(self):
-        B = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.5]])
-        rule = ThresholdRule.theory(c_min=1.0, n=100)
-        # q = 2 columns, |S| = 2 nonzero rows read off the matrix
-        expected = theory_threshold(100, 2, 2, 1.0)
-        assert rule.threshold_value(B) == pytest.approx(expected, rel=1e-15)
-
     def test_degenerate_theory_configuration(self):
-        B = np.array([[1.0]])
         with pytest.raises(ValueError, match="exceed 1"):
-            ThresholdRule.theory(c_min=1.0, n=100).threshold_value(B)
+            theory_threshold(100, 1, 1, 1.0)
 
 
 class TestFitResultInvariants:
     def test_threshold_nests_supports(self):
         data, _ = sparse_instance(30)
         fit = larn_fit(data, LarnConfig(), 3.0)
-        B_t = within_row_threshold(fit.b_one_step, ThresholdRule.fixed(0.2))
-        assert np.all((B_t != 0) <= (fit.b_one_step != 0))
-        assert set(row_support(B_t)) <= set(row_support(fit.b_one_step))
+        B_t = within_row_threshold(fit.b_hat, 0.2)
+        assert np.all((B_t != 0) <= (fit.b_hat != 0))
+        assert set(row_support(B_t)) <= set(row_support(fit.b_hat))
 
     def test_to_dict_roundtrip_fields(self):
         data, _ = sparse_instance(31)

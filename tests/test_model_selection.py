@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from larn import model_selection
-from larn.estimator import LarnConfig, initial_estimate, group_weights
+from larn.estimator import LarnConfig, initial_estimate, group_weights, larn_fit
 from larn.group_solver import Dataset, bcd_solve
 from larn.model_selection import (CvGrid, cross_validate, cv_rmse,
                                   default_lambdas, fit_with_selection,
@@ -145,7 +145,7 @@ class TestCrossValidate:
         for f_idx, test_idx in enumerate(folds):
             train_idx = np.setdiff1d(np.arange(data.n), test_idx)
             train = data.subset(train_idx)
-            B0 = initial_estimate(train, config)
+            B0 = initial_estimate(train)
             w = group_weights(B0, config.penalty)
             B, _ = bcd_solve(train, w, lam, init=B0, settings=config.solver)
             for t_idx, t in enumerate(cv.thresholds[0]):
@@ -213,7 +213,8 @@ class TestFitWithSelection:
         fit, cv = fit_with_selection(data, LarnConfig(), grid)
         lam_star, t_star = cv.best
         assert t_star > 0
-        assert np.count_nonzero(fit.b_hat) < np.count_nonzero(fit.b_one_step)
+        unthresholded = larn_fit(data, LarnConfig(), lam_star).b_hat
+        assert np.count_nonzero(fit.b_hat) < np.count_nonzero(unthresholded)
 
     def test_result_carries_selected_pair(self):
         data = make_data(10)

@@ -161,7 +161,7 @@ class TestOrthogonalEquivalence:
         lam = 0.5
         ref = equivalence_orthogonal(data, lam, HALF_MAX)
         cfg = LarnConfig(penalty=PenaltySpec(HALFSPACE, MAX_MINUS))
-        cols = [larn_fit(Dataset(Q, Y[:, [k]]), cfg, lam).b_one_step[:, 0]
+        cols = [larn_fit(Dataset(Q, Y[:, [k]]), cfg, lam).b_hat[:, 0]
                 for k in range(3)]
         np.testing.assert_allclose(np.column_stack(cols), ref, atol=1e-10)
 

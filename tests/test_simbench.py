@@ -196,7 +196,7 @@ class TestUnitWeightSpecialCase:
         fit = larn_fit(data, cfg, lam)
         B0 = np.linalg.lstsq(X, Y, rcond=None)[0]
         B_direct, _ = bcd_solve(data, np.ones(8), lam, init=B0)
-        np.testing.assert_array_equal(fit.b_one_step, B_direct)
+        np.testing.assert_array_equal(fit.b_hat, B_direct)
 
 
 class TestRunBenchmark:
