@@ -28,7 +28,15 @@ form (the covariance updates of Friedman, Hastie and Tibshirani, JSS
 so a row costs O(p) instead of the O(n) of reading x_j'R and updating R.
 R, and H from it, are recomputed from B after every sweep, so the traces
 and the KKT certificate never rest on the cancelling expansion
-||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).  With the
+||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).
+
+Every five sweeps each level tries an Anderson extrapolation of its last
+iterates (Bertrand and Massias, AISTATS 2021): with U the five iterate
+differences, (U'U + eps I) z = 1 is solved and the last five iterates are
+combined with weights z / sum(z).  The safeguard keeps the combination only
+when the level's objective, computed from the refreshed residual, is finite
+and strictly lower, so the traces stay nonincreasing; a trace still holds
+one value per sweep.  With the
 entrywise soft-threshold as row update and the entrywise KKT conditions as
 certificate, it solves :func:`larn.simbench.lasso_path`; :func:`bcd_solve`
 and :func:`bcd_solve_path` solve the group lasso at one level or many.
@@ -178,6 +186,12 @@ _ENTRYWISE = (_entrywise_prox, lambda B: np.abs(B).sum(axis=2),
               _kkt_entrywise_rows)
 
 
+# Anderson extrapolation: iterates combined per step (also the sweeps
+# between steps) and the ridge on U'U relative to its trace
+_ANDERSON_DEPTH = 5
+_ANDERSON_EPS = 1e-10
+
+
 def _column_norms_squared(X):
     col_ss = np.einsum("ij,ij->j", X, X)
     dead = np.flatnonzero(col_ss == 0.0)
@@ -212,8 +226,45 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     return _cd_path(data, weights, lambdas, init, settings or SolverSettings(), _GROUP)
 
 
+def _anderson(iterates):
+    """Anderson extrapolation of each level from the iterates (A, K+1, p, q).
+
+    With U the K iterate differences of a level, solves the regularized
+    system (U'U + eps I) z = 1 and combines the last K iterates with
+    c = z / sum(z).  Returns the candidates (A, p, q) and a mask (A,) of
+    the levels that have a finite one; a level that did not move has none.
+    Never raises: a failed solve leaves every level without a candidate.
+    """
+    A, K = iterates.shape[0], iterates.shape[1] - 1
+    flat = iterates.reshape(A, K + 1, -1)
+    U = np.diff(flat, axis=1)                              # (A, K, p*q)
+    C = U @ U.transpose(0, 2, 1)                           # (A, K, K)
+    scale = np.trace(C, axis1=1, axis2=2)
+    ok = np.isfinite(scale) & (scale > 0)
+    reg = C[ok] + (_ANDERSON_EPS * scale[ok])[:, None, None] * np.eye(K)
+    try:
+        z = np.linalg.solve(reg, np.ones((len(reg), K, 1)))[:, :, 0]
+    except np.linalg.LinAlgError:
+        z = np.full((len(reg), K), np.nan)
+    c = np.zeros((A, K))
+    with np.errstate(all="ignore"):
+        c[ok] = z / z.sum(axis=1, keepdims=True)
+    cand = (c[:, None, :] @ flat[:, 1:]).reshape((A,) + iterates.shape[2:])
+    ok &= np.all(np.isfinite(c), axis=1) & np.all(np.isfinite(cand), axis=(1, 2))
+    return cand, ok
+
+
 def _cd_path(data, weights, lambdas, init, settings, penalty):
-    """Batched cyclic coordinate descent on validated inputs (``_GROUP`` or ``_ENTRYWISE``)."""
+    """Batched cyclic coordinate descent on validated inputs (``_GROUP`` or ``_ENTRYWISE``).
+
+    Every ``_ANDERSON_DEPTH`` sweeps each active level tries the Anderson
+    extrapolation of its last iterates (:func:`_anderson`) and keeps it
+    only when its objective, computed from the refreshed residual, is
+    finite and strictly lower.  The candidates are evaluated in place: they
+    overwrite B, R is refreshed into its buffer, and rejected levels are
+    restored from the stored last iterate before a second refresh.  A trace
+    holds one value per sweep, an accepted extrapolation included.
+    """
     prox, row_norms, kkt = penalty
     X, Y = data.X, data.Y
     n, p, q = data.n, data.p, data.q
@@ -234,6 +285,9 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     lam_w = lambdas.copy()
     half = 0.5 * lam_w[None, :] * weights[:, None]  # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
+    iterates = np.empty((L, _ANDERSON_DEPTH + 1, p, q))   # level axis first
+    iterates[:, 0] = B.transpose(1, 0, 2)
+    since = 0                                      # sweeps since iterates[:, 0]
 
     def objectives():
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
@@ -261,9 +315,28 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
                 raise SolverError(f"non-finite update in row {bad}")
             # full refresh keeps traces free of incremental drift
             np.subtract(Yb, X @ B2, out=R)
-            np.matmul(X.T, R, out=H)
         prev = obj
         obj = objectives()
+        since += 1
+        iterates[:, since] = B.transpose(1, 0, 2)
+        if since == _ANDERSON_DEPTH:
+            cand, ok = _anderson(iterates)
+            if np.any(ok):
+                # evaluate in place; the last iterate holds the current B
+                B[:, ok] = cand[ok].transpose(1, 0, 2)
+                np.subtract(Yb, X @ B2, out=R)
+                trial = objectives()
+                take = ok & np.isfinite(trial) & (trial < obj)
+                back = ok & ~take
+                if np.any(back):
+                    B[:, back] = iterates[back, -1].transpose(1, 0, 2)
+                    np.subtract(Yb, X @ B2, out=R)
+                obj = np.where(take, trial, obj)
+                changed = changed or bool(np.any(take))
+            iterates[:, 0] = B.transpose(1, 0, 2)
+            since = 0
+        if changed:
+            np.matmul(X.T, R, out=H)
         for i, l in enumerate(act):
             traces[l].append(float(obj[i]))
         rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))
@@ -287,6 +360,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
                 lam_w = lam_w[keep]
                 half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
+                iterates = iterates[keep]
     for i, l in enumerate(act):
         out[l] = B[:, i, :]
     return out, traces

@@ -15,9 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .estimator import (LarnConfig, FitResult, group_weights, initial_estimate,
-                        larn_fit, within_row_threshold)
-from .group_solver import Dataset, SolverError, bcd_solve_path
+from .estimator import (FitResult, group_weights, initial_estimate, larn_fit,
+                        within_row_threshold)
+from .group_solver import SolverError, bcd_solve_path
 
 
 def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
