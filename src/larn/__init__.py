@@ -17,9 +17,8 @@ from .estimator import (FitResult, LarnConfig, initial_estimate, group_weights,
                         larn_fit, theory_threshold, true_objective,
                         within_row_threshold)
 from .group_solver import (Dataset, SolverError, SolverSettings, bcd_solve,
-                           element_support, kkt_residual, objective,
-                           row_support)
-from .model_selection import (CvGrid, CvResult, cross_validate, cv_rmse,
+                           kkt_residual, objective, row_support)
+from .model_selection import (CvGrid, CvResult, cross_validate,
                               default_lambdas, fit_with_selection, kfold_split)
 from .scalar_rule import (RiskReport, ScalarPenalty, depth_scalar_penalty,
                           equivalence_orthogonal, ideal_risk, mcp_penalty,

@@ -35,16 +35,6 @@ TRANSFORMS = (MAX_MINUS, EXP_NEG)
 PROJECTION_C = float(ndtri(0.75))
 
 
-def std_normal_cdf(x):
-    """Standard normal cdf (Cephes ndtr; absolute error well below 1e-10)."""
-    return ndtr(x)
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal cdf."""
-    return ndtri(p)
-
-
 def std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

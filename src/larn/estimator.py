@@ -129,7 +129,9 @@ def larn_fit(data, config, lam):
     nonincreasing.
 
     Returns a :class:`FitResult` whose ``b_hat`` equals the pre-threshold
-    estimate (apply :func:`within_row_threshold` separately).
+    estimate (apply :func:`within_row_threshold` separately).  Warns
+    (``RuntimeWarning``) when the largest KKT residual of the result exceeds
+    ``config.solver.kkt_tol``.
     """
     if lam < 0 or not np.isfinite(lam):
         raise ValueError("lam must be a nonnegative finite real")
@@ -144,6 +146,7 @@ def larn_fit(data, config, lam):
         w = group_weights(B, spec, unit=config.unit_weights)
         B1, trace = bcd_solve(data, w, lam, init=B, settings=config.solver)
         kkt = kkt_residual(data, B1, w, lam)
+        _warn_uncertified(lam, kkt, config.solver.kkt_tol)
         return FitResult(B1, lam, 0.0, trace, kkt, outer_iters=1)
 
     q_trace = [true_objective(data, B, spec)]
@@ -160,7 +163,16 @@ def larn_fit(data, config, lam):
         if rel < config.outer_tol:
             break
     kkt = kkt_residual(data, B, w, lam)
+    _warn_uncertified(lam, kkt, config.solver.kkt_tol)
     return FitResult(B, lam, 0.0, q_trace, kkt, outer_iters=iters)
+
+
+def _warn_uncertified(lam, kkt, tol):
+    worst = float(np.max(kkt))
+    if worst > tol:
+        warnings.warn(f"fit at lambda = {lam:g} is not certified: KKT residual "
+                      f"{worst:.3g} exceeds the tolerance {tol:g}",
+                      RuntimeWarning, stacklevel=3)
 
 
 def theory_threshold(n, q, s_hat_size, c_min):

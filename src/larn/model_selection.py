@@ -129,17 +129,6 @@ def kfold_split(n, k, seed):
     return [np.sort(f) for f in np.array_split(perm, k)]
 
 
-def cv_rmse(data, folds, b_per_fold):
-    """Pooled held-out error: sqrt(sum of squares over folds) / (n*q)."""
-    if len(folds) != len(b_per_fold):
-        raise ValueError(f"{len(folds)} folds but {len(b_per_fold)} estimates")
-    sse = 0.0
-    for idx, B in zip(folds, b_per_fold):
-        R = data.Y[idx] - data.X[idx] @ np.asarray(B, dtype=float)
-        sse += float(np.sum(R * R))
-    return np.sqrt(sse) / (data.n * data.q)
-
-
 # thresholds are scored in blocks whose stacked fits and residuals hold at
 # most this many entries (2 MB), so the work memory does not grow with n_test
 _SCORE_BLOCK_ENTRIES = 1 << 18

@@ -5,8 +5,7 @@ from scipy.integrate import quad
 from larn.depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PROJECTION,
                                 PROJECTION_C, PenaltySpec, depth,
                                 inverse_depth, max_depth, penalty_weight,
-                                row_penalty, std_normal_cdf,
-                                std_normal_quantile)
+                                row_penalty)
 
 ALL_SPECS = [PenaltySpec(d, t) for d in (HALFSPACE, PROJECTION)
              for t in (MAX_MINUS, EXP_NEG)]
@@ -24,14 +23,6 @@ def cdf_by_quadrature(x):
 
 
 class TestNormalHelpers:
-    def test_cdf_matches_quadrature_oracle(self):
-        for x in np.linspace(-6, 6, 25):
-            assert abs(std_normal_cdf(x) - cdf_by_quadrature(x)) <= 1e-10
-
-    def test_quantile_inverts_cdf(self):
-        for p in [0.01, 0.25, 0.5, 0.75, 0.9, 0.999]:
-            assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-12)
-
     def test_projection_constant_is_three_quarter_quantile(self):
         assert cdf_by_quadrature(PROJECTION_C) == pytest.approx(0.75, abs=1e-10)
 

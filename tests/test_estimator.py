@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -117,8 +119,18 @@ class TestLarnFit:
 
     def test_kkt_residuals_certified(self):
         data, _ = sparse_instance(12)
-        fit = larn_fit(data, LarnConfig(), 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = larn_fit(data, LarnConfig(), 4.0)
         assert np.max(fit.kkt_residuals) <= 1e-6
+
+    def test_uncertified_fit_warns(self):
+        data, _ = sparse_instance(12)
+        cfg = LarnConfig(solver=SolverSettings(max_sweeps=3))
+        with pytest.warns(RuntimeWarning,
+                          match=r"lambda = 4 .* KKT residual .* tolerance 1e-06"):
+            fit = larn_fit(data, cfg, 4.0)
+        assert np.max(fit.kkt_residuals) > 1e-6
 
 
 class TestFullIteration:

@@ -4,10 +4,22 @@ import pytest
 from larn import model_selection
 from larn.estimator import LarnConfig, initial_estimate, group_weights, larn_fit
 from larn.group_solver import Dataset, bcd_solve
-from larn.model_selection import (CvGrid, cross_validate, cv_rmse,
-                                  default_lambdas, fit_with_selection,
-                                  kfold_split, threshold_grid)
+from larn.model_selection import (CvGrid, cross_validate, default_lambdas,
+                                  fit_with_selection, kfold_split,
+                                  threshold_grid)
 from larn.simbench import SimConfig, generate_instance
+
+
+def cv_rmse(data, folds, b_per_fold):
+    # reference for cross_validate: pooled held-out error,
+    # sqrt(sum of squares over folds) / (n*q)
+    if len(folds) != len(b_per_fold):
+        raise ValueError(f"{len(folds)} folds but {len(b_per_fold)} estimates")
+    sse = 0.0
+    for idx, B in zip(folds, b_per_fold):
+        R = data.Y[idx] - data.X[idx] @ np.asarray(B, dtype=float)
+        sse += float(np.sum(R * R))
+    return np.sqrt(sse) / (data.n * data.q)
 
 
 def make_data(seed, n=30, p=6, q=3):
