@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-fit              cross-validate on CSV data, refit, write coefficients + JSON
+fit              cross-validate on CSV data, write the selected fit + JSON
 cv               cross-validate only, write the error surface + best pair
 simulate         draw a benchmark instance to X.csv / Y.csv / B0.csv
 benchmark        run the replication study, write the long-format metrics CSV
@@ -64,7 +64,7 @@ def build_parser():
                                      description="depth-penalized multitask sparse regression")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="cross-validate, refit, and write the estimate")
+    p_fit = sub.add_parser("fit", help="cross-validate and write the selected estimate")
     p_fit.add_argument("--x", required=True, help="design matrix CSV")
     p_fit.add_argument("--y", required=True, help="response matrix CSV")
     p_fit.add_argument("--out-dir", required=True)

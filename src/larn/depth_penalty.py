@@ -49,27 +49,21 @@ class PenaltySpec:
     transform : {"max", "exp"}
     lam : float
         Nonnegative tuning parameter multiplying the row penalty.
-    c : float
-        Projection-depth constant; defaults to the 3/4 normal quantile,
-        which is the closed form for a spherical Gaussian reference.
 
-    The reference distribution is always the spherical standard Gaussian.
+    The reference distribution is always the spherical standard Gaussian,
+    so the projection-depth constant is always ``PROJECTION_C``.
     """
 
-    def __init__(self, depth=HALFSPACE, transform=MAX_MINUS, lam=1.0,
-                 c=PROJECTION_C):
+    def __init__(self, depth=HALFSPACE, transform=MAX_MINUS, lam=1.0):
         if depth not in DEPTH_FAMILIES:
             raise ValueError(f"unknown depth family {depth!r}; choose from {DEPTH_FAMILIES}")
         if transform not in TRANSFORMS:
             raise ValueError(f"unknown inverse transform {transform!r}; choose from {TRANSFORMS}")
         if not np.isfinite(lam) or lam < 0:
             raise ValueError(f"lam must be a nonnegative finite real, got {lam!r}")
-        if not np.isfinite(c) or c <= 0:
-            raise ValueError(f"projection constant c must be positive, got {c!r}")
         self.depth = depth
         self.transform = transform
         self.lam = float(lam)
-        self.c = float(c)
 
     @property
     def concavity_guaranteed(self):
@@ -77,11 +71,11 @@ class PenaltySpec:
         return self.transform == MAX_MINUS
 
     def with_lam(self, lam):
-        return PenaltySpec(self.depth, self.transform, lam, self.c)
+        return PenaltySpec(self.depth, self.transform, lam)
 
     def __repr__(self):
         return (f"PenaltySpec(depth={self.depth!r}, transform={self.transform!r}, "
-                f"lam={self.lam!r}, c={self.c!r})")
+                f"lam={self.lam!r})")
 
 
 def _check_radius(r, allow_negative=False):
@@ -97,7 +91,7 @@ def _scalar_like(value, template):
     return float(value) if np.ndim(template) == 0 else value
 
 
-def depth(r, family=HALFSPACE, c=PROJECTION_C):
+def depth(r, family=HALFSPACE):
     """Depth of a point at distance r from the origin of the spherical Gaussian.
 
     Maximal at r = 0, strictly decreasing, vanishing as r grows.
@@ -106,15 +100,15 @@ def depth(r, family=HALFSPACE, c=PROJECTION_C):
     if family == HALFSPACE:
         out = 1.0 - ndtr(arr)
     elif family == PROJECTION:
-        out = c / (c + arr)
+        out = PROJECTION_C / (PROJECTION_C + arr)
     else:
         raise ValueError(f"unknown depth family {family!r}")
     return _scalar_like(out, r)
 
 
-def max_depth(family=HALFSPACE, c=PROJECTION_C):
+def max_depth(family=HALFSPACE):
     """Depth at the center (r = 0): 1/2 for halfspace, 1 for projection."""
-    return depth(0.0, family, c)
+    return depth(0.0, family)
 
 
 def inverse_depth(r, spec):
@@ -127,11 +121,11 @@ def inverse_depth(r, spec):
       projection + exp:  exp(-c/(c+r)) - exp(-1)
     """
     arr = _check_radius(r)
-    d = depth(arr, spec.depth, spec.c)
+    d = depth(arr, spec.depth)
     if spec.transform == MAX_MINUS:
-        out = max_depth(spec.depth, spec.c) - d
+        out = max_depth(spec.depth) - d
     else:
-        out = np.exp(-d) - np.exp(-max_depth(spec.depth, spec.c))
+        out = np.exp(-d) - np.exp(-max_depth(spec.depth))
     return _scalar_like(out, r)
 
 
@@ -150,9 +144,10 @@ def penalty_weight(r, spec):
         if spec.transform == EXP_NEG:
             out = out * np.exp(ndtr(arr) - 1.0)
     else:
-        out = spec.c / (spec.c + arr) ** 2
+        c = PROJECTION_C
+        out = c / (c + arr) ** 2
         if spec.transform == EXP_NEG:
-            out = out * np.exp(-spec.c / (spec.c + arr))
+            out = out * np.exp(-c / (c + arr))
     return _scalar_like(out, r)
 
 

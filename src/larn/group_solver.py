@@ -402,21 +402,11 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
         return resid + lam_w * (weights @ row_norms(B))
 
-    def newton(obj):
-        # finish each level whose nonzero rows held over the stored
-        # iterates; keep a finished level only when its refreshed objective
-        # is finite and strictly lower, and lower obj in place.  Returns
-        # whether any level was kept.
-        nz = np.einsum("akpq,akpq->akp", iterates, iterates) > 0
-        todo = np.all(nz == nz[:, -1:], axis=(1, 2)) & nz[:, -1].any(axis=1)
-        before = B.copy()
-        moved = np.zeros(len(obj), dtype=bool)
-        for i in np.flatnonzero(todo):
-            B[:, i, :], steps = _newton_finish(X, Y, before[:, i, :], weights,
-                                               lam_w[i], settings.kkt_tol)
-            moved[i] = steps > 0
-        if not np.any(moved):
-            return False
+    def keep_if_lower(moved, before, obj):
+        # B holds a candidate on each level in ``moved``; keep it only when
+        # the refreshed objective is finite and strictly lower, else restore
+        # the level from ``before`` (laid out as B).  Lowers obj in place and
+        # returns whether any candidate was kept.
         np.subtract(Yb, X @ B2, out=R)
         trial = objectives()
         take = moved & np.isfinite(trial) & (trial < obj)
@@ -426,6 +416,18 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
             np.subtract(Yb, X @ B2, out=R)
         obj[take] = trial[take]
         return bool(np.any(take))
+
+    def newton(obj):
+        # finish each level whose nonzero rows held over the stored iterates
+        nz = np.einsum("akpq,akpq->akp", iterates, iterates) > 0
+        todo = np.all(nz == nz[:, -1:], axis=(1, 2)) & nz[:, -1].any(axis=1)
+        before = B.copy()
+        moved = np.zeros(len(obj), dtype=bool)
+        for i in np.flatnonzero(todo):
+            B[:, i, :], steps = _newton_finish(X, Y, before[:, i, :], weights,
+                                               lam_w[i], settings.kkt_tol)
+            moved[i] = steps > 0
+        return bool(np.any(moved)) and keep_if_lower(moved, before, obj)
 
     obj = objectives()
     traces = [[float(v)] for v in obj]
@@ -458,15 +460,8 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
             if np.any(ok):
                 # evaluate in place; the last iterate holds the current B
                 B[:, ok] = cand[ok].transpose(1, 0, 2)
-                np.subtract(Yb, X @ B2, out=R)
-                trial = objectives()
-                take = ok & np.isfinite(trial) & (trial < obj)
-                back = ok & ~take
-                if np.any(back):
-                    B[:, back] = iterates[back, -1].transpose(1, 0, 2)
-                    np.subtract(Yb, X @ B2, out=R)
-                obj = np.where(take, trial, obj)
-                changed = changed or bool(np.any(take))
+                before = iterates[:, -1].transpose(1, 0, 2)
+                changed = keep_if_lower(ok, before, obj) or changed
             if penalty is _GROUP:
                 changed = newton(obj) or changed
             iterates[:, 0] = B.transpose(1, 0, 2)

@@ -4,20 +4,22 @@ Thresholding happens after estimation, so scanning the threshold axis
 costs nothing beyond re-scoring: for every (lambda, fold) pair exactly one
 pre-threshold model is fit, then the whole threshold grid is applied to
 that fit.  A run therefore performs k * len(lambdas) inner solves, never
-k * len(lambdas) * len(thresholds).
+k * len(lambdas) * len(thresholds).  The full-data fit at each lambda sets
+its threshold grid, and the one at the selected lambda is the returned
+estimate: no (training set, lambda) pair is solved twice.
 
-Per-fold fits along the lambda axis share the fold's initial estimate B0
-(whose weights do not depend on lambda) and run as one batched solve in
-which every level starts from B0, not from another level's solution.
+Fits along the lambda axis share the split's initial estimate B0 (whose
+weights do not depend on lambda) and run as one batched solve in which
+every level starts from B0, not from another level's solution.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .estimator import (FitResult, group_weights, initial_estimate, larn_fit,
-                        within_row_threshold)
-from .group_solver import SolverError, bcd_solve_path
+from .estimator import (FitResult, _warn_uncertified, group_weights, initial_estimate,
+                        larn_fit, within_row_threshold)
+from .group_solver import SolverError, _kkt_rows, bcd_solve_path
 
 
 def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
@@ -90,16 +92,19 @@ class CvResult:
         Held-out sum of squares per fold.
     fit_count : int
         Inner solves performed for scoring (k * L by construction).
+    full_fit : FitResult
+        Pre-threshold full-data fit at the selected lambda.
     """
 
     def __init__(self, lambdas, thresholds, cv_rmse, per_fold_sse, best_index,
-                 fit_count):
+                 fit_count, full_fit):
         self.lambdas = lambdas
         self.thresholds = thresholds
         self.cv_rmse = cv_rmse
         self.per_fold_sse = per_fold_sse
         self.best_index = best_index
         self.fit_count = fit_count
+        self.full_fit = full_fit
 
     @property
     def best(self):
@@ -148,18 +153,21 @@ def _sse_over_thresholds(X_test, Y_test, B, thresholds):
 
 
 def _fold_fits(data, config, lambdas, train_idx):
-    """One pre-threshold fit per lambda on a training split.
+    """One pre-threshold :class:`FitResult` per lambda on a training split.
 
     One-step fits share the split's initial estimate (weights do not depend
     on lambda) and run as a single batched solve over the lambda grid.
     """
     train = data.subset(train_idx)
-    if config.one_step:
-        B0 = initial_estimate(train)
-        w = group_weights(B0, config.penalty, unit=config.unit_weights)
-        stack, _ = bcd_solve_path(train, w, lambdas, init=B0, settings=config.solver)
-        return list(stack)
-    return [larn_fit(train, config, lam).b_hat for lam in lambdas]
+    if not config.one_step:
+        return [larn_fit(train, config, lam) for lam in lambdas]
+    B0 = initial_estimate(train)
+    w = group_weights(B0, config.penalty, unit=config.unit_weights)
+    stack, traces = bcd_solve_path(train, w, lambdas, init=B0, settings=config.solver)
+    G = train.X.T @ (train.Y - train.X @ stack)            # (L, p, q)
+    kkt = _kkt_rows(G.transpose(1, 0, 2), stack.transpose(1, 0, 2), np.outer(w, lambdas))
+    return [FitResult(B, float(lam), 0.0, trace, kkt[:, i], outer_iters=1)
+            for i, (B, lam, trace) in enumerate(zip(stack, lambdas, traces))]
 
 
 def cross_validate(data, config, grid, jobs=1):
@@ -174,16 +182,13 @@ def cross_validate(data, config, grid, jobs=1):
     T = grid.n_thresholds
     folds = kfold_split(data.n, grid.k, grid.seed)
 
-    # full-data fits set the per-lambda threshold grids
+    # full-data fits set the per-lambda threshold grids; the selected one is the estimate
     full_fits = _fold_fits(data, config, grid.lambdas, np.arange(data.n))
     if grid.thresholds is not None:
         thresholds = np.tile(grid.thresholds, (L, 1))
     else:
-        thresholds = np.vstack([threshold_grid(np.max(np.abs(B)) if B.size else 0.0, T)
-                                for B in full_fits])
-
-    per_fold_sse = np.zeros((grid.k, L, T))
-    fit_count = 0
+        thresholds = np.vstack([threshold_grid(np.max(np.abs(f.b_hat)), T)
+                                for f in full_fits])
 
     def run_fold(fold_id):
         test_idx = folds[fold_id]
@@ -193,25 +198,22 @@ def cross_validate(data, config, grid, jobs=1):
             fits = _fold_fits(data, config, grid.lambdas, train_idx)
         except (SolverError, np.linalg.LinAlgError):
             return sse, 0  # whole fold failed; every cell records +inf
-        solved = L
         X_test, Y_test = data.X[test_idx], data.Y[test_idx]
-        for l_idx, B in enumerate(fits):
-            sse[l_idx] = _sse_over_thresholds(X_test, Y_test, B, thresholds[l_idx])
-        return sse, solved
+        for l_idx, fit in enumerate(fits):
+            sse[l_idx] = _sse_over_thresholds(X_test, Y_test, fit.b_hat, thresholds[l_idx])
+        return sse, L
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_fold, range(grid.k)))
     else:
         results = [run_fold(f) for f in range(grid.k)]
-    for fold_id, (sse, solved) in enumerate(results):
-        per_fold_sse[fold_id] = sse
-        fit_count += solved
-
+    per_fold_sse = np.stack([sse for sse, _ in results])
+    fit_count = sum(solved for _, solved in results)
     surface = np.sqrt(per_fold_sse.sum(axis=0)) / (data.n * data.q)
     best_index = _best_cell(surface)
     return CvResult(grid.lambdas, thresholds, surface, per_fold_sse, best_index,
-                    fit_count)
+                    fit_count, full_fits[best_index[0]])
 
 
 def _best_cell(surface):
@@ -223,15 +225,15 @@ def _best_cell(surface):
 
 
 def fit_with_selection(data, config, grid, jobs=1):
-    """Cross-validate, refit on the full data at the winner, and threshold.
+    """Cross-validate, then threshold ``cv.full_fit`` at the selected pair.
 
     Returns (FitResult, CvResult); the FitResult carries the selected
-    lambda and threshold and the thresholded coefficient matrix.
+    lambda and threshold, the thresholded coefficient matrix and the fit's
+    diagnostics.  Warns (``RuntimeWarning``) when the fit is not certified.
     """
     cv = cross_validate(data, config, grid, jobs=jobs)
     lam, t = cv.best
-    fit = larn_fit(data, config, lam)
-    b_final = within_row_threshold(fit.b_hat, t)
-    result = FitResult(b_final, lam, t, fit.objective_trace, fit.kkt_residuals,
-                       fit.outer_iters)
-    return result, cv
+    fit = cv.full_fit
+    _warn_uncertified(lam, fit.kkt_residuals, config.solver.kkt_tol)
+    return FitResult(within_row_threshold(fit.b_hat, t), lam, t, fit.objective_trace,
+                     fit.kkt_residuals, fit.outer_iters), cv

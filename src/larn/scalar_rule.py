@@ -111,7 +111,12 @@ def scad_penalty(a, lam):
     return ScalarPenalty(d, p0=c * lam, c1=c * lam, name="scad")
 
 
-def soft_threshold_depth(z, lam, pen, exact=False, max_iters=200, tol=1e-12):
+# fixed-point iteration of the exact rule: iteration cap and step tolerance
+_EXACT_ITERS = 200
+_EXACT_TOL = 1e-12
+
+
+def soft_threshold_depth(z, lam, pen, exact=False):
     """Generalized soft thresholding sign(z) * (|z| - lam*d(z))_+.
 
     Odd in z, never larger than |z| in magnitude, and exactly zero whenever
@@ -131,9 +136,9 @@ def soft_threshold_depth(z, lam, pen, exact=False, max_iters=200, tol=1e-12):
         return float(out) if np.ndim(z) == 0 else out
 
     mag = np.maximum(absz - lam * pen.derivative_fn(absz), 0.0)
-    for _ in range(max_iters):
+    for _ in range(_EXACT_ITERS):
         nxt = np.maximum(absz - lam * pen.derivative_fn(mag), 0.0)
-        if np.max(np.abs(nxt - mag)) < tol:
+        if np.max(np.abs(nxt - mag)) < _EXACT_TOL:
             mag = nxt
             break
         mag = nxt

@@ -17,9 +17,9 @@ Methods scored by the benchmark:
 * the same solver with unit row weights plus thresholding ("tgl")
 * one lasso per response column with a shared penalty level ("seplasso")
 
-Each is tuned by k-fold cross-validation, refit on the full data, and
-scored by held-out error, mean absolute error, and the true-positive /
-true-negative rates of the recovered support.
+Each is tuned by k-fold cross-validation, fit on the full data at the
+selected level, and scored by held-out error, mean absolute error, and
+the true-positive / true-negative rates of the recovered support.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -165,24 +165,24 @@ def metrics(B_hat, B0, cv_rmse_value):
     }
 
 
-def lasso_path(data, lambdas, max_sweeps=1000, tol=1e-10):
+def lasso_path(data, lambdas, max_sweeps=1000):
     """Entrywise-penalized fits ||Y - XB||_F^2 + lam ||B||_1 for a level grid.
 
     The batched kernel of :mod:`larn.group_solver` with the soft-threshold
-    at lam / 2 as row update; a level stops once its objective is flat and
-    every entry meets the lasso KKT conditions to the default ``kkt_tol``
-    (or ``max_sweeps`` runs out).  Returns (L, p, q).
+    at lam / 2 as row update; a level stops once its objective is flat to a
+    relative 1e-10 and every entry meets the lasso KKT conditions to the
+    default ``kkt_tol`` (or ``max_sweeps`` runs out).  Returns (L, p, q).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
-    settings = SolverSettings(max_sweeps=max_sweeps, tol=tol)
+    settings = SolverSettings(max_sweeps=max_sweeps, tol=1e-10)
     return _cd_path(data, np.ones(data.p), lambdas, None, settings, _ENTRYWISE)[0]
 
 
-def separate_lasso(data, lam, max_sweeps=1000, tol=1e-10):
+def separate_lasso(data, lam):
     """One lasso per response column at a single shared penalty level."""
-    return lasso_path(data, float(lam), max_sweeps=max_sweeps, tol=tol)[0]
+    return lasso_path(data, float(lam))[0]
 
 
 def select_lasso(data, lambdas, k, seed):
@@ -217,8 +217,7 @@ def _score_replication(cfg, rep, methods, grid_settings):
             B_hat, _, err = select_lasso(data, grid_settings["lambdas"],
                                          grid_settings["k"], grid_settings["seed"])
         else:
-            config = LarnConfig(unit_weights=(method == "tgl"),
-                                solver=grid_settings["solver"])
+            config = LarnConfig(unit_weights=(method == "tgl"))
             grid = CvGrid(lambdas=grid_settings["lambdas"],
                           n_thresholds=grid_settings["n_thresholds"],
                           k=grid_settings["k"], seed=grid_settings["seed"])
@@ -239,7 +238,7 @@ def _seed_scalar(seed):
 
 
 def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
-                  k=5, cv_seed=0, solver=None, jobs=1, progress=None):
+                  k=5, cv_seed=0, jobs=1, progress=None):
     """Score every method over cfg.replications independent instances.
 
     Each replication owns an RNG stream derived from (cfg.seed,
@@ -258,7 +257,6 @@ def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
         "n_thresholds": n_thresholds,
         "k": k,
         "seed": cv_seed,
-        "solver": solver or SolverSettings(),
     }
 
     def one(rep):

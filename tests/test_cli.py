@@ -138,6 +138,22 @@ class TestFit:
         for key in ("lambda", "threshold", "objective_trace", "kkt_residuals", "cv"):
             assert key in payload
 
+    def test_trace_out_matches_fit_json(self, tmp_path):
+        rng = np.random.default_rng(2)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        out = tmp_path / "fit"
+        rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(out), "--n-lambdas", "5", "--n-thresholds", "4",
+                  "--folds", "3", "--trace-out", str(tmp_path / "trace.csv")])
+        assert rc == 0
+        trace, header = read_matrix_csv(tmp_path / "trace.csv")
+        with open(out / "fit.json") as fh:
+            payload = json.load(fh)
+        assert header == ["objective"]
+        assert trace.shape == (len(payload["objective_trace"]), 1)
+        assert np.array_equal(trace[:, 0], payload["objective_trace"])
+
     def test_row_count_mismatch_exit_2(self, tmp_path):
         write_matrix_csv(tmp_path / "x.csv", np.zeros((4, 2)) + 1.0)
         write_matrix_csv(tmp_path / "y.csv", np.ones((5, 1)))

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from larn import model_selection
-from larn.estimator import LarnConfig, initial_estimate, group_weights, larn_fit
-from larn.group_solver import Dataset, bcd_solve
+from larn import estimator, model_selection
+from larn.estimator import (LarnConfig, initial_estimate, group_weights, larn_fit,
+                            within_row_threshold)
+from larn.group_solver import Dataset, SolverSettings, bcd_solve, kkt_residual
 from larn.model_selection import (CvGrid, cross_validate, default_lambdas,
                                   fit_with_selection, kfold_split,
                                   threshold_grid)
@@ -183,7 +186,8 @@ class TestCrossValidate:
         from larn.model_selection import _fold_fits
         fits = _fold_fits(data, config, grid.lambdas, np.arange(data.n))
         cv = cross_validate(data, config, grid)
-        for l_idx, B in enumerate(fits):
+        for l_idx, fit in enumerate(fits):
+            B = fit.b_hat
             sizes = [np.count_nonzero(np.where(np.abs(B) <= t, 0.0, B))
                      for t in cv.thresholds[l_idx]]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -233,3 +237,71 @@ class TestFitWithSelection:
         grid = CvGrid(lambdas=default_lambdas(num=5), n_thresholds=4, k=3, seed=2)
         fit, cv = fit_with_selection(data, LarnConfig(), grid)
         assert (fit.lam, fit.threshold) == cv.best
+
+    def test_one_step_reads_the_cross_validation_fit(self, monkeypatch):
+        # the selected fit is the full-data path level: nothing is solved again
+        def no_refit(*args, **kwargs):
+            raise AssertionError("larn_fit called")
+        monkeypatch.setattr(model_selection, "larn_fit", no_refit)
+        data = make_data(11)
+        grid = CvGrid(lambdas=default_lambdas(num=6), n_thresholds=5, k=3, seed=1)
+        fit, cv = fit_with_selection(data, LarnConfig(), grid)
+        lam, t = cv.best
+        assert cv.full_fit.lam == lam
+        assert np.array_equal(fit.b_hat, within_row_threshold(cv.full_fit.b_hat, t))
+        assert fit.objective_trace == cv.full_fit.objective_trace
+        assert np.array_equal(fit.kkt_residuals, cv.full_fit.kkt_residuals)
+
+    def test_one_start_per_training_set(self, monkeypatch):
+        # k fold starts and one full-data start, and no second one for a refit
+        calls = []
+
+        def counted(train):
+            calls.append(train.n)
+            return initial_estimate(train)
+        monkeypatch.setattr(model_selection, "initial_estimate", counted)
+        monkeypatch.setattr(estimator, "initial_estimate", counted)
+        data = make_data(12)
+        grid = CvGrid(lambdas=default_lambdas(num=4), n_thresholds=3, k=4, seed=0)
+        fit_with_selection(data, LarnConfig(), grid)
+        assert len(calls) == 4 + 1
+        assert calls.count(data.n) == 1
+
+    def test_path_kkt_residuals_match_single_level_formula(self):
+        data = make_data(13)
+        config = LarnConfig()
+        lambdas = default_lambdas(num=5)
+        fits = model_selection._fold_fits(data, config, lambdas, np.arange(data.n))
+        B0 = initial_estimate(data)
+        w = group_weights(B0, config.penalty)
+        for fit, lam in zip(fits, lambdas):
+            np.testing.assert_allclose(fit.kkt_residuals,
+                                       kkt_residual(data, fit.b_hat, w, lam),
+                                       rtol=1e-9, atol=1e-12)
+
+    # full-mode fits that stop on the objective change may warn that they are
+    # not certified; this test checks only which fit is returned
+    @pytest.mark.filterwarnings("ignore:fit at lambda")
+    def test_full_mode_selected_fit_is_larn_fit(self):
+        data = make_data(14)
+        config = LarnConfig(one_step=False)
+        grid = CvGrid(lambdas=[0.5, 2.0, 8.0], n_thresholds=4, k=3, seed=0)
+        fit, cv = fit_with_selection(data, config, grid)
+        lam, t = cv.best
+        ref = larn_fit(data, config, lam)
+        assert np.array_equal(cv.full_fit.b_hat, ref.b_hat)
+        assert np.array_equal(fit.b_hat, within_row_threshold(ref.b_hat, t))
+        assert fit.objective_trace == ref.objective_trace
+        assert fit.outer_iters == ref.outer_iters
+
+    def test_uncertified_selection_warns_once(self):
+        data = make_data(15)
+        config = LarnConfig(solver=SolverSettings(max_sweeps=3))
+        grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=4, k=3, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit, cv = fit_with_selection(data, config, grid)
+        messages = [str(w.message) for w in caught if "not certified" in str(w.message)]
+        assert np.max(cv.full_fit.kkt_residuals) > 1e-6
+        assert len(messages) == 1
+        assert f"lambda = {fit.lam:g}" in messages[0]
