@@ -93,7 +93,11 @@ def build_parser():
     p_bench.add_argument("--out", required=True, help="metrics CSV path")
     p_bench.add_argument("--methods", default="larn,tgl,seplasso")
     p_bench.add_argument("--jobs", type=int, default=1)
-    p_bench.add_argument("--n-lambdas", type=int, default=100)
+    p_bench.add_argument("--n-lambdas", type=int, default=100,
+                         help="levels on the default grid 10^-2..10^2, which every "
+                              "method shares; wider grids go through --lambdas")
+    p_bench.add_argument("--lambdas", type=str, default=None,
+                         help="explicit comma-separated penalty levels (overrides --n-lambdas)")
     p_bench.add_argument("--n-thresholds", type=int, default=100)
     p_bench.add_argument("--folds", type=int, default=5)
 
@@ -225,12 +229,17 @@ def cmd_benchmark(args):
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise CliError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+    if args.lambdas is not None:
+        lambdas = np.asarray(_parse_floats(args.lambdas, "--lambdas"))
+    else:
+        lambdas = default_lambdas(num=args.n_lambdas)
+    if lambdas.size == 0 or np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
+        raise CliError("the lambda grid must be nonempty, finite and nonnegative")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _ensure_out_dir(out_dir)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(MetricsRow.FIELDS) + "\n")
         fh.flush()
-        lambdas = default_lambdas(num=args.n_lambdas)
         rows = run_benchmark(cfg, methods=methods, lambdas=lambdas,
                              n_thresholds=args.n_thresholds, k=args.folds,
                              jobs=args.jobs, progress=_log)

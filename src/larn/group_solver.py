@@ -53,9 +53,20 @@ when the line search fails, or after a fixed number of steps.  This is what
 certifies p > n levels that sweeps alone leave uncertified after 1000.
 
 With the entrywise soft-threshold as row update and the entrywise KKT
-conditions as certificate, and no Newton finish, the kernel solves
-:func:`larn.simbench.lasso_path`; :func:`bcd_solve` and
-:func:`bcd_solve_path` solve the group lasso at one level or many.
+conditions as certificate, the kernel solves the lasso of
+:func:`larn.simbench.lasso_path`.  Its finish, run at the same point, is
+feature-sign search (Lee, Battle, Raina and Ng, NIPS 2007).  The lasso
+separates over response columns, so the finish works on the (level, column)
+pairs whose entries fail the KKT test.  In each round, zero entries with
+|x_j'r| > lam/2 enter with the sign s_j of x_j'r; the minimizer on that
+orthant solves G_MM b_M = X_M'y - (lam/2) s_M; and the step goes to the
+best of that point and the points where an entry reaches zero.  A round is
+kept only when it lowers the column's objective.  A column with more
+nonzeros than X has rows (p > n) instead steps along a null vector of X_M
+until one entry reaches zero, which does not raise the objective.  The
+masked systems of a round are solved in batches of bounded size.
+:func:`bcd_solve` and :func:`bcd_solve_path` solve the group lasso at one
+level or many.
 """
 
 import numpy as np
@@ -171,11 +182,15 @@ def _kkt_rows(G3, B3, shrink):
     return res
 
 
+def _entry_residuals(g, b, half):
+    """Entrywise KKT residuals: |2g - 2 half sign(b)| if b != 0, else (|g| - half)_+."""
+    return np.where(b != 0, np.abs(2.0 * g - 2.0 * half * np.sign(b)),
+                    np.maximum(np.abs(g) - half, 0.0))
+
+
 def _kkt_entrywise_rows(G3, B3, shrink):
     """Max entry residual per row (p, L): |2g - lam sign(b)| or (|g| - lam/2)_+."""
-    lam = shrink[:, :, None]
-    return np.where(B3 != 0, np.abs(2.0 * G3 - lam * np.sign(B3)),
-                    np.maximum(np.abs(G3) - 0.5 * lam, 0.0)).max(axis=2)
+    return _entry_residuals(G3, B3, 0.5 * shrink[:, :, None]).max(axis=2)
 
 
 def _group_prox(g, half, s):
@@ -206,6 +221,12 @@ _ANDERSON_EPS = 1e-10
 _NEWTON_STEPS = 20
 _ARMIJO = 1e-4
 _NEWTON_BACKTRACKS = 30
+
+# feature-sign finish: rounds per window, and the entries of the masked
+# systems built and solved at once (0.5 MB), so memory does not grow with
+# the number of pending (level, column) pairs
+_SIGN_ROUNDS = 20
+_SIGN_BLOCK_ENTRIES = 1 << 16
 
 
 def _column_norms_squared(X):
@@ -353,6 +374,162 @@ def _newton_finish(X, Y, B, weights, lam, kkt_tol):
     return B, steps
 
 
+def _solve_masked(G, mask, rhs):
+    """Solve G_MM x_M = rhs_M for each row of mask (N, p), x = 0 off the mask.
+
+    The systems are built as (N, p, p) matrices with identity blocks off the
+    mask.  A singular batch is solved one system at a time, and a system that
+    is singular on its own gets a NaN solution.
+    """
+    p = G.shape[0]
+    K = np.where(mask[:, :, None] & mask[:, None, :], G, 0.0)
+    K[:, np.arange(p), np.arange(p)] += ~mask
+    rhs = np.where(mask, rhs, 0.0)[:, :, None]
+    try:
+        return np.linalg.solve(K, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(mask.shape, np.nan)
+        for i in range(len(K)):
+            try:
+                out[i] = np.linalg.solve(K[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _orthant_candidates(G, b, g, xty, half, max_active):
+    """Feature-sign step candidates (N, p+1, p) for the lasso columns b (N, p).
+
+    Zero entries with |g_j| > half_j enter with the sign of g_j, the
+    strongest first and only while at most ``max_active`` entries are
+    nonzero.  On that sign pattern s the objective is a quadratic whose
+    minimizer solves G_MM b_M = xty_M - half_M s_M.  The candidates along the
+    segment to it are the point where each nonzero entry reaches zero (that
+    entry set to exactly zero; the segment end where no entry crosses) and
+    the end itself.
+    """
+    p = b.shape[1]
+    zero = b == 0
+    viol = np.where(zero, np.abs(g) - half, -np.inf)
+    room = max_active - np.count_nonzero(~zero, axis=1)
+    rank = np.argsort(np.argsort(-viol, axis=1), axis=1)
+    s = np.where(zero, np.sign(g) * ((viol > 0) & (rank < room[:, None])), np.sign(b))
+    with np.errstate(all="ignore"):
+        end = _solve_masked(G, s != 0, xty - half * s)
+        cross = b * end < 0
+        t = np.where(cross, b / (b - end), 1.0)
+        trial = b[:, None, :] + t[:, :, None] * (end - b)[:, None, :]
+    trial[:, np.arange(p), np.arange(p)] *= ~cross
+    return np.concatenate([trial, end[:, None, :]], axis=1)
+
+
+def _null_candidates(G, b, max_active):
+    """Support-reducing candidates (N, 2, p) for columns with over ``max_active`` nonzeros.
+
+    With more nonzeros than X has rows, X_M has a null vector v: keeping the
+    ``max_active`` largest entries A and one more entry j, v = e_j - z with
+    G_AA z = G_Aj.  Along +-v the fit X b does not change, so the objective
+    is linear up to the first entry that reaches zero; that point (the entry
+    set to exactly zero) is the candidate in each direction.
+    """
+    N, p = b.shape
+    rows = np.arange(N)
+    order = np.argsort(-np.abs(b), axis=1)
+    keep = np.zeros((N, p), dtype=bool)
+    keep[rows[:, None], order[:, :max_active]] = True
+    j = order[:, max_active]
+    v = -_solve_masked(G, keep, G[j])
+    v[rows, j] = 1.0
+    out = []
+    for u in (v, -v):
+        with np.errstate(all="ignore"):
+            t = np.where(b * u < 0, -b / u, np.inf)
+        k = np.argmin(t, axis=1)
+        tk = np.where(np.isfinite(t[rows, k]), t[rows, k], 0.0)
+        trial = b + tk[:, None] * u
+        trial[rows, k] *= tk == 0
+        out.append(trial)
+    return np.stack(out, axis=1)
+
+
+def _best_candidate(G, b, g, half, trial):
+    """Objective change, point and G (point - b) of the best candidate per row.
+
+    ``trial`` is (N, K, p).  The change of ||y - Xb||^2 + 2 sum half_j |b_j|
+    is computed from D = point - b as D'GD - 2 D'g plus the l1 change;
+    non-finite changes count as +inf.
+    """
+    with np.errstate(all="ignore"):
+        D = trial - b[:, None, :]
+        GD = D @ G
+        change = (np.einsum("nkp,nkp->nk", D, GD - 2.0 * g[:, None, :])
+                  + 2.0 * np.einsum("nkp,np->nk", np.abs(trial) - np.abs(b)[:, None, :], half))
+    change = np.where(np.isfinite(change), change, np.inf)
+    best = np.argmin(change, axis=1)
+    rows = np.arange(len(b))
+    return change[rows, best], trial[rows, best], GD[rows, best]
+
+
+def _sign_round(G, b, g, xty, half, max_active):
+    """One feature-sign round on lasso columns b (N, p) with g = X'(y - Xb).
+
+    Columns with at most ``max_active`` nonzeros take the best of
+    :func:`_orthant_candidates` when it lowers their objective; the others
+    take the best of :func:`_null_candidates` when it does not raise it (a
+    flat step still removes an entry).  Updates b and g in place and
+    returns a mask (N,) of the columns that moved.
+    """
+    over = np.count_nonzero(b, axis=1) > max_active
+    moved = np.zeros(len(b), dtype=bool)
+    for reduce in (False, True):
+        rows = np.flatnonzero(over == reduce)
+        if rows.size == 0:
+            continue
+        br, gr, hr = b[rows], g[rows], half[rows]
+        trial = (_null_candidates(G, br, max_active) if reduce
+                 else _orthant_candidates(G, br, gr, xty[rows], hr, max_active))
+        change, point, GD = _best_candidate(G, br, gr, hr, trial)
+        ok = ((change <= 0) & np.any(point != br, axis=1)) if reduce else change < 0
+        rows = rows[ok]
+        b[rows] = point[ok]
+        g[rows] -= GD[ok]
+        moved[rows] = True
+    return moved
+
+
+def _feature_sign(G, b, g, xty, half, kkt_tol, max_active):
+    """Feature-sign search on lasso columns (Lee, Battle, Raina and Ng, NIPS 2007).
+
+    Each row of b (N, p) is one (level, column) pair of
+    ||y - Xb||^2 + 2 sum_j half_j |b_j|, with g = X'(y - Xb), xty = X'y and
+    G = X'X.  Each pair repeats :func:`_sign_round` until its entries pass
+    the KKT test at ``kkt_tol``, a round does not move it, or
+    ``_SIGN_ROUNDS`` rounds have run; ``max_active`` is the number of rows of
+    X.  A round handles its pairs in blocks whose (N, p, p) systems hold at
+    most ``_SIGN_BLOCK_ENTRIES`` entries.  Never raises.
+
+    Returns the new b (a copy) and a mask (N,) of the pairs that moved.
+    """
+    b, g = b.copy(), g.copy()
+    N, p = b.shape
+    moved = np.zeros(N, dtype=bool)
+    step = max(1, _SIGN_BLOCK_ENTRIES // (p * p))
+    idx = np.arange(N)
+    for _ in range(_SIGN_ROUNDS):
+        idx = idx[_entry_residuals(g[idx], b[idx], half[idx]).max(axis=1) > kkt_tol]
+        ok = np.zeros(len(idx), dtype=bool)
+        for start in range(0, len(idx), step):
+            blk = idx[start:start + step]
+            bb, gb = b[blk], g[blk]
+            ok[start:start + step] = _sign_round(G, bb, gb, xty[blk], half[blk], max_active)
+            b[blk], g[blk] = bb, gb
+        idx = idx[ok]
+        moved[idx] = True
+        if idx.size == 0:
+            break
+    return b, moved
+
+
 def _cd_path(data, weights, lambdas, init, settings, penalty):
     """Batched cyclic coordinate descent on validated inputs (``_GROUP`` or ``_ENTRYWISE``).
 
@@ -373,6 +550,11 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     sweeps and to the KKT retire test, which with the stopping rule and
     compaction are unchanged.  A trace holds one value per sweep, an
     accepted extrapolation or Newton finish included.
+
+    With ``_ENTRYWISE``, the (level, column) pairs whose entries fail the KKT
+    test at ``settings.kkt_tol`` run :func:`_feature_sign` there instead, and
+    a level with a moved pair is kept or restored under the same rule.
+    Only this finish needs ``X'Y``; the group path never computes it.
     """
     prox, row_norms, kkt = penalty
     X, Y = data.X, data.Y
@@ -380,6 +562,8 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     L = len(lambdas)
     col_ss = _column_norms_squared(X)
     G = X.T @ X                                    # symmetric: row j is column j
+    if penalty is _ENTRYWISE:
+        XtY = X.T @ Y
 
     # work arrays cover the active levels only; solved levels retire into
     # ``out`` and the remaining blocks are compacted
@@ -416,6 +600,24 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
             np.subtract(Yb, X @ B2, out=R)
         obj[take] = trial[take]
         return bool(np.any(take))
+
+    def feature_sign(obj):
+        # finish the (level, column) pairs whose entries fail the KKT test;
+        # H may predate the extrapolation, so X'R is formed afresh
+        Hn = (X.T @ R).reshape(p, -1, q)
+        res = _entry_residuals(Hn, B, half[:, :, None]).max(axis=0)
+        lv, col = np.nonzero(res > settings.kkt_tol)
+        if lv.size == 0:
+            return False
+        b, moved = _feature_sign(G, B[:, lv, col].T, Hn[:, lv, col].T, XtY[:, col].T,
+                                 half[:, lv].T, settings.kkt_tol, n)
+        if not np.any(moved):
+            return False
+        before = B.copy()
+        B[:, lv[moved], col[moved]] = b[moved].T
+        levels = np.zeros(len(obj), dtype=bool)
+        levels[lv[moved]] = True
+        return keep_if_lower(levels, before, obj)
 
     def newton(obj):
         # finish each level whose nonzero rows held over the stored iterates
@@ -464,6 +666,8 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
                 changed = keep_if_lower(ok, before, obj) or changed
             if penalty is _GROUP:
                 changed = newton(obj) or changed
+            else:
+                changed = feature_sign(obj) or changed
             iterates[:, 0] = B.transpose(1, 0, 2)
             since = 0
         if changed:

@@ -94,6 +94,9 @@ class CvResult:
         Inner solves performed for scoring (k * L by construction).
     full_fit : FitResult
         Pre-threshold full-data fit at the selected lambda.
+    best_on_edge : bool
+        Whether the selected lambda is the first or last on the grid, where
+        the true optimum may lie outside it.
     """
 
     def __init__(self, lambdas, thresholds, cv_rmse, per_fold_sse, best_index,
@@ -107,6 +110,10 @@ class CvResult:
         self.full_fit = full_fit
 
     @property
+    def best_on_edge(self):
+        return self.best_index[0] in (0, len(self.lambdas) - 1)
+
+    @property
     def best(self):
         i, j = self.best_index
         return float(self.lambdas[i]), float(self.thresholds[i, j])
@@ -118,6 +125,7 @@ class CvResult:
             "best_lambda": lam,
             "best_threshold": t,
             "best_cv_rmse": float(self.cv_rmse[i, j]),
+            "best_on_edge": self.best_on_edge,
             "fit_count": int(self.fit_count),
             "per_fold_sse_at_best": [float(v) for v in self.per_fold_sse[:, i, j]],
         }

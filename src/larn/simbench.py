@@ -26,8 +26,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .estimator import LarnConfig
-from .group_solver import _ENTRYWISE, Dataset, SolverError, SolverSettings, _cd_path
+from .estimator import LarnConfig, _warn_uncertified
+from .group_solver import (_ENTRYWISE, Dataset, SolverError, SolverSettings, _cd_path,
+                           _entry_residuals)
 from .model_selection import CvGrid, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
@@ -169,15 +170,23 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     """Entrywise-penalized fits ||Y - XB||_F^2 + lam ||B||_1 for a level grid.
 
     The batched kernel of :mod:`larn.group_solver` with the soft-threshold
-    at lam / 2 as row update; a level stops once its objective is flat to a
+    at lam / 2 as row update and a feature-sign finish on the columns that
+    fail the KKT test; a level stops once its objective is flat to a
     relative 1e-10 and every entry meets the lasso KKT conditions to the
-    default ``kkt_tol`` (or ``max_sweeps`` runs out).  Returns (L, p, q).
+    default ``kkt_tol`` (or ``max_sweeps`` runs out).  Warns once
+    (``RuntimeWarning``, naming the worst level) when a level is not
+    certified.  Returns (L, p, q).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
     settings = SolverSettings(max_sweeps=max_sweeps, tol=1e-10)
-    return _cd_path(data, np.ones(data.p), lambdas, None, settings, _ENTRYWISE)[0]
+    stack = _cd_path(data, np.ones(data.p), lambdas, None, settings, _ENTRYWISE)[0]
+    G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
+    worst = _entry_residuals(G, stack, 0.5 * lambdas[:, None, None]).max(axis=(1, 2))
+    i = int(np.argmax(worst))
+    _warn_uncertified(lambdas[i], worst[i], settings.kkt_tol)
+    return stack
 
 
 def separate_lasso(data, lam):

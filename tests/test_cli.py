@@ -179,6 +179,22 @@ class TestCv:
             best = json.load(fh)
         assert best["fit_count"] == 18
 
+    def test_edge_flag_reaches_json(self, tmp_path):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((15, 4))
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_matrix_csv(tmp_path / "y.csv", X @ np.ones((4, 2)) + 0.1 * rng.standard_normal((15, 2)))
+        args = ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                "--lambdas", "1e-8,1e3,1e4", "--thresholds", "0", "--folds", "3"]
+        assert run(["cv", "--out-dir", str(tmp_path / "cv")] + args) == 0
+        assert run(["fit", "--out-dir", str(tmp_path / "fit")] + args) == 0
+        with open(tmp_path / "cv" / "cv_best.json") as fh:
+            best = json.load(fh)
+        with open(tmp_path / "fit" / "fit.json") as fh:
+            fit = json.load(fh)
+        assert best["best_lambda"] == 1e-8 and best["best_on_edge"] is True
+        assert fit["cv"]["best_on_edge"] is True
+
 
 class TestThresholdCurve:
     def test_identity_at_lambda_zero(self, tmp_path):
@@ -273,3 +289,26 @@ class TestBenchmark:
         write_sim_config(cfg_path)
         assert run(["benchmark", "--config", str(cfg_path),
                     "--out", str(tmp_path / "m.csv"), "--methods", "larn,oops"]) == 2
+
+    def test_explicit_lambdas(self, tmp_path):
+        cfg_path = tmp_path / "sim.json"
+        write_sim_config(cfg_path)
+        out = tmp_path / "metrics.csv"
+        base = ["benchmark", "--config", str(cfg_path), "--n-thresholds", "4", "--folds", "3"]
+        assert run(base + ["--out", str(out), "--lambdas", "0.1,1,10,1e4"]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        # --lambdas overrides --n-lambdas
+        same = tmp_path / "same.csv"
+        assert run(base + ["--out", str(same), "--lambdas", "0.1,1,10,1e4",
+                           "--n-lambdas", "7"]) == 0
+        assert same.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("bad", ["0.1,abc", "", "-1,2", "nan"])
+    def test_bad_lambdas_exit_2(self, tmp_path, bad):
+        cfg_path = tmp_path / "sim.json"
+        write_sim_config(cfg_path)
+        out = tmp_path / "m.csv"
+        assert run(["benchmark", "--config", str(cfg_path), "--out", str(out),
+                    f"--lambdas={bad}"]) == 2
+        assert not out.exists()

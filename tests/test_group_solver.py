@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from larn import group_solver
 from larn.estimator import LarnConfig, group_weights, initial_estimate
 from larn.group_solver import (Dataset, SolverError, SolverSettings,
-                               _newton_direction, _newton_finish, bcd_solve,
+                               _entry_residuals, _feature_sign, _newton_direction,
+                               _newton_finish, _sign_round, bcd_solve,
                                bcd_solve_path, kkt_residual, objective,
                                row_support)
 from larn.simbench import SimConfig, generate_instance
@@ -343,6 +345,87 @@ class TestNewtonFinish:
             assert np.max(kkt_residual(data, B, w, lam)) <= 1e-6
             single, _ = bcd_solve(data, w, lam, init=B0)
             assert np.max(np.abs(B - single)) <= 1e-10
+
+
+def column_pairs(X, Y, B, lam):
+    # (level, column) pair arrays of the feature-sign finish for one level
+    return (B.T.copy(), (X.T @ (Y - X @ B)).T, (X.T @ Y).T,
+            np.full((Y.shape[1], X.shape[1]), 0.5 * lam))
+
+
+def column_objectives(X, Y, b, lam):
+    # ||y - X b||^2 + lam ||b||_1 per column, b laid out as (q, p)
+    R = Y - X @ b.T
+    return np.sum(R * R, axis=0) + lam * np.abs(b).sum(axis=1)
+
+
+class TestFeatureSignFinish:
+    @pytest.mark.parametrize("lam", [0.05, 2.0, 30.0])
+    def test_from_zero_reaches_the_lasso_optimum(self, lam, monkeypatch):
+        # the finish alone, from B = 0, certifies every column, and no round
+        # raises a column's objective
+        d = random_instance(4, n=25, p=7, q=3)
+        b0, g, xty, half = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), lam)
+        rounds = []
+
+        def shifted(G, b, xty, half):
+            # each column's objective less ||y||^2, from the pair arrays alone
+            return np.einsum("np,np->n", b, b @ G - 2.0 * xty) + 2.0 * (half * np.abs(b)).sum(1)
+
+        def recording(G, b, g, xty, half, max_active):
+            before = shifted(G, b, xty, half)
+            moved = _sign_round(G, b, g, xty, half, max_active)
+            rounds.append((before, shifted(G, b, xty, half), moved))
+            return moved
+
+        monkeypatch.setattr(group_solver, "_sign_round", recording)
+        b, moved = _feature_sign(d.X.T @ d.X, b0, g, xty, half, 1e-10, d.n)
+        assert rounds and moved.all()
+        for before, after, step in rounds:
+            assert np.all(after[step] < before[step])
+        g = (d.X.T @ (d.Y - d.X @ b.T)).T
+        assert np.max(_entry_residuals(g, b, half)) <= 1e-9
+
+    def test_wide_columns_step_down_to_n_nonzeros(self):
+        # p > n: from the least-norm interpolant every entry is nonzero; each
+        # round removes one without raising the objective, then the finish
+        # certifies the column with at most n nonzeros
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((8, 14))
+        Y = rng.standard_normal((8, 2))
+        lam = 0.3
+        B = np.linalg.lstsq(X, Y, rcond=None)[0]
+        b, g, xty, half = column_pairs(X, Y, B, lam)
+        G = X.T @ X
+        before = column_objectives(X, Y, b, lam)
+        moved = _sign_round(G, b, g, xty, half, 8)
+        assert moved.all()
+        assert np.all(np.count_nonzero(b, axis=1) == 13)
+        assert np.all(column_objectives(X, Y, b, lam) <= before + 1e-12)
+        b, _ = _feature_sign(G, b, g, xty, half, 1e-9, 8)
+        assert np.all(np.count_nonzero(b, axis=1) <= 8)
+        g = (X.T @ (Y - X @ b.T)).T
+        assert np.max(_entry_residuals(g, b, half)) <= 1e-9
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        d = random_instance(6, n=30, p=9, q=5)
+        pairs = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), 1.5)
+        ref, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
+        monkeypatch.setattr(group_solver, "_SIGN_BLOCK_ENTRIES", 1)
+        b, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
+        assert np.max(np.abs(b - ref)) <= 1e-12
+
+    def test_group_path_does_not_run_it(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the group path ran the feature-sign finish")
+
+        monkeypatch.setattr(group_solver, "_feature_sign", fail)
+        monkeypatch.setattr(group_solver, "_sign_round", fail)
+        for sim, lambdas in ((dict(n=50, p=20, q=20, seed=1), np.logspace(-2, 4, 20)),
+                             (dict(n=50, p=60, q=10, seed=1), np.logspace(-2, 4, 5))):
+            data, _ = generate_instance(SimConfig(**sim))
+            stack, _ = bcd_solve_path(data, np.ones(data.p), lambdas)
+            assert np.all(np.isfinite(stack))
 
 
 class TestKktResidual:

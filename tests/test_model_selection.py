@@ -221,6 +221,26 @@ class TestCrossValidate:
         assert a.best == b.best
 
 
+class TestBestOnEdge:
+    def test_flags_an_optimum_at_the_grid_edge(self):
+        # on the default grid (1e-2..1e2) the paper instance's optimum is
+        # its largest lambda; widening the grid to 1e4 brings it inside
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
+        edge = cross_validate(data, LarnConfig(), CvGrid(k=5, seed=0))
+        assert edge.best_on_edge and edge.best[0] == edge.lambdas[-1]
+        assert edge.to_dict()["best_on_edge"] is True
+        inside = cross_validate(data, LarnConfig(),
+                                CvGrid(lambdas=np.logspace(-2, 4, 100), k=5, seed=0))
+        assert not inside.best_on_edge
+        assert inside.to_dict()["best_on_edge"] is False
+
+    def test_smallest_lambda_counts_as_edge(self):
+        data = make_data(3)
+        cv = cross_validate(data, LarnConfig(), CvGrid(lambdas=[1e-8, 1e3, 1e4],
+                                                       thresholds=[0.0], k=3))
+        assert cv.best_index[0] == 0 and cv.best_on_edge
+
+
 class TestFitWithSelection:
     def test_benchmark_instance_selects_positive_threshold(self):
         cfg = SimConfig(n=50, p=20, q=20, rho=0.7, seed=1)

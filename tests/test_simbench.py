@@ -1,6 +1,10 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from larn import group_solver, simbench
 from larn.estimator import LarnConfig, larn_fit
 from larn.group_solver import Dataset, bcd_solve
 from larn.model_selection import default_lambdas
@@ -242,3 +246,110 @@ class TestSimConfigValidation:
     def test_roundtrip(self):
         cfg = SimConfig(n=11, p=3, q=2, rho=0.9, seed=5)
         assert SimConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def lasso_residuals(data, B, lam):
+    # entrywise lasso conditions for ||Y - XB||^2 + lam ||B||_1
+    G = data.X.T @ (data.Y - data.X @ B)
+    return np.where(B != 0, np.abs(2.0 * G - lam * np.sign(B)),
+                    np.maximum(np.abs(G) - 0.5 * lam, 0.0))
+
+
+def proximal_gradient_lasso(X, Y, lam, steps=20000):
+    # ISTA on ||Y - XB||^2 + lam ||B||_1 with step 1 / (2 ||X||_2^2)
+    step = 0.5 / np.linalg.norm(X, 2) ** 2
+    B = np.zeros((X.shape[1], Y.shape[1]))
+    for _ in range(steps):
+        Z = B + 2.0 * step * X.T @ (Y - X @ B)
+        B = np.sign(Z) * np.maximum(np.abs(Z) - step * lam, 0.0)
+    return B
+
+
+def recorded_lasso_path(data, lambdas, **kw):
+    # lasso_path plus the kernel's traces
+    runs = []
+
+    def recording(*args):
+        runs.append(group_solver._cd_path(*args))
+        return runs[-1]
+
+    with mock.patch.object(simbench, "_cd_path", recording):
+        stack = lasso_path(data, lambdas, **kw)
+    return stack, runs[0][1]
+
+
+class TestLassoFinish:
+    def test_paper_path_certified_in_few_sweeps(self):
+        # plain sweeps with the extrapolation took 4168 level-sweeps on this
+        # path; with the feature-sign finish it takes 652
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
+        lambdas = np.logspace(-2, 4, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack, traces = recorded_lasso_path(data, lambdas)
+        assert sum(len(t) - 1 for t in traces) <= 1500
+        for B, lam, trace in zip(stack, lambdas, traces):
+            assert np.max(lasso_residuals(data, B, lam)) <= 1e-6
+            assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+
+    @pytest.mark.parametrize("n, p, q", [(30, 8, 3), (25, 6, 1)])
+    def test_agrees_with_proximal_gradient(self, n, p, q):
+        rng = np.random.default_rng(n + p + q)
+        X = rng.standard_normal((n, p))
+        B0 = rng.normal(0.0, 2.0, (p, q)) * (rng.random((p, q)) < 0.5)
+        d = Dataset(X, X @ B0 + rng.standard_normal((n, q)))
+        lambdas = [0.05, 1.0, 8.0, 40.0]
+        stack = lasso_path(d, lambdas)
+        for lam, B in zip(lambdas, stack):
+            np.testing.assert_allclose(B, proximal_gradient_lasso(X, d.Y, lam), atol=1e-8)
+
+    def test_wide_instance_certified_and_finite(self):
+        # p > n: the sweeps leave more nonzeros per column than X has rows,
+        # and the six smallest levels used to end uncertified after 1000
+        # sweeps (KKT 2e-2 to 9e-2); the finish first steps the support down
+        data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
+        lambdas = np.logspace(-2, 4, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack, traces = recorded_lasso_path(data, lambdas)
+        assert np.all(np.isfinite(stack))
+        for B, lam, trace in zip(stack, lambdas, traces):
+            assert np.max(lasso_residuals(data, B, lam)) <= 1e-6
+            assert np.count_nonzero(B, axis=0).max() <= data.n
+            assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+
+    def test_tiny_wide_design_finite(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((6, 15))
+        X[:, 14] = -2.0 * X[:, 3]
+        d = Dataset(X, rng.standard_normal((6, 2)))
+        stack = lasso_path(d, [0.0, 1e-3, 0.1, 2.0], max_sweeps=200)
+        assert np.all(np.isfinite(stack))
+
+    def test_duplicate_column_certified(self):
+        # two equal columns make some orthant systems exactly singular; those
+        # columns are solved one at a time and the singular ones left alone
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((20, 6))
+        X[:, 5] = X[:, 2]
+        d = Dataset(X, X[:, :3] @ np.ones((3, 2)) + 0.1 * rng.standard_normal((20, 2)))
+        lambdas = [0.0, 0.01, 0.5, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack = lasso_path(d, lambdas)
+        for B, lam in zip(stack, lambdas):
+            assert np.max(lasso_residuals(d, B, lam)) <= 1e-6
+
+    def test_uncertified_level_warns_once(self):
+        data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
+        lambdas = np.logspace(-2, 4, 20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stack = lasso_path(data, lambdas, max_sweeps=3)
+        assert len(caught) == 1
+        worst = [np.max(lasso_residuals(data, B, lam)) for B, lam in zip(stack, lambdas)]
+        i = int(np.argmax(worst))
+        message = str(caught[0].message)
+        assert caught[0].category is RuntimeWarning
+        assert f"lambda = {lambdas[i]:g}" in message
+        assert f"{worst[i]:.3g}" in message and "1e-06" in message
