@@ -14,7 +14,7 @@ from .depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PROJECTION,
                             PROJECTION_C, PenaltySpec, depth, inverse_depth,
                             penalty_weight, row_norms, row_penalty)
 from .estimator import (FitResult, LarnConfig, initial_estimate, group_weights,
-                        larn_fit, theory_threshold, true_objective,
+                        larn_fit, larn_path, theory_threshold, true_objective,
                         within_row_threshold)
 from .group_solver import (Dataset, SolverError, SolverSettings, bcd_solve,
                            kkt_residual, objective, row_support)

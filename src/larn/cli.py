@@ -235,6 +235,8 @@ def cmd_benchmark(args):
         lambdas = default_lambdas(num=args.n_lambdas)
     if lambdas.size == 0 or np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise CliError("the lambda grid must be nonempty, finite and nonnegative")
+    if args.jobs < 1:
+        raise CliError("--jobs must be a positive integer")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     _ensure_out_dir(out_dir)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -304,12 +306,13 @@ def main(argv=None):
     except CliError as exc:
         _log(f"error: {exc}")
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_CONFIG
+    # before ValueError: numpy's LinAlgError is a subclass of it
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:
+        _log(f"error: {exc}")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

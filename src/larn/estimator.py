@@ -11,12 +11,17 @@ weights w_j = p'(||b_j||).  Because each inner solve starts from the
 current iterate and the surrogate touches Q there, the Q-trace never
 increases.
 
-The default mode stops after the first reweighted solve from the
-least-squares start (the one-step estimator); full iteration to a
-stationary point is available for diagnostics.  Row-sparse estimates are
-refined by hard-thresholding small entries inside surviving rows at a
-given level: a cross-validated one, or the closed-form level
-sqrt(8 log(q*|S|) / (C_min * n)) of :func:`theory_threshold` for an
+:func:`larn_path` runs the loop over a whole lambda grid.  Every level
+starts from the least-squares estimate B0, whose weights do not depend on
+lambda, so the first round is one batched solve over the grid.  The
+default one-step estimator stops there (the first local linear
+approximation step; Zou and Li, Ann. Statist. 36(4), 2008); full
+iteration to a stationary point, available for diagnostics, goes on with
+one batched solve of the unfinished levels per round.
+
+Row-sparse estimates are refined by hard-thresholding small entries inside
+surviving rows at a given level: a cross-validated one, or the closed-form
+level sqrt(8 log(q*|S|) / (C_min * n)) of :func:`theory_threshold` for an
 estimated nonzero-row set S.
 """
 
@@ -25,8 +30,11 @@ import warnings
 
 import numpy as np
 
+from . import group_solver
 from .depth_penalty import PenaltySpec, penalty_weight, row_penalty
-from .group_solver import SolverSettings, bcd_solve, kkt_residual, row_support
+from .group_solver import _GROUP, SolverSettings, _cd_path, _kkt_rows, row_support
+# not called here; perfbench/spans.py wraps this name in this module
+from .group_solver import bcd_solve  # noqa: F401
 
 
 class LarnConfig:
@@ -36,7 +44,7 @@ class LarnConfig:
     ----------
     penalty : PenaltySpec
         Depth family and inverse transform; its ``lam`` field is ignored in
-        favor of the ``lam`` argument passed to :func:`larn_fit`.
+        favor of the levels passed to :func:`larn_path` or :func:`larn_fit`.
     one_step : bool
         Stop after the first reweighted solve (default).  Set False to
         iterate reweighting to a stationary point.
@@ -102,11 +110,14 @@ def initial_estimate(data):
 
 
 def group_weights(B, spec, unit=False):
-    """Row weights p'(||b_j||) at the reference iterate (or all ones)."""
+    """Row weights p'(||b_j||) at the reference iterate (or all ones).
+
+    B is one (p, q) matrix, giving (p,), or a stack (L, p, q), giving (L, p).
+    """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if unit:
-        return np.ones(B.shape[0])
-    return np.asarray(penalty_weight(np.linalg.norm(B, axis=1), spec))
+        return np.ones(B.shape[:-1])
+    return np.asarray(penalty_weight(np.linalg.norm(B, axis=-1), spec))
 
 
 def true_objective(data, B, spec):
@@ -118,53 +129,71 @@ def true_objective(data, B, spec):
     return float(np.sum(R * R)) + row_penalty(B, spec)
 
 
-def larn_fit(data, config, lam):
-    """Run the reweighted group-lasso loop at a fixed penalty level.
+def larn_path(data, config, lambdas):
+    """Run the reweighted group-lasso loop at every penalty level of a grid.
 
-    One-step mode performs a single weighted solve with weights taken at
-    the initial estimate and reports the inner objective trace.  Full mode
-    repeats reweight-and-solve until the relative change in the nonconvex
-    objective drops below ``config.outer_tol``; the trace then holds the
-    nonconvex objective at the start and after each outer iteration and is
-    nonincreasing.
+    Every level starts from the least-squares estimate B0 with the weights
+    taken there, which do not depend on lambda, so round one is a single
+    batched :func:`larn.group_solver.bcd_solve_path` call over the grid;
+    one-step mode stops after it and reports the inner objective traces.
+    In full mode each later round re-solves the unfinished levels as one
+    batched kernel call, each from its own iterate and with the weights
+    taken there, until the relative change in the nonconvex objective of a
+    level drops below ``config.outer_tol`` or ``config.max_outer_iters``
+    rounds have run; its trace then holds the nonconvex objective at B0 and
+    after each round and is nonincreasing.
 
-    Returns a :class:`FitResult` whose ``b_hat`` equals the pre-threshold
-    estimate (apply :func:`within_row_threshold` separately).  Warns
-    (``RuntimeWarning``) when the largest KKT residual of the result exceeds
-    ``config.solver.kkt_tol``.
+    Returns one :class:`FitResult` per level whose ``b_hat`` is the
+    pre-threshold estimate (apply :func:`within_row_threshold` separately).
+    Its KKT residuals are those of the weighted problem at the weights of
+    the last reweighting: B0's in one-step mode, the returned estimate's in
+    full mode.  Warns (``RuntimeWarning``) once per call for the ``exp``
+    transform, whose concavity is not guaranteed.
     """
-    if lam < 0 or not np.isfinite(lam):
-        raise ValueError("lam must be a nonnegative finite real")
-    spec = config.penalty.with_lam(lam)
-    if not spec.concavity_guaranteed and not config.unit_weights:
+    if not config.penalty.concavity_guaranteed and not config.unit_weights:
         warnings.warn("exp inverse-depth transform: penalty concavity is not "
                       "guaranteed, descent of the outer loop may fail",
                       RuntimeWarning, stacklevel=2)
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    B0 = initial_estimate(data)
+    w = group_weights(B0, config.penalty, unit=config.unit_weights)
+    # called through the module, where perfbench/spans.py installs its wrapper
+    stack, traces = group_solver.bcd_solve_path(data, w, lambdas, init=B0, settings=config.solver)
+    weights = w[:, None]                   # B0's at every level; (p, L) once reweighted
+    iters = np.ones(len(lambdas), dtype=int)
+    if not config.one_step:
+        traces = [[true_objective(data, B0, config.penalty.with_lam(lam))] for lam in lambdas]
+        todo = np.arange(len(lambdas))
+        while True:
+            for i in todo:
+                traces[i].append(true_objective(data, stack[i],
+                                                config.penalty.with_lam(lambdas[i])))
+            weights = group_weights(stack, config.penalty, unit=config.unit_weights).T
+            rel = np.array([abs(traces[i][-2] - traces[i][-1]) / max(1.0, abs(traces[i][-2]))
+                            for i in todo])
+            todo = todo[(rel >= config.outer_tol) & (iters[todo] < config.max_outer_iters)]
+            if todo.size == 0:
+                break
+            # each level starts at its own iterate, where its surrogate touches
+            # Q, so the inner solve cannot increase Q
+            stack[todo] = _cd_path(data, weights[:, todo], lambdas[todo], stack[todo],
+                                   config.solver, _GROUP)[0]
+            iters[todo] += 1
+    G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
+    kkt = _kkt_rows(G.transpose(1, 0, 2), stack.transpose(1, 0, 2), weights * lambdas)
+    return [FitResult(B, float(lam), 0.0, trace, kkt[:, i], outer_iters=int(n))
+            for i, (B, lam, trace, n) in enumerate(zip(stack, lambdas, traces, iters))]
 
-    B = initial_estimate(data)
-    if config.one_step:
-        w = group_weights(B, spec, unit=config.unit_weights)
-        B1, trace = bcd_solve(data, w, lam, init=B, settings=config.solver)
-        kkt = kkt_residual(data, B1, w, lam)
-        _warn_uncertified(lam, kkt, config.solver.kkt_tol)
-        return FitResult(B1, lam, 0.0, trace, kkt, outer_iters=1)
 
-    q_trace = [true_objective(data, B, spec)]
-    w = group_weights(B, spec, unit=config.unit_weights)
-    iters = 0
-    for _ in range(config.max_outer_iters):
-        # warm start at the current iterate: the surrogate touches Q there,
-        # so the inner solver cannot increase Q
-        B, _ = bcd_solve(data, w, lam, init=B, settings=config.solver)
-        iters += 1
-        q_trace.append(true_objective(data, B, spec))
-        rel = abs(q_trace[-2] - q_trace[-1]) / max(1.0, abs(q_trace[-2]))
-        w = group_weights(B, spec, unit=config.unit_weights)
-        if rel < config.outer_tol:
-            break
-    kkt = kkt_residual(data, B, w, lam)
-    _warn_uncertified(lam, kkt, config.solver.kkt_tol)
-    return FitResult(B, lam, 0.0, q_trace, kkt, outer_iters=iters)
+def larn_fit(data, config, lam):
+    """:func:`larn_path` at the single level ``lam``.
+
+    Warns (``RuntimeWarning``) when the largest KKT residual of the result
+    exceeds ``config.solver.kkt_tol``.
+    """
+    fit, = larn_path(data, config, [lam])
+    _warn_uncertified(fit.lam, fit.kkt_residuals, config.solver.kkt_tol)
+    return fit
 
 
 def _warn_uncertified(lam, kkt, tol):

@@ -260,7 +260,11 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     weights, lambdas, init = _check_problem(data, weights, lambdas, init)
-    return _cd_path(data, weights, lambdas, init, settings or SolverSettings(), _GROUP)
+    L = len(lambdas)
+    if init is not None:
+        init = np.broadcast_to(init, (L,) + init.shape)
+    return _cd_path(data, np.broadcast_to(weights[:, None], (data.p, L)), lambdas, init,
+                    settings or SolverSettings(), _GROUP)
 
 
 def _anderson(iterates):
@@ -533,6 +537,13 @@ def _feature_sign(G, b, g, xty, half, kkt_tol, max_active):
 def _cd_path(data, weights, lambdas, init, settings, penalty):
     """Batched cyclic coordinate descent on validated inputs (``_GROUP`` or ``_ENTRYWISE``).
 
+    Each level has its own inputs: ``weights`` is (p, L), column l holding
+    the row weights of level l, and ``init`` is (L, p, q), the start of each
+    level (or None for zeros).  :func:`bcd_solve_path` broadcasts one weight
+    vector and one start to that form; the reweighting rounds of
+    :func:`larn.estimator.larn_path` after the first pass each level its
+    own iterate and the weights taken there.
+
     Every ``_ANDERSON_DEPTH`` sweeps each active level tries the Anderson
     extrapolation of its last iterates (:func:`_anderson`) and keeps it
     only when its objective, computed from the refreshed residual, is
@@ -570,13 +581,13 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     act = np.arange(L)
     B = np.zeros((p, L, q))                        # level axis in the middle
     if init is not None:
-        B[:] = init[:, None, :]
+        B[:] = init.transpose(1, 0, 2)
     B2 = B.reshape(p, -1)
     Yb = np.repeat(Y[:, None, :], L, axis=1).reshape(n, L * q)
     R = Yb - X @ B2                                # (n, A*q), C-contiguous
     H = X.T @ R                                    # (p, A*q)
     lam_w = lambdas.copy()
-    half = 0.5 * lam_w[None, :] * weights[:, None]  # (p, A): lam w_j / 2
+    half = 0.5 * lam_w[None, :] * weights          # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
     iterates = np.empty((L, _ANDERSON_DEPTH + 1, p, q))   # level axis first
     iterates[:, 0] = B.transpose(1, 0, 2)
@@ -584,7 +595,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
 
     def objectives():
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
-        return resid + lam_w * (weights @ row_norms(B))
+        return resid + lam_w * np.einsum("pa,pa->a", weights, row_norms(B))
 
     def keep_if_lower(moved, before, obj):
         # B holds a candidate on each level in ``moved``; keep it only when
@@ -626,7 +637,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         before = B.copy()
         moved = np.zeros(len(obj), dtype=bool)
         for i in np.flatnonzero(todo):
-            B[:, i, :], steps = _newton_finish(X, Y, before[:, i, :], weights,
+            B[:, i, :], steps = _newton_finish(X, Y, before[:, i, :], weights[:, i],
                                                lam_w[i], settings.kkt_tol)
             moved[i] = steps > 0
         return bool(np.any(moved)) and keep_if_lower(moved, before, obj)
@@ -693,6 +704,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
                 R = Yb - X @ B2
                 H = X.T @ R
                 lam_w = lam_w[keep]
+                weights = weights[:, keep]
                 half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
                 iterates = iterates[keep]

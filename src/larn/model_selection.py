@@ -8,18 +8,23 @@ k * len(lambdas) * len(thresholds).  The full-data fit at each lambda sets
 its threshold grid, and the one at the selected lambda is the returned
 estimate: no (training set, lambda) pair is solved twice.
 
-Fits along the lambda axis share the split's initial estimate B0 (whose
-weights do not depend on lambda) and run as one batched solve in which
-every level starts from B0, not from another level's solution.
+Each training set is fit by one :func:`larn.estimator.larn_path` call over
+the lambda grid, in either mode.  Fits along the lambda axis share the
+split's initial estimate B0 (whose weights do not depend on lambda); the
+first round is one batched solve in which every level starts from B0, not
+from another level's solution, and full mode re-solves the unfinished
+levels as one batched call per round, each from its own iterate.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .estimator import (FitResult, _warn_uncertified, group_weights, initial_estimate,
-                        larn_fit, within_row_threshold)
-from .group_solver import SolverError, _kkt_rows, bcd_solve_path
+from .estimator import FitResult, _warn_uncertified, larn_path, within_row_threshold
+from .group_solver import SolverError
+# not called here; perfbench/spans.py wraps these names in this module
+from .estimator import group_weights, initial_estimate, larn_fit  # noqa: F401
+from .group_solver import bcd_solve_path  # noqa: F401
 
 
 def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
@@ -161,21 +166,8 @@ def _sse_over_thresholds(X_test, Y_test, B, thresholds):
 
 
 def _fold_fits(data, config, lambdas, train_idx):
-    """One pre-threshold :class:`FitResult` per lambda on a training split.
-
-    One-step fits share the split's initial estimate (weights do not depend
-    on lambda) and run as a single batched solve over the lambda grid.
-    """
-    train = data.subset(train_idx)
-    if not config.one_step:
-        return [larn_fit(train, config, lam) for lam in lambdas]
-    B0 = initial_estimate(train)
-    w = group_weights(B0, config.penalty, unit=config.unit_weights)
-    stack, traces = bcd_solve_path(train, w, lambdas, init=B0, settings=config.solver)
-    G = train.X.T @ (train.Y - train.X @ stack)            # (L, p, q)
-    kkt = _kkt_rows(G.transpose(1, 0, 2), stack.transpose(1, 0, 2), np.outer(w, lambdas))
-    return [FitResult(B, float(lam), 0.0, trace, kkt[:, i], outer_iters=1)
-            for i, (B, lam, trace) in enumerate(zip(stack, lambdas, traces))]
+    """One pre-threshold :class:`FitResult` per lambda on a training split."""
+    return larn_path(data.subset(train_idx), config, lambdas)
 
 
 def cross_validate(data, config, grid, jobs=1):
@@ -183,9 +175,11 @@ def cross_validate(data, config, grid, jobs=1):
 
     A failed (lambda, fold) cell contributes +inf to its lambda row instead
     of aborting the run.  Fold computations are independent; ``jobs``
-    bounds how many run concurrently, with results identical at any level
-    of parallelism.
+    (at least 1) bounds how many run concurrently, with results identical
+    at any level of parallelism.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
     L = len(grid.lambdas)
     T = grid.n_thresholds
     folds = kfold_split(data.n, grid.k, grid.seed)

@@ -181,7 +181,7 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
     settings = SolverSettings(max_sweeps=max_sweeps, tol=1e-10)
-    stack = _cd_path(data, np.ones(data.p), lambdas, None, settings, _ENTRYWISE)[0]
+    stack = _cd_path(data, np.ones((data.p, len(lambdas))), lambdas, None, settings, _ENTRYWISE)[0]
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
     worst = _entry_residuals(G, stack, 0.5 * lambdas[:, None, None]).max(axis=(1, 2))
     i = int(np.argmax(worst))
@@ -251,13 +251,16 @@ def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
     """Score every method over cfg.replications independent instances.
 
     Each replication owns an RNG stream derived from (cfg.seed,
-    replication), so the output is identical for any ``jobs`` level.
+    replication), so the output is identical for any ``jobs`` level (at
+    least 1).
     Failed replications are skipped with a note through ``progress``.
     Returns a list of MetricsRow in (replication, method) order.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs}")
     if lambdas is None:
         from .model_selection import default_lambdas
         lambdas = default_lambdas()

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from larn import cli
+from larn import cli, estimator
 from larn.depth_penalty import PenaltySpec
 from larn.estimator import LarnConfig
 from larn.group_solver import Dataset
@@ -161,6 +161,45 @@ class TestFit:
                   "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_full_mode(self, tmp_path):
+        rng = np.random.default_rng(3)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        out = tmp_path / "fit"
+        rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(out), "--n-lambdas", "5", "--n-thresholds", "4",
+                  "--folds", "3", "--one-step", "false"])
+        assert rc == 0
+        with open(out / "fit.json") as fh:
+            payload = json.load(fh)
+        assert payload["outer_iters"] >= 1
+        trace = np.asarray(payload["objective_trace"])
+        assert len(trace) == payload["outer_iters"] + 1
+        assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+
+    def test_linalg_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError, yet it exits 1, not 2
+        def no_svd(data):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(estimator, "initial_estimate", no_svd)
+        rng = np.random.default_rng(4)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((12, 3)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
+        rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(tmp_path / "fit"), "--n-lambdas", "3", "--folds", "3"])
+        assert rc == 1
+        assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exit_2(self, tmp_path, jobs):
+        rng = np.random.default_rng(5)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((12, 3)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
+        rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(tmp_path / "fit"), "--n-lambdas", "3", "--folds", "3",
+                  f"--jobs={jobs}"])
+        assert rc == 2
+
 
 class TestCv:
     def test_surface_files(self, tmp_path):
@@ -311,4 +350,13 @@ class TestBenchmark:
         out = tmp_path / "m.csv"
         assert run(["benchmark", "--config", str(cfg_path), "--out", str(out),
                     f"--lambdas={bad}"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exit_2(self, tmp_path, jobs):
+        cfg_path = tmp_path / "sim.json"
+        write_sim_config(cfg_path)
+        out = tmp_path / "m.csv"
+        assert run(["benchmark", "--config", str(cfg_path), "--out", str(out),
+                    f"--jobs={jobs}"]) == 2
         assert not out.exists()

@@ -7,7 +7,7 @@ import scipy.linalg
 from larn.depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PenaltySpec,
                                 inverse_depth, penalty_weight)
 from larn.estimator import (FitResult, LarnConfig, group_weights,
-                            initial_estimate, larn_fit, theory_threshold,
+                            initial_estimate, larn_fit, larn_path, theory_threshold,
                             true_objective, within_row_threshold)
 from larn.group_solver import Dataset, SolverSettings, row_support
 from larn.simbench import SimConfig, generate_instance
@@ -142,6 +142,25 @@ class TestFullIteration:
             trace = np.asarray(fit.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10)
             assert fit.outer_iters >= 1
+
+    def test_path_levels_match_single_level_fits(self):
+        # each level of a batched round has its own iterate and weights, and
+        # stops on its own: here after 2 or 3 rounds on the objective change,
+        # or at the cap of 4
+        data, _ = sparse_instance(23)
+        cfg = LarnConfig(one_step=False, max_outer_iters=4)
+        lambdas = [0.5, 4.0, 16.0, 60.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fits = larn_path(data, cfg, lambdas)
+            singles = [larn_fit(data, cfg, lam) for lam in lambdas]
+        assert [fit.outer_iters for fit in fits] == [2, 3, 3, 4]
+        for fit, ref in zip(fits, singles):
+            assert fit.outer_iters == ref.outer_iters
+            assert len(fit.objective_trace) == fit.outer_iters + 1
+            np.testing.assert_allclose(fit.objective_trace, ref.objective_trace, rtol=1e-12)
+            np.testing.assert_allclose(fit.b_hat, ref.b_hat, atol=1e-8)
+            np.testing.assert_allclose(fit.kkt_residuals, ref.kkt_residuals, atol=1e-8)
 
     def test_majorization_touches_and_dominates(self):
         data, _ = sparse_instance(20)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from larn import estimator, model_selection
+from larn.depth_penalty import EXP_NEG, PenaltySpec
 from larn.estimator import (LarnConfig, initial_estimate, group_weights, larn_fit,
                             within_row_threshold)
 from larn.group_solver import Dataset, SolverSettings, bcd_solve, kkt_residual
@@ -212,6 +213,14 @@ class TestCrossValidate:
         cv = cross_validate(data, LarnConfig(), grid)
         assert np.all(np.isfinite(cv.cv_rmse)) or np.any(np.isinf(cv.per_fold_sse))
 
+    def test_exp_transform_warns_in_either_mode(self):
+        data = make_data(16)
+        grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=3, k=3, seed=0)
+        for one_step in (True, False):
+            config = LarnConfig(penalty=PenaltySpec(transform=EXP_NEG), one_step=one_step)
+            with pytest.warns(RuntimeWarning, match="concavity"):
+                cross_validate(data, config, grid)
+
     def test_determinism_across_jobs(self):
         data = make_data(9)
         grid = CvGrid(lambdas=default_lambdas(num=6), n_thresholds=5, k=3, seed=4)
@@ -273,7 +282,8 @@ class TestFitWithSelection:
         assert np.array_equal(fit.kkt_residuals, cv.full_fit.kkt_residuals)
 
     def test_one_start_per_training_set(self, monkeypatch):
-        # k fold starts and one full-data start, and no second one for a refit
+        # k fold starts and one full-data start in either mode: not one per
+        # lambda, and no second one for a refit
         calls = []
 
         def counted(train):
@@ -283,9 +293,11 @@ class TestFitWithSelection:
         monkeypatch.setattr(estimator, "initial_estimate", counted)
         data = make_data(12)
         grid = CvGrid(lambdas=default_lambdas(num=4), n_thresholds=3, k=4, seed=0)
-        fit_with_selection(data, LarnConfig(), grid)
-        assert len(calls) == 4 + 1
-        assert calls.count(data.n) == 1
+        for one_step in (True, False):
+            calls.clear()
+            fit_with_selection(data, LarnConfig(one_step=one_step), grid)
+            assert len(calls) == 4 + 1
+            assert calls.count(data.n) == 1
 
     def test_path_kkt_residuals_match_single_level_formula(self):
         data = make_data(13)
@@ -315,13 +327,15 @@ class TestFitWithSelection:
         assert fit.outer_iters == ref.outer_iters
 
     def test_uncertified_selection_warns_once(self):
+        # in either mode: the selected fit warns, the (fold, lambda) fits do not
         data = make_data(15)
-        config = LarnConfig(solver=SolverSettings(max_sweeps=3))
         grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=4, k=3, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fit, cv = fit_with_selection(data, config, grid)
-        messages = [str(w.message) for w in caught if "not certified" in str(w.message)]
-        assert np.max(cv.full_fit.kkt_residuals) > 1e-6
-        assert len(messages) == 1
-        assert f"lambda = {fit.lam:g}" in messages[0]
+        for one_step in (True, False):
+            config = LarnConfig(one_step=one_step, solver=SolverSettings(max_sweeps=3))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit, cv = fit_with_selection(data, config, grid)
+            messages = [str(w.message) for w in caught if "not certified" in str(w.message)]
+            assert np.max(cv.full_fit.kkt_residuals) > 1e-6
+            assert len(messages) == 1
+            assert f"lambda = {fit.lam:g}" in messages[0]

@@ -2,16 +2,22 @@
 
 Instances cover p > n, q = 1, collinear columns and an all-zero response.
 Every level must end with a nonincreasing trace and either meet the KKT
-conditions to ``kkt_tol`` or have used all ``max_sweeps``.
+conditions to ``kkt_tol`` or have used all ``max_sweeps``.  Leave-one-out
+cross-validation (k = n) on the same instances, in both estimator modes,
+must solve every (fold, lambda) cell and give the same output at any
+``jobs`` level.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from larn import group_solver, simbench
+from larn.estimator import LarnConfig
 from larn.group_solver import Dataset, SolverSettings, bcd_solve_path, kkt_residual
+from larn.model_selection import CvGrid, cross_validate
 
 MAX_SWEEPS = 300
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -77,3 +83,25 @@ def test_lasso_path_certified_or_exhausted(case):
     assert stack is kernel_stack
     for B, lam, trace in zip(stack, lambdas, traces):
         assert_level_done(trace, lasso_kkt(data, B, lam), SolverSettings().kkt_tol)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(instances(), st.booleans(), st.integers(0, 2 ** 16))
+def test_leave_one_out_cross_validation(case, one_step, seed):
+    data, lambdas, _ = case
+    grid = CvGrid(lambdas=lambdas, n_thresholds=3, k=data.n, seed=seed)
+    config = LarnConfig(one_step=one_step)
+    with warnings.catch_warnings():
+        # p > n - 1 starts are rank deficient, and short full-mode fits may
+        # stop uncertified; neither is what this test checks
+        warnings.simplefilter("ignore", RuntimeWarning)
+        serial = cross_validate(data, config, grid, jobs=1)
+        pooled = cross_validate(data, config, grid, jobs=2)
+    assert serial.fit_count == data.n * len(lambdas)
+    failed = np.isinf(serial.per_fold_sse).any(axis=0)
+    assert np.all(np.isfinite(serial.cv_rmse[~failed]))
+    assert np.all(np.isposinf(serial.cv_rmse[failed]))
+    for name in ("cv_rmse", "per_fold_sse", "thresholds"):
+        assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+    assert (serial.best_index, serial.fit_count) == (pooled.best_index, pooled.fit_count)
+    assert np.array_equal(serial.full_fit.b_hat, pooled.full_fit.b_hat)
