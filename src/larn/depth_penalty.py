@@ -41,41 +41,34 @@ def std_normal_pdf(x):
 
 
 class PenaltySpec:
-    """Depth family + inverse transform + tuning parameter.
+    """Depth family + inverse transform.
 
     Parameters
     ----------
     depth : {"halfspace", "projection"}
     transform : {"max", "exp"}
-    lam : float
-        Nonnegative tuning parameter multiplying the row penalty.
 
     The reference distribution is always the spherical standard Gaussian,
-    so the projection-depth constant is always ``PROJECTION_C``.
+    so the projection-depth constant is always ``PROJECTION_C``.  The
+    penalty level is not part of the spec: the functions that need it
+    (:func:`row_penalty`, the fitting API) take it as an argument.
     """
 
-    def __init__(self, depth=HALFSPACE, transform=MAX_MINUS, lam=1.0):
+    def __init__(self, depth=HALFSPACE, transform=MAX_MINUS):
         if depth not in DEPTH_FAMILIES:
             raise ValueError(f"unknown depth family {depth!r}; choose from {DEPTH_FAMILIES}")
         if transform not in TRANSFORMS:
             raise ValueError(f"unknown inverse transform {transform!r}; choose from {TRANSFORMS}")
-        if not np.isfinite(lam) or lam < 0:
-            raise ValueError(f"lam must be a nonnegative finite real, got {lam!r}")
         self.depth = depth
         self.transform = transform
-        self.lam = float(lam)
 
     @property
     def concavity_guaranteed(self):
         """True when p(r) is concave on r > 0 (the "max" transform combinations)."""
         return self.transform == MAX_MINUS
 
-    def with_lam(self, lam):
-        return PenaltySpec(self.depth, self.transform, lam)
-
     def __repr__(self):
-        return (f"PenaltySpec(depth={self.depth!r}, transform={self.transform!r}, "
-                f"lam={self.lam!r})")
+        return f"PenaltySpec(depth={self.depth!r}, transform={self.transform!r})"
 
 
 def _check_radius(r, allow_negative=False):
@@ -157,9 +150,11 @@ def row_norms(B):
     return np.linalg.norm(np.atleast_2d(B), axis=1)
 
 
-def row_penalty(B, spec):
+def row_penalty(B, spec, lam):
     """Total penalty lam * sum_j p(||b_j||_2) over the rows of B."""
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(B)):
         raise ValueError("coefficient matrix must be finite")
-    return spec.lam * float(np.sum(inverse_depth(row_norms(B), spec)))
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError(f"lam must be a nonnegative finite real, got {lam!r}")
+    return float(lam) * float(np.sum(inverse_depth(row_norms(B), spec)))

@@ -17,7 +17,10 @@ lambda, so the first round is one batched solve over the grid.  The
 default one-step estimator stops there (the first local linear
 approximation step; Zou and Li, Ann. Statist. 36(4), 2008); full
 iteration to a stationary point, available for diagnostics, goes on with
-one batched solve of the unfinished levels per round.
+one batched solve of the unfinished levels per round.  A level is
+stationary for Q exactly when its estimate passes the KKT test of the
+weighted problem at the weights taken there, so full mode stops a level
+on that certificate.
 
 Row-sparse estimates are refined by hard-thresholding small entries inside
 surviving rows at a given level: a cross-validated one, or the closed-form
@@ -31,8 +34,8 @@ import warnings
 import numpy as np
 
 from . import group_solver
-from .depth_penalty import PenaltySpec, penalty_weight, row_penalty
-from .group_solver import _GROUP, SolverSettings, _cd_path, _kkt_rows, row_support
+from .depth_penalty import PenaltySpec, inverse_depth, penalty_weight
+from .group_solver import _GROUP, SolverSettings, _cd_path, _path_kkt, row_support
 # not called here; perfbench/spans.py wraps this name in this module
 from .group_solver import bcd_solve  # noqa: F401
 
@@ -43,44 +46,52 @@ class LarnConfig:
     Parameters
     ----------
     penalty : PenaltySpec
-        Depth family and inverse transform; its ``lam`` field is ignored in
-        favor of the levels passed to :func:`larn_path` or :func:`larn_fit`.
+        Depth family and inverse transform; the penalty levels are passed
+        to :func:`larn_path` or :func:`larn_fit`.
     one_step : bool
         Stop after the first reweighted solve (default).  Set False to
-        iterate reweighting to a stationary point.
+        iterate reweighting until each level is certified stationary.
+    max_outer_iters : int
+        Most reweighting rounds per level in full mode; a level still not
+        certified then is returned flagged.
     unit_weights : bool
         Replace the depth-based weights by 1 for every row (the plain
         thresholded group lasso).
+    solver : SolverSettings
+        Sweep cap and KKT tolerance of the inner solves; the tolerance is
+        also the certificate of every fit, and full mode's stop rule.
 
     Every fit starts from the minimum-norm least-squares estimate
     (:func:`initial_estimate`).
     """
 
     def __init__(self, penalty=None, one_step=True, max_outer_iters=50,
-                 outer_tol=1e-8, unit_weights=False, solver=None):
+                 unit_weights=False, solver=None):
         self.penalty = PenaltySpec() if penalty is None else penalty
         self.one_step = bool(one_step)
         if max_outer_iters < 1:
             raise ValueError("max_outer_iters must be a positive integer")
-        if outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
         self.max_outer_iters = int(max_outer_iters)
-        self.outer_tol = float(outer_tol)
         self.unit_weights = bool(unit_weights)
         self.solver = SolverSettings() if solver is None else solver
 
 
 class FitResult:
-    """Fit output: estimates, tuning values, and per-solve diagnostics."""
+    """Fit output: estimates, tuning values, and per-solve diagnostics.
+
+    ``certified`` is whether the largest KKT residual was within the
+    solver's ``kkt_tol``.
+    """
 
     def __init__(self, b_hat, lam, threshold, objective_trace, kkt_residuals,
-                 outer_iters):
+                 outer_iters, certified):
         self.b_hat = b_hat
         self.lam = lam
         self.threshold = threshold
         self.objective_trace = objective_trace
         self.kkt_residuals = kkt_residuals
         self.outer_iters = outer_iters
+        self.certified = certified
 
     def to_dict(self):
         """JSON-ready summary (matrices reported through their supports)."""
@@ -90,6 +101,7 @@ class FitResult:
             "outer_iters": self.outer_iters,
             "objective_trace": [float(v) for v in self.objective_trace],
             "kkt_residuals": [float(v) for v in self.kkt_residuals],
+            "certified": bool(self.certified),
             "row_support_size": int(len(row_support(self.b_hat))),
             "element_support_size": int(np.count_nonzero(self.b_hat)),
             "shape": list(self.b_hat.shape),
@@ -120,13 +132,19 @@ def group_weights(B, spec, unit=False):
     return np.asarray(penalty_weight(np.linalg.norm(B, axis=-1), spec))
 
 
-def true_objective(data, B, spec):
-    """Nonconvex objective: fit term plus lam * sum_j p(||b_j||)."""
+def true_objective(data, B, spec, lam):
+    """Nonconvex objective Q(B) = ||Y - XB||_F^2 + lam * sum_j p(||b_j||).
+
+    ``B`` is one (p, q) matrix with a level ``lam``, giving a float, or a
+    stack (L, p, q) with levels (L,), giving (L,).
+    """
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(B)):
         raise ValueError("coefficient matrix contains non-finite entries")
     R = data.Y - data.X @ B
-    return float(np.sum(R * R)) + row_penalty(B, spec)
+    pen = np.sum(inverse_depth(np.linalg.norm(B, axis=-1), spec), axis=-1)
+    out = np.einsum("...nq,...nq->...", R, R) + lam * pen
+    return float(out) if B.ndim == 2 else out
 
 
 def larn_path(data, config, lambdas):
@@ -138,17 +156,20 @@ def larn_path(data, config, lambdas):
     one-step mode stops after it and reports the inner objective traces.
     In full mode each later round re-solves the unfinished levels as one
     batched kernel call, each from its own iterate and with the weights
-    taken there, until the relative change in the nonconvex objective of a
-    level drops below ``config.outer_tol`` or ``config.max_outer_iters``
-    rounds have run; its trace then holds the nonconvex objective at B0 and
-    after each round and is nonincreasing.
+    taken there.  A level stops once the KKT residual of the weighted
+    problem at the weights taken at its own estimate is at most
+    ``config.solver.kkt_tol`` (the estimate is then a certified stationary
+    point of the nonconvex objective), or after ``config.max_outer_iters``
+    rounds; its trace holds the nonconvex objective at B0 and after each
+    round and is nonincreasing.
 
     Returns one :class:`FitResult` per level whose ``b_hat`` is the
     pre-threshold estimate (apply :func:`within_row_threshold` separately).
     Its KKT residuals are those of the weighted problem at the weights of
     the last reweighting: B0's in one-step mode, the returned estimate's in
-    full mode.  Warns (``RuntimeWarning``) once per call for the ``exp``
-    transform, whose concavity is not guaranteed.
+    full mode; it is ``certified`` when none exceeds
+    ``config.solver.kkt_tol``.  Warns (``RuntimeWarning``) once per call
+    for the ``exp`` transform, whose concavity is not guaranteed.
     """
     if not config.penalty.concavity_guaranteed and not config.unit_weights:
         warnings.warn("exp inverse-depth transform: penalty concavity is not "
@@ -159,19 +180,22 @@ def larn_path(data, config, lambdas):
     w = group_weights(B0, config.penalty, unit=config.unit_weights)
     # called through the module, where perfbench/spans.py installs its wrapper
     stack, traces = group_solver.bcd_solve_path(data, w, lambdas, init=B0, settings=config.solver)
-    weights = w[:, None]                   # B0's at every level; (p, L) once reweighted
+    weights = np.repeat(w[:, None], len(lambdas), axis=1)   # (p, L); B0's until reweighted
+    kkt = _path_kkt(data, stack, weights, lambdas)
     iters = np.ones(len(lambdas), dtype=int)
     if not config.one_step:
-        traces = [[true_objective(data, B0, config.penalty.with_lam(lam))] for lam in lambdas]
+        traces = [[q] for q in true_objective(data, np.broadcast_to(B0, stack.shape),
+                                              config.penalty, lambdas).tolist()]
         todo = np.arange(len(lambdas))
         while True:
-            for i in todo:
-                traces[i].append(true_objective(data, stack[i],
-                                                config.penalty.with_lam(lambdas[i])))
-            weights = group_weights(stack, config.penalty, unit=config.unit_weights).T
-            rel = np.array([abs(traces[i][-2] - traces[i][-1]) / max(1.0, abs(traces[i][-2]))
-                            for i in todo])
-            todo = todo[(rel >= config.outer_tol) & (iters[todo] < config.max_outer_iters)]
+            for i, q in zip(todo, true_objective(data, stack[todo], config.penalty,
+                                                 lambdas[todo]).tolist()):
+                traces[i].append(q)
+            weights[:, todo] = group_weights(stack[todo], config.penalty,
+                                             unit=config.unit_weights).T
+            kkt[:, todo] = _path_kkt(data, stack[todo], weights[:, todo], lambdas[todo])
+            todo = todo[(kkt[:, todo].max(axis=0) > config.solver.kkt_tol)
+                        & (iters[todo] < config.max_outer_iters)]
             if todo.size == 0:
                 break
             # each level starts at its own iterate, where its surrogate touches
@@ -179,9 +203,8 @@ def larn_path(data, config, lambdas):
             stack[todo] = _cd_path(data, weights[:, todo], lambdas[todo], stack[todo],
                                    config.solver, _GROUP)[0]
             iters[todo] += 1
-    G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
-    kkt = _kkt_rows(G.transpose(1, 0, 2), stack.transpose(1, 0, 2), weights * lambdas)
-    return [FitResult(B, float(lam), 0.0, trace, kkt[:, i], outer_iters=int(n))
+    return [FitResult(B, float(lam), 0.0, trace, kkt[:, i], int(n),
+                      bool(kkt[:, i].max() <= config.solver.kkt_tol))
             for i, (B, lam, trace, n) in enumerate(zip(stack, lambdas, traces, iters))]
 
 

@@ -113,15 +113,21 @@ class Dataset:
 
 
 class SolverSettings:
-    """Stopping parameters for the block coordinate descent loop."""
+    """Stopping parameters for the block coordinate descent loop.
 
-    def __init__(self, max_sweeps=1000, tol=1e-8, kkt_tol=1e-6):
+    A level stops once its objective changes by less than a relative
+    ``_FLAT_TOL`` in a sweep and its largest KKT residual is at most
+    ``kkt_tol``, or after ``max_sweeps`` sweeps.  ``kkt_tol`` is also the
+    certificate: a fit whose residual exceeds it is flagged as not
+    certified.
+    """
+
+    def __init__(self, max_sweeps=1000, kkt_tol=1e-6):
         if max_sweeps < 1:
             raise ValueError("max_sweeps must be a positive integer")
-        if tol <= 0 or kkt_tol <= 0:
-            raise ValueError("tol and kkt_tol must be positive")
+        if kkt_tol <= 0:
+            raise ValueError("kkt_tol must be positive")
         self.max_sweeps = int(max_sweeps)
-        self.tol = float(tol)
         self.kkt_tol = float(kkt_tol)
 
 
@@ -164,8 +170,13 @@ def kkt_residual(data, B, weights, lam):
     Zero rows:    (||x_j'(Y-XB)|| - lam w_j / 2)_+.
     """
     weights, lam, B = _check_problem(data, weights, float(lam), B)
-    G = data.X.T @ (data.Y - data.X @ B)          # p x q
-    return _kkt_rows(G[:, None, :], B[:, None, :], (lam * weights)[:, None])[:, 0]
+    return _path_kkt(data, B[None], weights[:, None], lam)[:, 0]
+
+
+def _path_kkt(data, stack, weights, lambdas):
+    """Row residuals (p, L) of the weighted problems at a stack (L, p, q); weights (p, L)."""
+    G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
+    return _kkt_rows(G.transpose(1, 0, 2), stack.transpose(1, 0, 2), weights * lambdas)
 
 
 def _kkt_rows(G3, B3, shrink):
@@ -211,6 +222,10 @@ _GROUP = (_group_prox, lambda B: np.sqrt(np.einsum("plq,plq->pl", B, B)),
 _ENTRYWISE = (_entrywise_prox, lambda B: np.abs(B).sum(axis=2),
               _kkt_entrywise_rows)
 
+
+# a level may stop once a sweep changes its objective by less than this
+# fraction (and it passes the KKT test)
+_FLAT_TOL = 1e-8
 
 # Anderson extrapolation: iterates combined per step (also the sweeps
 # between steps) and the ridge on U'U relative to its trace
@@ -686,7 +701,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         for i, l in enumerate(act):
             traces[l].append(float(obj[i]))
         rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))
-        ready = rel < settings.tol
+        ready = rel < _FLAT_TOL
         if np.any(ready):
             worst = kkt(H.reshape(p, A, q), B, 2.0 * half).max(axis=0)
             retire = ready & (worst <= settings.kkt_tol)

@@ -96,7 +96,7 @@ class CvResult:
     per_fold_sse : ndarray (k, L, T)
         Held-out sum of squares per fold.
     fit_count : int
-        Inner solves performed for scoring (k * L by construction).
+        Inner solves performed for scoring: k * L, one per (fold, lambda).
     full_fit : FitResult
         Pre-threshold full-data fit at the selected lambda.
     best_on_edge : bool
@@ -173,10 +173,12 @@ def _fold_fits(data, config, lambdas, train_idx):
 def cross_validate(data, config, grid, jobs=1):
     """Score every (lambda, threshold) cell by k-fold cross-validation.
 
-    A failed (lambda, fold) cell contributes +inf to its lambda row instead
-    of aborting the run.  Fold computations are independent; ``jobs``
-    (at least 1) bounds how many run concurrently, with results identical
-    at any level of parallelism.
+    Each training set is fit by one :func:`larn_path` call over the whole
+    lambda grid, so a training set that cannot be solved leaves no cell of
+    its fold to score: the run stops with a :class:`SolverError` naming the
+    fold and the cause.  Fold computations are independent; ``jobs`` (at
+    least 1) bounds how many run concurrently, with results identical at
+    any level of parallelism.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
@@ -195,27 +197,25 @@ def cross_validate(data, config, grid, jobs=1):
     def run_fold(fold_id):
         test_idx = folds[fold_id]
         train_idx = np.setdiff1d(np.arange(data.n), test_idx)
-        sse = np.full((L, T), np.inf)
         try:
             fits = _fold_fits(data, config, grid.lambdas, train_idx)
-        except (SolverError, np.linalg.LinAlgError):
-            return sse, 0  # whole fold failed; every cell records +inf
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            raise SolverError(f"fold {fold_id + 1} of {grid.k}: the training set "
+                              f"cannot be solved ({exc})") from exc
         X_test, Y_test = data.X[test_idx], data.Y[test_idx]
-        for l_idx, fit in enumerate(fits):
-            sse[l_idx] = _sse_over_thresholds(X_test, Y_test, fit.b_hat, thresholds[l_idx])
-        return sse, L
+        return np.stack([_sse_over_thresholds(X_test, Y_test, fit.b_hat, levels)
+                         for fit, levels in zip(fits, thresholds)])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_fold, range(grid.k)))
     else:
         results = [run_fold(f) for f in range(grid.k)]
-    per_fold_sse = np.stack([sse for sse, _ in results])
-    fit_count = sum(solved for _, solved in results)
+    per_fold_sse = np.stack(results)
     surface = np.sqrt(per_fold_sse.sum(axis=0)) / (data.n * data.q)
     best_index = _best_cell(surface)
     return CvResult(grid.lambdas, thresholds, surface, per_fold_sse, best_index,
-                    fit_count, full_fits[best_index[0]])
+                    grid.k * L, full_fits[best_index[0]])
 
 
 def _best_cell(surface):
@@ -231,11 +231,12 @@ def fit_with_selection(data, config, grid, jobs=1):
 
     Returns (FitResult, CvResult); the FitResult carries the selected
     lambda and threshold, the thresholded coefficient matrix and the fit's
-    diagnostics.  Warns (``RuntimeWarning``) when the fit is not certified.
+    diagnostics, ``certified`` included.  Warns (``RuntimeWarning``) when
+    the fit is not certified.
     """
     cv = cross_validate(data, config, grid, jobs=jobs)
     lam, t = cv.best
     fit = cv.full_fit
     _warn_uncertified(lam, fit.kkt_residuals, config.solver.kkt_tol)
     return FitResult(within_row_threshold(fit.b_hat, t), lam, t, fit.objective_trace,
-                     fit.kkt_residuals, fit.outer_iters), cv
+                     fit.kkt_residuals, fit.outer_iters, fit.certified), cv

@@ -171,16 +171,16 @@ def lasso_path(data, lambdas, max_sweeps=1000):
 
     The batched kernel of :mod:`larn.group_solver` with the soft-threshold
     at lam / 2 as row update and a feature-sign finish on the columns that
-    fail the KKT test; a level stops once its objective is flat to a
-    relative 1e-10 and every entry meets the lasso KKT conditions to the
-    default ``kkt_tol`` (or ``max_sweeps`` runs out).  Warns once
+    fail the KKT test; a level stops under the kernel's rule (a flat
+    objective and every entry meeting the lasso KKT conditions to the
+    default ``kkt_tol``) or when ``max_sweeps`` runs out.  Warns once
     (``RuntimeWarning``, naming the worst level) when a level is not
     certified.  Returns (L, p, q).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
-    settings = SolverSettings(max_sweeps=max_sweeps, tol=1e-10)
+    settings = SolverSettings(max_sweeps=max_sweeps)
     stack = _cd_path(data, np.ones((data.p, len(lambdas))), lambdas, None, settings, _ENTRYWISE)[0]
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
     worst = _entry_residuals(G, stack, 0.5 * lambdas[:, None, None]).max(axis=(1, 2))

@@ -94,13 +94,15 @@ class TestFit:
         assert "missing.csv" in capsys.readouterr().err
 
     def test_identity_design_unpenalized(self, tmp_path):
+        # the identity stacked twice, left out one row at a time, so that no
+        # training set loses a column (a fold that cannot be solved is an error)
         n = 5
-        write_matrix_csv(tmp_path / "x.csv", np.eye(n))
-        write_matrix_csv(tmp_path / "y.csv", np.eye(n))
+        write_matrix_csv(tmp_path / "x.csv", np.tile(np.eye(n), (2, 1)))
+        write_matrix_csv(tmp_path / "y.csv", np.tile(np.eye(n), (2, 1)))
         out = tmp_path / "fit"
         rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
                   "--out-dir", str(out), "--lambdas", "0", "--thresholds", "0",
-                  "--folds", "2"])
+                  "--folds", str(2 * n)])
         assert rc == 0
         B, _ = read_matrix_csv(out / "coefficients.csv")
         np.testing.assert_allclose(np.diag(B), np.ones(n), atol=1e-8)
@@ -137,6 +139,7 @@ class TestFit:
             payload = json.load(fh)
         for key in ("lambda", "threshold", "objective_trace", "kkt_residuals", "cv"):
             assert key in payload
+        assert payload["certified"] is True
 
     def test_trace_out_matches_fit_json(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -176,6 +179,25 @@ class TestFit:
         trace = np.asarray(payload["objective_trace"])
         assert len(trace) == payload["outer_iters"] + 1
         assert np.all(np.diff(trace) <= 1e-10 * trace[0])
+        assert payload["certified"] is True
+
+    def test_fold_failure_exit_1(self, tmp_path, capsys):
+        # column 3 is nonzero only in row 5: the training set without it has a
+        # zero column, so its fold cannot be scored at any lambda
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((12, 4))
+        X[:, 3] = 0.0
+        X[5, 3] = 1.0
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
+        out = tmp_path / "fit"
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                      "--out-dir", str(out), "--lambdas", "0.1,1,10", "--n-thresholds", "4",
+                      "--folds", "3"])
+        assert rc == 1
+        assert "numeric failure: fold" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
 
     def test_linalg_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, yet it exits 1, not 2

@@ -93,23 +93,27 @@ class TestPenaltyWeight:
 class TestRowPenalty:
     def test_zero_matrix(self):
         for spec in ALL_SPECS:
-            assert row_penalty(np.zeros((4, 3)), spec.with_lam(2.0)) == pytest.approx(0.0, abs=1e-15)
+            assert row_penalty(np.zeros((4, 3)), spec, 2.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_lambda_zero(self):
         B = np.random.default_rng(0).standard_normal((5, 2))
-        assert row_penalty(B, PenaltySpec(lam=0.0)) == 0.0
+        assert row_penalty(B, PenaltySpec(), 0.0) == 0.0
 
     def test_two_row_example(self):
         B = np.array([[1.0], [0.0]])
-        spec = PenaltySpec(HALFSPACE, MAX_MINUS, lam=2.0)
+        spec = PenaltySpec(HALFSPACE, MAX_MINUS)
         expected = 2.0 * (cdf_by_quadrature(1.0) - 0.5)
-        assert row_penalty(B, spec) == pytest.approx(expected, abs=1e-10)
-        assert row_penalty(B, spec) == pytest.approx(0.682689, abs=1e-6)
+        assert row_penalty(B, spec, 2.0) == pytest.approx(expected, abs=1e-10)
+        assert row_penalty(B, spec, 2.0) == pytest.approx(0.682689, abs=1e-6)
 
     def test_non_finite_rejected(self):
         B = np.array([[1.0, np.inf]])
         with pytest.raises(ValueError):
-            row_penalty(B, PenaltySpec())
+            row_penalty(B, PenaltySpec(), 1.0)
+
+    def test_negative_lambda(self):
+        with pytest.raises(ValueError):
+            row_penalty(np.zeros((2, 2)), PenaltySpec(), -1.0)
 
     def test_rotation_invariance(self):
         # the penalty sees a row only through its norm
@@ -117,8 +121,8 @@ class TestRowPenalty:
         b = rng.standard_normal(6)
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         for spec in ALL_SPECS:
-            a = row_penalty(b[None, :], spec)
-            r = row_penalty((Q @ b)[None, :], spec)
+            a = row_penalty(b[None, :], spec, 1.0)
+            r = row_penalty((Q @ b)[None, :], spec, 1.0)
             assert r == pytest.approx(a, rel=1e-12)
 
 
@@ -175,10 +179,6 @@ class TestSpecValidation:
     def test_bad_transform(self):
         with pytest.raises(ValueError):
             PenaltySpec(transform="sqrt")
-
-    def test_negative_lambda(self):
-        with pytest.raises(ValueError):
-            PenaltySpec(lam=-1.0)
 
     def test_concavity_flag(self):
         assert PenaltySpec(HALFSPACE, MAX_MINUS).concavity_guaranteed

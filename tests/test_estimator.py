@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from larn import group_solver
 from larn.depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PenaltySpec,
                                 inverse_depth, penalty_weight)
 from larn.estimator import (FitResult, LarnConfig, group_weights,
@@ -54,13 +55,12 @@ class TestTrueObjective:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((8, 3))
         B = rng.standard_normal((3, 2))
-        val = true_objective(Dataset(X, X @ B), B, PenaltySpec(lam=0.0))
+        val = true_objective(Dataset(X, X @ B), B, PenaltySpec(), 0.0)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_matrix_max_transform(self):
         data, _ = sparse_instance(6)
-        spec = PenaltySpec(lam=3.0)
-        assert true_objective(data, np.zeros((data.p, data.q)), spec) == \
+        assert true_objective(data, np.zeros((data.p, data.q)), PenaltySpec(), 3.0) == \
             pytest.approx(np.sum(data.Y ** 2), rel=1e-14)
 
     def test_matches_naive_recomputation(self):
@@ -68,14 +68,25 @@ class TestTrueObjective:
         X = rng.standard_normal((4, 2))
         Y = rng.standard_normal((4, 2))
         B = rng.standard_normal((2, 2))
-        spec = PenaltySpec(lam=1.3)
+        spec = PenaltySpec()
         total = 0.0
         for i in range(4):
             for k in range(2):
                 total += (Y[i, k] - sum(X[i, j] * B[j, k] for j in range(2))) ** 2
         for j in range(2):
             total += 1.3 * inverse_depth(np.sqrt(sum(B[j, k] ** 2 for k in range(2))), spec)
-        assert true_objective(Dataset(X, Y), B, spec) == pytest.approx(total, abs=1e-12)
+        assert true_objective(Dataset(X, Y), B, spec, 1.3) == pytest.approx(total, abs=1e-12)
+
+    def test_stack_matches_single_matrices(self):
+        data, _ = sparse_instance(8)
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((3, data.p, data.q))
+        lambdas = np.array([0.0, 1.3, 40.0])
+        out = true_objective(data, stack, PenaltySpec(), lambdas)
+        assert out.shape == (3,)
+        for value, B, lam in zip(out, stack, lambdas):
+            assert value == pytest.approx(true_objective(data, B, PenaltySpec(), lam),
+                                          rel=1e-14)
 
 
 class TestLarnFit:
@@ -95,13 +106,14 @@ class TestLarnFit:
         fit = larn_fit(d, LarnConfig(), 1e6)
         assert np.all(fit.b_hat == 0.0)
 
-    def test_support_stable_under_tightened_tolerances(self):
+    def test_support_stable_under_tightened_tolerances(self, monkeypatch):
         cfg_sim = SimConfig(n=50, p=20, q=20, rho=0.7, seed=1)
         data, _ = generate_instance(cfg_sim)
         base = LarnConfig()
-        tight = LarnConfig(solver=SolverSettings(max_sweeps=5000, tol=1e-10, kkt_tol=1e-8))
+        tight = LarnConfig(solver=SolverSettings(max_sweeps=5000, kkt_tol=1e-8))
         lam = 5.0
         s1 = set(row_support(larn_fit(data, base, lam).b_hat))
+        monkeypatch.setattr(group_solver, "_FLAT_TOL", 1e-10)
         s2 = set(row_support(larn_fit(data, tight, lam).b_hat))
         assert s1 == s2
 
@@ -123,6 +135,7 @@ class TestLarnFit:
             warnings.simplefilter("error")
             fit = larn_fit(data, LarnConfig(), 4.0)
         assert np.max(fit.kkt_residuals) <= 1e-6
+        assert fit.certified is True
 
     def test_uncertified_fit_warns(self):
         data, _ = sparse_instance(12)
@@ -131,6 +144,7 @@ class TestLarnFit:
                           match=r"lambda = 4 .* KKT residual .* tolerance 1e-06"):
             fit = larn_fit(data, cfg, 4.0)
         assert np.max(fit.kkt_residuals) > 1e-6
+        assert fit.certified is False
 
 
 class TestFullIteration:
@@ -145,16 +159,17 @@ class TestFullIteration:
 
     def test_path_levels_match_single_level_fits(self):
         # each level of a batched round has its own iterate and weights, and
-        # stops on its own: here after 2 or 3 rounds on the objective change,
-        # or at the cap of 4
+        # stops on its own: here certified after 2 or 4 rounds, or at the cap
+        # of 5 without a certificate
         data, _ = sparse_instance(23)
-        cfg = LarnConfig(one_step=False, max_outer_iters=4)
+        cfg = LarnConfig(one_step=False, max_outer_iters=5)
         lambdas = [0.5, 4.0, 16.0, 60.0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fits = larn_path(data, cfg, lambdas)
             singles = [larn_fit(data, cfg, lam) for lam in lambdas]
-        assert [fit.outer_iters for fit in fits] == [2, 3, 3, 4]
+        assert [fit.outer_iters for fit in fits] == [2, 4, 5, 5]
+        assert [fit.certified for fit in fits] == [True, True, False, False]
         for fit, ref in zip(fits, singles):
             assert fit.outer_iters == ref.outer_iters
             assert len(fit.objective_trace) == fit.outer_iters + 1
@@ -162,11 +177,23 @@ class TestFullIteration:
             np.testing.assert_allclose(fit.b_hat, ref.b_hat, atol=1e-8)
             np.testing.assert_allclose(fit.kkt_residuals, ref.kkt_residuals, atol=1e-8)
 
+    def test_paper_instance_certified_at_every_level(self):
+        # full mode stops a level on its KKT certificate, so none comes back
+        # flagged, and the majorize-minimize traces still never rise
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, rho=0.7, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = larn_path(data, LarnConfig(one_step=False), np.logspace(-2, 2, 100))
+        assert all(fit.certified for fit in fits)
+        assert max(np.max(fit.kkt_residuals) for fit in fits) <= 1e-6
+        for fit in fits:
+            trace = np.asarray(fit.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+
     def test_majorization_touches_and_dominates(self):
         data, _ = sparse_instance(20)
-        spec = PenaltySpec(lam=4.0)
-        fit = larn_fit(data, LarnConfig(one_step=False, max_outer_iters=3,
-                                        outer_tol=1e-14), 4.0)
+        spec, lam = PenaltySpec(), 4.0
+        fit = larn_fit(data, LarnConfig(one_step=False, max_outer_iters=3), lam)
         B_ref = fit.b_hat
         r_ref = np.linalg.norm(B_ref, axis=1)
         w = penalty_weight(r_ref, spec)
@@ -176,14 +203,14 @@ class TestFullIteration:
             R = data.Y - data.X @ B
             r = np.linalg.norm(B, axis=1)
             lin = p_ref + w * (r - r_ref)
-            return float(np.sum(R * R)) + spec.lam * float(np.sum(lin))
+            return float(np.sum(R * R)) + lam * float(np.sum(lin))
 
-        q_ref = true_objective(data, B_ref, spec)
+        q_ref = true_objective(data, B_ref, spec, lam)
         assert surrogate(B_ref) == pytest.approx(q_ref, abs=1e-10)
         rng = np.random.default_rng(21)
         for _ in range(100):
             B = B_ref + 0.3 * rng.standard_normal(B_ref.shape)
-            assert surrogate(B) >= true_objective(data, B, spec) - 1e-10
+            assert surrogate(B) >= true_objective(data, B, spec, lam) - 1e-10
 
     def test_noiseless_row_support_recovery(self):
         data, B0 = sparse_instance(22, n=40, p=10, q=4, noise=0.0)
@@ -242,3 +269,4 @@ class TestFitResultInvariants:
         assert d["lambda"] == 3.0
         assert d["shape"] == [data.p, data.q]
         assert len(d["kkt_residuals"]) == data.p
+        assert d["certified"] is True

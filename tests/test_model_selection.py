@@ -7,7 +7,7 @@ from larn import estimator, model_selection
 from larn.depth_penalty import EXP_NEG, PenaltySpec
 from larn.estimator import (LarnConfig, initial_estimate, group_weights, larn_fit,
                             within_row_threshold)
-from larn.group_solver import Dataset, SolverSettings, bcd_solve, kkt_residual
+from larn.group_solver import Dataset, SolverError, SolverSettings, bcd_solve, kkt_residual
 from larn.model_selection import (CvGrid, cross_validate, default_lambdas,
                                   fit_with_selection, kfold_split,
                                   threshold_grid)
@@ -202,16 +202,21 @@ class TestCrossValidate:
         assert _best_cell(surface) == (1, 2)
         assert _best_cell(np.array([[5.0, 4.0], [6.0, 7.0]])) == (0, 1)
 
-    def test_failed_cell_records_inf(self):
-        # a zero design column in one training split poisons that fold
-        X = np.ones((6, 2))
-        X[:3, 1] = 0.0
-        X[3:, 1] = 1.0
-        Y = np.ones((6, 1))
-        data = Dataset(X, Y)
-        grid = CvGrid(lambdas=[0.1], thresholds=[0.0], k=2, seed=1)
-        cv = cross_validate(data, LarnConfig(), grid)
-        assert np.all(np.isfinite(cv.cv_rmse)) or np.any(np.isinf(cv.per_fold_sse))
+    @pytest.mark.filterwarnings("ignore:X'X is rank deficient")
+    def test_fold_failure_raises(self):
+        # column 3 is nonzero only in row 5, so the training set without row 5
+        # cannot be solved at any lambda: no cell of that fold can be scored
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((12, 4))
+        X[:, 3] = 0.0
+        X[5, 3] = 1.0
+        data = Dataset(X, rng.standard_normal((12, 2)))
+        grid = CvGrid(lambdas=[0.1, 1.0, 10.0], n_thresholds=4, k=3, seed=0)
+        fold = next(i for i, f in enumerate(kfold_split(12, 3, 0)) if 5 in f) + 1
+        for jobs in (1, 2):
+            with pytest.raises(SolverError, match=f"fold {fold} of 3: .*column 3 is "
+                                                  "identically zero"):
+                cross_validate(data, LarnConfig(), grid, jobs=jobs)
 
     def test_exp_transform_warns_in_either_mode(self):
         data = make_data(16)
@@ -311,9 +316,6 @@ class TestFitWithSelection:
                                        kkt_residual(data, fit.b_hat, w, lam),
                                        rtol=1e-9, atol=1e-12)
 
-    # full-mode fits that stop on the objective change may warn that they are
-    # not certified; this test checks only which fit is returned
-    @pytest.mark.filterwarnings("ignore:fit at lambda")
     def test_full_mode_selected_fit_is_larn_fit(self):
         data = make_data(14)
         config = LarnConfig(one_step=False)
@@ -330,8 +332,10 @@ class TestFitWithSelection:
         # in either mode: the selected fit warns, the (fold, lambda) fits do not
         data = make_data(15)
         grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=4, k=3, seed=0)
-        for one_step in (True, False):
-            config = LarnConfig(one_step=one_step, solver=SolverSettings(max_sweeps=3))
+        solver = SolverSettings(max_sweeps=3)
+        # full mode runs rounds until a level is certified, so it is capped at one
+        for config in (LarnConfig(solver=solver),
+                       LarnConfig(one_step=False, max_outer_iters=1, solver=solver)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 fit, cv = fit_with_selection(data, config, grid)
