@@ -164,10 +164,11 @@ def _ensure_out_dir(path):
 
 def cmd_fit(args):
     data, y_header = _load_dataset(args.x, args.y)
-    _ensure_out_dir(args.out_dir)
     config = LarnConfig(penalty=_penalty_from(args),
                         one_step=(args.one_step == "true"))
     fit, cv = fit_with_selection(data, config, _grid_from(args), jobs=args.jobs)
+    # created only now, so a run that fails leaves no empty directory
+    _ensure_out_dir(args.out_dir)
     io.write_matrix_csv(os.path.join(args.out_dir, "coefficients.csv"),
                         fit.b_hat, header=y_header)
     payload = fit.to_dict()
@@ -183,10 +184,10 @@ def cmd_fit(args):
 
 def cmd_cv(args):
     data, _ = _load_dataset(args.x, args.y)
-    _ensure_out_dir(args.out_dir)
     config = LarnConfig(penalty=_penalty_from(args),
                         one_step=(args.one_step == "true"))
     cv = cross_validate(data, config, _grid_from(args), jobs=args.jobs)
+    _ensure_out_dir(args.out_dir)
     L, T = cv.cv_rmse.shape
     rows = [[cv.lambdas[i], cv.thresholds[i, j], cv.cv_rmse[i, j]]
             for i in range(L) for j in range(T)]

@@ -46,11 +46,21 @@ objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
 e_j (x) sqrt(k_j) u_j: a rank-|S| correction, solved by Woodbury in
-O(|S|^3 + |S|^2 q) without forming the (|S| q)^2 matrix.  Steps backtrack
-(Armijo) on the objective and are taken only when it is finite and
-strictly lower; the finish stops once the rows in S pass the KKT test,
-when the line search fails, or after a fixed number of steps.  This is what
-certifies p > n levels that sweeps alone leave uncertified after 1000.
+O(|S|^3 + |S|^2 q) without forming the (|S| q)^2 matrix.  Rows may leave S:
+a row j crosses when its full step d_j passes through zero,
+<b_j, b_j + d_j> < 0, and the candidates are then the full step with every
+crossing row set to zero and, for each crossing row, the point of the
+segment where its norm is smallest with that row set to zero (the group
+counterpart of feature-sign's sign-change points).  The lowest is taken if
+it lowers the objective, and the rows it zeroes leave S; the step
+backtracks (Armijo) only when no row crosses or no candidate is lower.
+Each step, and the finish as a whole, is accepted on its objective change
+computed from the change of fit E = X_S dB, which must be finite and
+negative, not on the difference of two rounded objectives; the trace then
+records the refreshed objective.  The finish stops once the rows in S pass
+the KKT test, when the line search fails, or after a fixed number of steps.
+This is what certifies p > n levels that sweeps alone leave uncertified
+after 1000.
 
 With the entrywise soft-threshold as row update and the entrywise KKT
 conditions as certificate, the kernel solves the lasso of
@@ -333,37 +343,49 @@ def _newton_direction(GS, BS, grad, c):
 
 
 def _newton_finish(X, Y, B, weights, lam, kkt_tol):
-    """Safeguarded Newton steps on the nonzero rows of B (p, q) at one level.
+    """Safeguarded Newton steps on the nonzero rows S of B (p, q) at one level.
 
-    The rows of B that are zero stay zero; on the others the objective is
-    smooth, and each step follows :func:`_newton_direction` with Armijo
-    backtracking on the objective.  A step is taken only when the objective
-    is finite and strictly lower.  Stops when the nonzero rows pass the
-    KKT test at ``kkt_tol`` (zero rows only coordinate descent can move),
-    when the line search fails, when the direction cannot be computed or is
-    not finite, or after ``_NEWTON_STEPS`` steps.  Never raises.
+    The rows of B that are zero stay zero; on S the objective is smooth, and
+    each step follows :func:`_newton_direction`.  A row j of S crosses when
+    its full step passes through zero, <b_j, b_j + d_j> < 0.  Then the
+    candidates are the full step with every crossing row set to zero and,
+    for each crossing row j, the point of the segment where ||b_j|| is
+    smallest (t_j = -<b_j, d_j> / ||d_j||^2) with row j set to zero; the
+    lowest is taken when it lowers the objective, and the rows it zeroes
+    leave S (the group counterpart of feature-sign's sign-change points).
+    Otherwise the step backtracks (Armijo).  Every step is accepted on its
+    objective change computed from E = X_S (new - old) as
+    sum(E (E - 2R)) + c'(||b_new|| - ||b||), which must be finite and
+    negative, not on a difference of two rounded objectives.  Stops when the
+    rows in S pass the KKT test at ``kkt_tol`` (zero rows only coordinate
+    descent can move), when S is empty, when the line search fails, when
+    the direction cannot be computed or is not finite, or after
+    ``_NEWTON_STEPS`` steps.  Never raises.
 
-    Returns the new B (a copy, or B itself when no step was taken) and the
-    number of steps taken.
+    Returns the new B (a copy, or B itself when no step was taken), the
+    number of steps taken and the sum of their computed objective changes.
     """
     S = row_support(B)
     if S.size == 0:
-        return B, 0
+        return B, 0, 0.0
     XS = X[:, S]
     GS = XS.T @ XS
     c = lam * weights[S]
-
-    def evaluate(BS):
-        # residual, row norms and objective at the support rows BS
-        R = Y - XS @ BS
-        nrm = np.sqrt(np.einsum("sq,sq->s", BS, BS))
-        return R, nrm, np.sum(R * R) + c @ nrm
-
     BS = B[S]
-    R, nrm, f = evaluate(BS)
-    steps = 0
+    R = Y - XS @ BS
+    nrm = np.sqrt(np.einsum("sq,sq->s", BS, BS))
+
+    def changes(trial):
+        # objective change from BS to each point of trial (K, s, q), non-finite
+        # as +inf, and the row norms (K, s) there
+        E = XS @ (trial - BS)
+        nrm_t = np.sqrt(np.einsum("ksq,ksq->ks", trial, trial))
+        df = np.einsum("knq,knq->k", E, E - 2.0 * R) + (nrm_t - nrm) @ c
+        return np.where(np.isfinite(df), df, np.inf), nrm_t
+
+    steps, total = 0, 0.0
     with np.errstate(all="ignore"):
-        while steps < _NEWTON_STEPS:
+        while steps < _NEWTON_STEPS and S.size:
             HS = XS.T @ R
             if _kkt_rows(HS[:, None, :], BS[:, None, :], c[:, None]).max() <= kkt_tol:
                 break
@@ -375,22 +397,41 @@ def _newton_finish(X, Y, B, weights, lam, kkt_tol):
             slope = np.sum(grad * d)
             if not (np.all(np.isfinite(d)) and slope < 0):
                 break
-            t = 1.0
-            for _ in range(_NEWTON_BACKTRACKS):
-                trial = BS + t * d
-                R_t, nrm_t, f_t = evaluate(trial)
-                if np.isfinite(f_t) and f_t < f and f_t <= f + _ARMIJO * t * slope:
+            cross = np.flatnonzero(np.einsum("sq,sq->s", BS, BS + d) < 0)
+            df = np.inf
+            if cross.size:
+                t = -np.einsum("kq,kq->k", BS[cross], d[cross]) / np.einsum(
+                    "kq,kq->k", d[cross], d[cross])
+                trial = BS + np.concatenate([[1.0], t])[:, None, None] * d
+                trial[0, cross] = 0.0
+                trial[np.arange(1, cross.size + 1), cross] = 0.0
+                dfs, nrms = changes(trial)
+                k = np.argmin(dfs)
+                df, new, nrm_new = dfs[k], trial[k], nrms[k]
+            if not df < 0:
+                t = 1.0
+                for _ in range(_NEWTON_BACKTRACKS):
+                    new = BS + t * d
+                    dfs, nrms = changes(new[None])
+                    df, nrm_new = dfs[0], nrms[0]
+                    if df < 0 and df <= _ARMIJO * t * slope:
+                        break
+                    t *= 0.5
+                else:
                     break
-                t *= 0.5
-            else:
-                break
-            BS, R, nrm, f = trial, R_t, nrm_t, f_t
             steps += 1
+            total += df
+            keep = nrm_new > 0
+            if not keep.all():
+                S, XS, c = S[keep], XS[:, keep], c[keep]
+                GS = GS[np.ix_(keep, keep)]
+            BS, nrm = new[keep], nrm_new[keep]
+            R = Y - XS @ BS
     if steps == 0:
-        return B, 0
+        return B, 0, 0.0
     B = np.zeros_like(B)
     B[S] = BS
-    return B, steps
+    return B, steps, total
 
 
 def _solve_masked(G, mask, rhs):
@@ -569,13 +610,15 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     With ``_GROUP``, each active level whose nonzero-row set did not change
     over the stored iterates (and is not empty) then runs
     :func:`_newton_finish`: at most ``_NEWTON_STEPS`` Woodbury-form Newton
-    steps on those rows, with Armijo backtracking, stopping early once the
-    rows pass the KKT test.  A finished level is kept under the same rule
-    as an extrapolation (finite, strictly lower refreshed objective), else
-    restored; R and H are then refreshed from B.  Zero rows are left to the
-    sweeps and to the KKT retire test, which with the stopping rule and
-    compaction are unchanged.  A trace holds one value per sweep, an
-    accepted extrapolation or Newton finish included.
+    steps on those rows, where a row whose step passes through zero may
+    leave them, stopping early once the remaining rows pass the KKT test.
+    A finished level is kept when the sum of its steps' computed objective
+    changes is negative and its refreshed objective is finite, else
+    restored; R and H are then refreshed from B.  Rows the finish zeroes,
+    like the other zero rows, are left to the sweeps and to the KKT retire
+    test, which with the stopping rule and compaction are unchanged.  A
+    trace holds one value per sweep, an accepted extrapolation or Newton
+    finish included.
 
     With ``_ENTRYWISE``, the (level, column) pairs whose entries fail the KKT
     test at ``settings.kkt_tol`` run :func:`_feature_sign` there instead, and
@@ -612,14 +655,16 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
         return resid + lam_w * np.einsum("pa,pa->a", weights, row_norms(B))
 
-    def keep_if_lower(moved, before, obj):
+    def keep_if_lower(moved, before, obj, lowered=False):
         # B holds a candidate on each level in ``moved``; keep it only when
-        # the refreshed objective is finite and strictly lower, else restore
-        # the level from ``before`` (laid out as B).  Lowers obj in place and
-        # returns whether any candidate was kept.
+        # the refreshed objective is finite and strictly lower (only finite
+        # when ``lowered``: each candidate's computed change is negative),
+        # else restore the level from ``before`` (laid out as B).  Sets obj
+        # to the kept levels' refreshed objective and returns whether any
+        # candidate was kept.
         np.subtract(Yb, X @ B2, out=R)
         trial = objectives()
-        take = moved & np.isfinite(trial) & (trial < obj)
+        take = moved & np.isfinite(trial) & (lowered | (trial < obj))
         back = moved & ~take
         if np.any(back):
             B[:, back] = before[:, back]
@@ -652,10 +697,10 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         before = B.copy()
         moved = np.zeros(len(obj), dtype=bool)
         for i in np.flatnonzero(todo):
-            B[:, i, :], steps = _newton_finish(X, Y, before[:, i, :], weights[:, i],
-                                               lam_w[i], settings.kkt_tol)
-            moved[i] = steps > 0
-        return bool(np.any(moved)) and keep_if_lower(moved, before, obj)
+            B[:, i, :], _, change = _newton_finish(
+                X, Y, before[:, i, :], weights[:, i], lam_w[i], settings.kkt_tol)
+            moved[i] = change < 0
+        return bool(np.any(moved)) and keep_if_lower(moved, before, obj, lowered=True)
 
     obj = objectives()
     traces = [[float(v)] for v in obj]
@@ -749,7 +794,8 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
     B : ndarray (p, q)
         Solution with exact zeros on thresholded rows.
     trace : list of float
-        Objective value at the start and after each sweep; nonincreasing.
+        Objective value at the start and after each sweep; nonincreasing up
+        to rounding (a Newton finish is kept on its computed objective change).
 
     Raises
     ------

@@ -26,6 +26,26 @@ def write_sim_config(path, **overrides):
     return payload
 
 
+def assert_fold_failure_exit_1(tmp_path, capsys, command):
+    # column 3 is nonzero only in row 5: the training set without it has a
+    # zero column, so its fold cannot be scored at any lambda; the run exits
+    # 1 and leaves no output directory behind
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((12, 4))
+    X[:, 3] = 0.0
+    X[5, 3] = 1.0
+    write_matrix_csv(tmp_path / "x.csv", X)
+    write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
+    out = tmp_path / command
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        rc = run([command, "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(out), "--lambdas", "0.1,1,10", "--n-thresholds", "4",
+                  "--folds", "3"])
+    assert rc == 1
+    assert "numeric failure: fold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMatrixCsv:
     def test_roundtrip_exact(self, tmp_path):
         M = np.random.default_rng(0).standard_normal((7, 3)) * 1e3
@@ -182,22 +202,7 @@ class TestFit:
         assert payload["certified"] is True
 
     def test_fold_failure_exit_1(self, tmp_path, capsys):
-        # column 3 is nonzero only in row 5: the training set without it has a
-        # zero column, so its fold cannot be scored at any lambda
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((12, 4))
-        X[:, 3] = 0.0
-        X[5, 3] = 1.0
-        write_matrix_csv(tmp_path / "x.csv", X)
-        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
-        out = tmp_path / "fit"
-        with pytest.warns(RuntimeWarning, match="rank deficient"):
-            rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
-                      "--out-dir", str(out), "--lambdas", "0.1,1,10", "--n-thresholds", "4",
-                      "--folds", "3"])
-        assert rc == 1
-        assert "numeric failure: fold" in capsys.readouterr().err
-        assert not (out / "fit.json").exists()
+        assert_fold_failure_exit_1(tmp_path, capsys, "fit")
 
     def test_linalg_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, yet it exits 1, not 2
@@ -239,6 +244,9 @@ class TestCv:
         with open(out / "cv_best.json") as fh:
             best = json.load(fh)
         assert best["fit_count"] == 18
+
+    def test_fold_failure_exit_1(self, tmp_path, capsys):
+        assert_fold_failure_exit_1(tmp_path, capsys, "cv")
 
     def test_edge_flag_reaches_json(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -197,8 +197,8 @@ def residual_form_sweeps(X, Y, w, lam, B, sweeps, depth=5, eps=1e-10):
                     R = Y - X @ B
             rows = [np.linalg.norm(b, axis=1) > 0 for b in hist]
             if all(np.array_equal(r, rows[-1]) for r in rows) and rows[-1].any():
-                Bn, steps = _newton_finish(X, Y, B, w, lam, 1e-6)
-                if steps and obj(Bn) < obj(B):
+                Bn, steps, df = _newton_finish(X, Y, B, w, lam, 1e-6)
+                if steps and df < 0:
                     B = Bn
                     R = Y - X @ B
             hist = [B.copy()]
@@ -280,7 +280,7 @@ class TestExtrapolation:
 
     def test_paper_path_sweep_count(self):
         # plain cyclic sweeps certify this path in 10394 level-sweeps, with
-        # the extrapolation alone 4380; with the Newton finish it takes 845
+        # the extrapolation alone 4380; with the Newton finish it takes 840
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=[1, 0]))
         B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
@@ -324,13 +324,59 @@ class TestNewtonFinish:
         w = np.random.default_rng(3).uniform(0.5, 1.5, d.p)
         B = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
         B[[1, 4]] = 0.0
-        B_new, steps = _newton_finish(d.X, d.Y, B, w, 2.0, 1e-9)
+        B_new, steps, _ = _newton_finish(d.X, d.Y, B, w, 2.0, 1e-9)
         assert steps >= 1
         assert np.all(B_new[[1, 4]] == 0.0)
         assert objective(d, B_new, w, 2.0) < objective(d, B, w, 2.0)
         support = [0, 2, 3, 5, 6, 7]
         sub = Dataset(d.X[:, support], d.Y)
         assert np.max(kkt_residual(sub, B_new[support], w[support], 2.0)) <= 1e-9
+
+    def test_rows_leave_the_support_where_their_step_crosses_zero(self, monkeypatch):
+        # from least squares at a lambda whose solution has rows 0, 4 and 5
+        # zero, the first Newton step of those rows passes through zero; the
+        # finish takes them out of the support instead of shrinking the step
+        d = random_instance(7, n=30, p=8, q=3)
+        w = np.random.default_rng(7).uniform(0.5, 1.5, d.p)
+        lam = 10.0
+        B = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
+        c = lam * w
+        grad = (c / np.linalg.norm(B, axis=1))[:, None] * B - 2.0 * d.X.T @ (d.Y - d.X @ B)
+        step = _newton_direction(d.X.T @ d.X, B, grad, c)
+        cross = np.flatnonzero(np.einsum("sq,sq->s", B, B + step) < 0)
+        assert list(cross) == [0, 4, 5]
+        B_new, steps, change = _newton_finish(d.X, d.Y, B, w, lam, 1e-9)
+        assert np.all(B_new[cross] == 0.0)
+        assert 1 <= steps < group_solver._NEWTON_STEPS
+        support = row_support(B_new)
+        sub = Dataset(d.X[:, support], d.Y)
+        assert np.max(kkt_residual(sub, B_new[support], w[support], lam)) <= 1e-9
+        # no step raises the objective, and the changes add up to the total
+        objs = [objective(d, B, w, lam)]
+        for cap in range(1, steps + 1):
+            monkeypatch.setattr(group_solver, "_NEWTON_STEPS", cap)
+            objs.append(objective(d, _newton_finish(d.X, d.Y, B, w, lam, 1e-9)[0], w, lam))
+        assert np.all(np.diff(objs) <= 1e-12)
+        assert objs[-1] - objs[0] == pytest.approx(change, rel=1e-12)
+
+    def test_wide_instance_no_finish_reaches_the_step_cap(self, monkeypatch):
+        # p > n: with the support fixed, rows whose step passed through zero
+        # made the line search shrink every step, and 2 of the 12 finishes
+        # on this path (63 of 133 in a cross-validated fit) stopped at the cap
+        data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            B0 = initial_estimate(data)
+        w = group_weights(B0, LarnConfig().penalty)
+        steps = []
+
+        def recording(*args):
+            out = _newton_finish(*args)
+            steps.append(out[1])
+            return out
+
+        monkeypatch.setattr(group_solver, "_newton_finish", recording)
+        bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
+        assert steps and max(steps) < group_solver._NEWTON_STEPS
 
     def test_wide_instance_every_level_certified_and_batch_free(self):
         # p > n: without the finish, the four smallest levels used all 1000
