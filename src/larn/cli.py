@@ -9,8 +9,10 @@ benchmark        run the replication study, write the long-format metrics CSV
 threshold-curve  tabulate the scalar rule theta_hat(z) as CSV
 minimax-check    Monte Carlo risk report as JSON
 
-Exit codes: 0 success, 1 numeric/solver failure, 2 I/O or configuration
-failure.  Progress goes to stderr; data only to the output files.
+Exit codes: 0 success, 1 numeric/solver failure (nothing written), 2 I/O
+or configuration failure, 3 fit written but not KKT-certified (``fit``
+only; ``fit.json`` then holds ``certified: false``).  Progress goes to
+stderr; data only to the output files.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from .simbench import SimConfig, run_benchmark
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
+EXIT_UNCERTIFIED = 3
 
 
 class CliError(Exception):
@@ -179,6 +182,9 @@ def cmd_fit(args):
         io.write_matrix_csv(args.trace_out, trace, header=["objective"])
     _log(f"fit written to {args.out_dir} "
          f"(lambda={fit.lam:.6g}, threshold={fit.threshold:.6g})")
+    if not fit.certified:
+        _log("fit is not KKT-certified")
+        return EXIT_UNCERTIFIED
     return EXIT_OK
 
 

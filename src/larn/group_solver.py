@@ -30,19 +30,13 @@ R, and H from it, are recomputed from B after every sweep, so the traces
 and the KKT certificate never rest on the cancelling expansion
 ||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).
 
-Every five sweeps each level tries an Anderson extrapolation of its last
-iterates (Bertrand and Massias, AISTATS 2021): with U the five iterate
-differences, (U'U + eps I) z = 1 is solved and the last five iterates are
-combined with weights z / sum(z).  The safeguard keeps the combination only
-when the level's objective, computed from the refreshed residual, is finite
-and strictly lower, so the traces stay nonincreasing; a trace still holds
-one value per sweep.
-
-For the group penalty, each level whose nonzero rows S stayed the same
-over those iterates then gets a Newton finish on S (proximal Newton, Lee,
-Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the identified
-support, Bareilles, Iutzeler and Malick, Math. Programming).  On S the
-objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
+Every five sweeps (the finish window) each level may take a second-order
+finish, kept only when it lowers the objective; a trace still holds one
+value per sweep.  For the group penalty, each level whose nonzero rows S
+stayed the same over the window gets a Newton finish on S (proximal
+Newton, Lee, Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the
+identified support, Bareilles, Iutzeler and Malick, Math. Programming).
+On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
 e_j (x) sqrt(k_j) u_j: a rank-|S| correction, solved by Woodbury in
@@ -237,10 +231,8 @@ _ENTRYWISE = (_entrywise_prox, lambda B: np.abs(B).sum(axis=2),
 # fraction (and it passes the KKT test)
 _FLAT_TOL = 1e-8
 
-# Anderson extrapolation: iterates combined per step (also the sweeps
-# between steps) and the ridge on U'U relative to its trace
-_ANDERSON_DEPTH = 5
-_ANDERSON_EPS = 1e-10
+# sweeps per finish window: a level's finish runs at the end of each window
+_FINISH_WINDOW = 5
 
 # Newton finish: steps per window, Armijo slope fraction, step halvings
 _NEWTON_STEPS = 20
@@ -290,34 +282,6 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
         init = np.broadcast_to(init, (L,) + init.shape)
     return _cd_path(data, np.broadcast_to(weights[:, None], (data.p, L)), lambdas, init,
                     settings or SolverSettings(), _GROUP)
-
-
-def _anderson(iterates):
-    """Anderson extrapolation of each level from the iterates (A, K+1, p, q).
-
-    With U the K iterate differences of a level, solves the regularized
-    system (U'U + eps I) z = 1 and combines the last K iterates with
-    c = z / sum(z).  Returns the candidates (A, p, q) and a mask (A,) of
-    the levels that have a finite one; a level that did not move has none.
-    Never raises: a failed solve leaves every level without a candidate.
-    """
-    A, K = iterates.shape[0], iterates.shape[1] - 1
-    flat = iterates.reshape(A, K + 1, -1)
-    U = np.diff(flat, axis=1)                              # (A, K, p*q)
-    C = U @ U.transpose(0, 2, 1)                           # (A, K, K)
-    scale = np.trace(C, axis1=1, axis2=2)
-    ok = np.isfinite(scale) & (scale > 0)
-    reg = C[ok] + (_ANDERSON_EPS * scale[ok])[:, None, None] * np.eye(K)
-    try:
-        z = np.linalg.solve(reg, np.ones((len(reg), K, 1)))[:, :, 0]
-    except np.linalg.LinAlgError:
-        z = np.full((len(reg), K), np.nan)
-    c = np.zeros((A, K))
-    with np.errstate(all="ignore"):
-        c[ok] = z / z.sum(axis=1, keepdims=True)
-    cand = (c[:, None, :] @ flat[:, 1:]).reshape((A,) + iterates.shape[2:])
-    ok &= np.all(np.isfinite(c), axis=1) & np.all(np.isfinite(cand), axis=(1, 2))
-    return cand, ok
 
 
 def _newton_direction(GS, BS, grad, c):
@@ -600,25 +564,18 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     :func:`larn.estimator.larn_path` after the first pass each level its
     own iterate and the weights taken there.
 
-    Every ``_ANDERSON_DEPTH`` sweeps each active level tries the Anderson
-    extrapolation of its last iterates (:func:`_anderson`) and keeps it
-    only when its objective, computed from the refreshed residual, is
-    finite and strictly lower.  The candidates are evaluated in place: they
-    overwrite B, R is refreshed into its buffer, and rejected levels are
-    restored from the stored last iterate before a second refresh.
-
+    Every ``_FINISH_WINDOW`` sweeps each active level may run a finish.
     With ``_GROUP``, each active level whose nonzero-row set did not change
-    over the stored iterates (and is not empty) then runs
-    :func:`_newton_finish`: at most ``_NEWTON_STEPS`` Woodbury-form Newton
-    steps on those rows, where a row whose step passes through zero may
-    leave them, stopping early once the remaining rows pass the KKT test.
+    over the window (and is not empty) runs :func:`_newton_finish`: at most
+    ``_NEWTON_STEPS`` Woodbury-form Newton steps on those rows, where a row
+    whose step passes through zero may leave them, stopping early once the
+    remaining rows pass the KKT test.
     A finished level is kept when the sum of its steps' computed objective
     changes is negative and its refreshed objective is finite, else
     restored; R and H are then refreshed from B.  Rows the finish zeroes,
     like the other zero rows, are left to the sweeps and to the KKT retire
     test, which with the stopping rule and compaction are unchanged.  A
-    trace holds one value per sweep, an accepted extrapolation or Newton
-    finish included.
+    trace holds one value per sweep, an accepted finish included.
 
     With ``_ENTRYWISE``, the (level, column) pairs whose entries fail the KKT
     test at ``settings.kkt_tol`` run :func:`_feature_sign` there instead, and
@@ -647,9 +604,10 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     lam_w = lambdas.copy()
     half = 0.5 * lam_w[None, :] * weights          # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
-    iterates = np.empty((L, _ANDERSON_DEPTH + 1, p, q))   # level axis first
-    iterates[:, 0] = B.transpose(1, 0, 2)
-    since = 0                                      # sweeps since iterates[:, 0]
+    # which rows of each level were nonzero at each sweep of the window
+    nonzero = np.empty((L, _FINISH_WINDOW + 1, p), dtype=bool)
+    nonzero[:, 0] = row_norms(B).T > 0
+    since = 0                                      # sweeps since nonzero[:, 0]
 
     def objectives():
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
@@ -659,9 +617,9 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         # B holds a candidate on each level in ``moved``; keep it only when
         # the refreshed objective is finite and strictly lower (only finite
         # when ``lowered``: each candidate's computed change is negative),
-        # else restore the level from ``before`` (laid out as B).  Sets obj
-        # to the kept levels' refreshed objective and returns whether any
-        # candidate was kept.
+        # else restore the level from ``before``.  Sets obj to the kept
+        # levels' refreshed objective and returns whether any candidate was
+        # kept.
         np.subtract(Yb, X @ B2, out=R)
         trial = objectives()
         take = moved & np.isfinite(trial) & (lowered | (trial < obj))
@@ -674,7 +632,8 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
 
     def feature_sign(obj):
         # finish the (level, column) pairs whose entries fail the KKT test;
-        # H may predate the extrapolation, so X'R is formed afresh
+        # H still carries this sweep's incremental updates, so X'R is formed
+        # from the refreshed R
         Hn = (X.T @ R).reshape(p, -1, q)
         res = _entry_residuals(Hn, B, half[:, :, None]).max(axis=0)
         lv, col = np.nonzero(res > settings.kkt_tol)
@@ -691,9 +650,8 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         return keep_if_lower(levels, before, obj)
 
     def newton(obj):
-        # finish each level whose nonzero rows held over the stored iterates
-        nz = np.einsum("akpq,akpq->akp", iterates, iterates) > 0
-        todo = np.all(nz == nz[:, -1:], axis=(1, 2)) & nz[:, -1].any(axis=1)
+        # finish each level whose nonzero rows held over the window
+        todo = np.all(nonzero == nonzero[:, -1:], axis=(1, 2)) & nonzero[:, -1].any(axis=1)
         before = B.copy()
         moved = np.zeros(len(obj), dtype=bool)
         for i in np.flatnonzero(todo):
@@ -727,19 +685,13 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         prev = obj
         obj = objectives()
         since += 1
-        iterates[:, since] = B.transpose(1, 0, 2)
-        if since == _ANDERSON_DEPTH:
-            cand, ok = _anderson(iterates)
-            if np.any(ok):
-                # evaluate in place; the last iterate holds the current B
-                B[:, ok] = cand[ok].transpose(1, 0, 2)
-                before = iterates[:, -1].transpose(1, 0, 2)
-                changed = keep_if_lower(ok, before, obj) or changed
+        nonzero[:, since] = row_norms(B).T > 0
+        if since == _FINISH_WINDOW:
             if penalty is _GROUP:
                 changed = newton(obj) or changed
             else:
                 changed = feature_sign(obj) or changed
-            iterates[:, 0] = B.transpose(1, 0, 2)
+            nonzero[:, 0] = row_norms(B).T > 0
             since = 0
         if changed:
             np.matmul(X.T, R, out=H)
@@ -767,7 +719,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
                 weights = weights[:, keep]
                 half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
-                iterates = iterates[keep]
+                nonzero = nonzero[keep]
     for i, l in enumerate(act):
         out[l] = B[:, i, :]
     return out, traces

@@ -8,7 +8,7 @@ import pytest
 from larn import cli, estimator
 from larn.depth_penalty import PenaltySpec
 from larn.estimator import LarnConfig
-from larn.group_solver import Dataset
+from larn.group_solver import Dataset, SolverSettings
 from larn.io import read_matrix_csv, write_matrix_csv
 from larn.model_selection import CvGrid, fit_with_selection
 from larn.scalar_rule import depth_scalar_penalty
@@ -200,6 +200,25 @@ class TestFit:
         assert len(trace) == payload["outer_iters"] + 1
         assert np.all(np.diff(trace) <= 1e-10 * trace[0])
         assert payload["certified"] is True
+
+    def test_uncertified_fit_exit_3(self, tmp_path, capsys, monkeypatch):
+        # three sweeps leave the selected fit uncertified: its outputs are
+        # written, flagged, and the run exits 3
+        monkeypatch.setattr(SolverSettings.__init__, "__defaults__", (3, 1e-6))
+        rng = np.random.default_rng(6)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        out = tmp_path / "fit"
+        with pytest.warns(RuntimeWarning, match="not certified"):
+            rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                      "--out-dir", str(out), "--lambdas", "0.5,2", "--n-thresholds", "4",
+                      "--folds", "3"])
+        assert rc == 3
+        assert "not KKT-certified" in capsys.readouterr().err
+        assert (out / "coefficients.csv").exists()
+        with open(out / "fit.json") as fh:
+            payload = json.load(fh)
+        assert payload["certified"] is False
 
     def test_fold_failure_exit_1(self, tmp_path, capsys):
         assert_fold_failure_exit_1(tmp_path, capsys, "fit")
