@@ -10,9 +10,10 @@ threshold-curve  tabulate the scalar rule theta_hat(z) as CSV
 minimax-check    Monte Carlo risk report as JSON
 
 Exit codes: 0 success, 1 numeric/solver failure (nothing written), 2 I/O
-or configuration failure, 3 fit written but not KKT-certified (``fit``
-only; ``fit.json`` then holds ``certified: false``).  Progress goes to
-stderr; data only to the output files.
+or configuration failure, 3 outputs written but the selected fit is not
+KKT-certified (``fit`` and ``cv``; ``fit.json`` or ``cv_best.json`` then
+holds ``certified: false``).  Progress goes to stderr; data only to the
+output files.
 """
 
 import argparse
@@ -199,8 +200,13 @@ def cmd_cv(args):
             for i in range(L) for j in range(T)]
     io.write_matrix_csv(os.path.join(args.out_dir, "cv_surface.csv"), rows,
                         header=["lambda", "threshold", "cv_rmse"])
-    io.write_json(os.path.join(args.out_dir, "cv_best.json"), cv.to_dict())
+    best = cv.to_dict()
+    best["certified"] = bool(cv.full_fit.certified)
+    io.write_json(os.path.join(args.out_dir, "cv_best.json"), best)
     _log(f"cv surface written to {args.out_dir}")
+    if not cv.full_fit.certified:
+        _log("selected full-data fit is not KKT-certified")
+        return EXIT_UNCERTIFIED
     return EXIT_OK
 
 

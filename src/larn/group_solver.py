@@ -32,27 +32,34 @@ and the KKT certificate never rest on the cancelling expansion
 
 Every five sweeps (the finish window) each level may take a second-order
 finish, kept only when it lowers the objective; a trace still holds one
-value per sweep.  For the group penalty, each level whose nonzero rows S
-stayed the same over the window gets a Newton finish on S (proximal
+value per sweep.  For the group penalty, the levels whose nonzero rows S
+stayed the same over the window get a Newton finish on S (proximal
 Newton, Lee, Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the
-identified support, Bareilles, Iutzeler and Malick, Math. Programming).
+identified support, Bareilles, Iutzeler and Malick, Math. Programming),
+all of them in one call that steps them together.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
 e_j (x) sqrt(k_j) u_j: a rank-|S| correction, solved by Woodbury in
-O(|S|^3 + |S|^2 q) without forming the (|S| q)^2 matrix.  Rows may leave S:
+O(|S|^3 + |S|^2 q) without forming the (|S| q)^2 matrix.  Each level's S
+is padded to all p rows, with identity blocks off S, so a step is one
+batched inverse and one batched solve over the levels, and a level's
+arithmetic does not depend on which other levels share the call.  Along a
+step d the change of fit is t Xd, so the line search is in closed form: a
+trial point costs only its row norms.  Rows may leave S:
 a row j crosses when its full step d_j passes through zero,
 <b_j, b_j + d_j> < 0, and the candidates are then the full step with every
 crossing row set to zero and, for each crossing row, the point of the
 segment where its norm is smallest with that row set to zero (the group
-counterpart of feature-sign's sign-change points).  The lowest is taken if
-it lowers the objective, and the rows it zeroes leave S; the step
-backtracks (Armijo) only when no row crosses or no candidate is lower.
-Each step, and the finish as a whole, is accepted on its objective change
-computed from the change of fit E = X_S dB, which must be finite and
-negative, not on the difference of two rounded objectives; the trace then
-records the refreshed objective.  The finish stops once the rows in S pass
-the KKT test, when the line search fails, or after a fixed number of steps.
+counterpart of feature-sign's sign-change points), whose change of fit is
+a rank-one update through x_j.  The lowest is taken if it lowers the
+objective, and the rows it zeroes leave S; the step backtracks (Armijo)
+only when no row crosses or no candidate is lower.
+Each step, and the finish as a whole, is accepted on its computed
+objective change, which must be finite and negative, not on the
+difference of two rounded objectives; the trace then records the
+refreshed objective.  A level's finish stops once the rows in S pass the
+KKT test, when the line search fails, or after a fixed number of steps.
 This is what certifies p > n levels that sweeps alone leave uncertified
 after 1000.
 
@@ -239,11 +246,13 @@ _NEWTON_STEPS = 20
 _ARMIJO = 1e-4
 _NEWTON_BACKTRACKS = 30
 
-# feature-sign finish: rounds per window, and the entries of the masked
-# systems built and solved at once (0.5 MB), so memory does not grow with
-# the number of pending (level, column) pairs
+# feature-sign finish: rounds per window
 _SIGN_ROUNDS = 20
-_SIGN_BLOCK_ENTRIES = 1 << 16
+
+# entries (0.5 MB) of each (N, p, p) system stack of a feature-sign round,
+# and of all the work arrays of a block of Newton-finished levels, so memory
+# does not grow with the number of levels or (level, column) pairs
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _column_norms_squared(X):
@@ -284,141 +293,221 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
                     settings or SolverSettings(), _GROUP)
 
 
-def _newton_direction(GS, BS, grad, c):
-    """Newton direction -Hess^-1 grad on the nonzero rows BS (s, q), in Woodbury form.
+def _padded(G, mask, shift):
+    """Stack (N, p, p) of G restricted to each row of mask (N, p), shift (N, p) added
+    to its diagonal, with identity blocks off the mask."""
+    p = G.shape[0]
+    K = np.where(mask[:, :, None] & mask[:, None, :], G, 0.0)
+    K[:, np.arange(p), np.arange(p)] += np.where(mask, shift, 1.0)
+    return K
 
-    With k_j = c_j / ||b_j|| and u_j = b_j / ||b_j||, the Hessian of the
-    objective on the support is (2 GS + diag k) (x) I_q - W W', where column
-    j of W is e_j (x) sqrt(k_j) u_j.  Writing A = 2 GS + diag k and
-    Z = A^-1 grad, Woodbury gives the direction from the s x s system
-    C a = sqrt(k) * rowdot(U, Z), C = I - diag(sqrt k) (A^-1 o UU') diag(sqrt k),
-    as -(Z + A^-1 diag(sqrt(k) a) U): O(s^3 + s^2 q), and no (s q)^2 matrix.
-    Raises ``LinAlgError`` when A or C is singular.
+
+def _stacked(fn, K, *rhs):
+    """``fn`` (``np.linalg.inv`` or ``solve``) on a stack K (N, p, p).
+
+    A singular stack is redone one matrix at a time, and a matrix that is
+    singular on its own gets a NaN result.
     """
-    nrm = np.sqrt(np.einsum("sq,sq->s", BS, BS))
-    k = c / nrm
-    U = BS / nrm[:, None]
+    try:
+        return fn(K, *rhs)
+    except np.linalg.LinAlgError:
+        out = np.full((rhs[0] if rhs else K).shape, np.nan)
+        for i in range(len(K)):
+            try:
+                out[i] = fn(K[i], *(r[i] for r in rhs))
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton_direction(G, B, grad, c):
+    """Newton directions -Hess^-1 grad (N, p, q) on the nonzero rows of each level of B.
+
+    ``B`` and ``grad`` are (N, p, q), ``c`` (N, p) and G = X'X.  With S the
+    nonzero rows of a level, k_j = c_j / ||b_j|| and u_j = b_j / ||b_j||,
+    the Hessian of the objective on S is (2 G_SS + diag k) (x) I_q - W W',
+    where column j of W is e_j (x) sqrt(k_j) u_j.  Writing A = 2 G_SS + diag k
+    and Z = A^-1 grad, Woodbury gives the direction from the |S| x |S| system
+    C a = sqrt(k) * rowdot(U, Z), C = I - diag(sqrt k) (A^-1 o UU') diag(sqrt k),
+    as -(Z + A^-1 diag(sqrt(k) a) U), with no (|S| q)^2 matrix.  Each level
+    is padded to all p rows, identity blocks in A off S, so it costs
+    O(p^3 + p^2 q) and its arithmetic does not depend on the other levels of
+    the stack; rows off S get a zero direction.  A level whose A or C is
+    singular gets NaN.
+    """
+    nrm = np.sqrt(np.einsum("npq,npq->np", B, B))
+    S = nrm > 0
+    k = np.divide(c, nrm, out=np.zeros_like(nrm), where=S)
+    U = B / np.where(S, nrm, 1.0)[:, :, None]
     sk = np.sqrt(k)
-    Ainv = np.linalg.inv(2.0 * GS + np.diag(k))
+    Ainv = _stacked(np.linalg.inv, _padded(2.0 * G, S, k))
     Z = Ainv @ grad
-    C = np.eye(len(k)) - sk[:, None] * (Ainv * (U @ U.T)) * sk[None, :]
-    a = np.linalg.solve(C, sk * np.einsum("sq,sq->s", U, Z))
-    return -(Z + Ainv @ ((sk * a)[:, None] * U))
+    C = U @ U.transpose(0, 2, 1)
+    C *= Ainv
+    C *= sk[:, :, None]
+    C *= sk[:, None, :]
+    np.subtract(np.eye(len(G)), C, out=C)
+    a = _stacked(np.linalg.solve, C, (sk * np.einsum("npq,npq->np", U, Z))[:, :, None])
+    d = -(Z + Ainv @ ((sk * a[:, :, 0])[:, :, None] * U))
+    d[~S] = 0.0
+    return d
 
 
 def _newton_finish(X, Y, B, weights, lam, kkt_tol):
-    """Safeguarded Newton steps on the nonzero rows S of B (p, q) at one level.
+    """Safeguarded Newton steps on the nonzero rows S of each level of B (A, p, q).
 
-    The rows of B that are zero stay zero; on S the objective is smooth, and
-    each step follows :func:`_newton_direction`.  A row j of S crosses when
-    its full step passes through zero, <b_j, b_j + d_j> < 0.  Then the
-    candidates are the full step with every crossing row set to zero and,
-    for each crossing row j, the point of the segment where ||b_j|| is
-    smallest (t_j = -<b_j, d_j> / ||d_j||^2) with row j set to zero; the
-    lowest is taken when it lowers the objective, and the rows it zeroes
-    leave S (the group counterpart of feature-sign's sign-change points).
-    Otherwise the step backtracks (Armijo).  Every step is accepted on its
-    objective change computed from E = X_S (new - old) as
-    sum(E (E - 2R)) + c'(||b_new|| - ||b||), which must be finite and
-    negative, not on a difference of two rounded objectives.  Stops when the
-    rows in S pass the KKT test at ``kkt_tol`` (zero rows only coordinate
-    descent can move), when S is empty, when the line search fails, when
-    the direction cannot be computed or is not finite, or after
+    Level i has the shrinkage c_i = lam_i w_i (``weights`` (A, p) or (p,),
+    ``lam`` (A,) or scalar).  The levels step together, in blocks whose work
+    arrays hold about ``_BLOCK_ENTRIES`` entries in all; each level is padded
+    to all p rows, so its arithmetic does not depend on the other levels.
+
+    Each step follows :func:`_newton_direction` on S; zero rows stay zero.
+    With R = Y - XB the objective change at B + t d is
+    t^2 ||Xd||^2 - 2t <Xd, R> + c'(||b + t d|| - ||b||), and setting rows V of
+    that point to zero adds <V, G V + 2 X'R - 2t X'Xd>.  When rows cross,
+    <b_j, b_j + d_j> < 0, the candidates are the full step with every
+    crossing row zeroed and, per crossing row j, the step
+    t_j = -<b_j, d_j> / ||d_j||^2 with row j zeroed; the lowest is taken when
+    its change is negative, and the zeroed rows leave S.  Otherwise the
+    lengths 1, 1/2, ... (``_NEWTON_BACKTRACKS`` of them) are tried, the full
+    step first and the rest at once, and the longest that satisfies Armijo
+    is taken.  A level stops when its rows in S pass the KKT test at
+    ``kkt_tol``, when S is empty, when the direction is not finite or not a
+    descent direction, when the line search fails, or after
     ``_NEWTON_STEPS`` steps.  Never raises.
 
-    Returns the new B (a copy, or B itself when no step was taken), the
-    number of steps taken and the sum of their computed objective changes.
+    Returns the new B (a copy), the steps taken (A,) and the sum of each
+    level's computed objective changes (A,), negative for every level that
+    took a step.
     """
-    S = row_support(B)
-    if S.size == 0:
-        return B, 0, 0.0
-    XS = X[:, S]
-    GS = XS.T @ XS
-    c = lam * weights[S]
-    BS = B[S]
-    R = Y - XS @ BS
-    nrm = np.sqrt(np.einsum("sq,sq->s", BS, BS))
-
-    def changes(trial):
-        # objective change from BS to each point of trial (K, s, q), non-finite
-        # as +inf, and the row norms (K, s) there
-        E = XS @ (trial - BS)
-        nrm_t = np.sqrt(np.einsum("ksq,ksq->ks", trial, trial))
-        df = np.einsum("knq,knq->k", E, E - 2.0 * R) + (nrm_t - nrm) @ c
-        return np.where(np.isfinite(df), df, np.inf), nrm_t
-
-    steps, total = 0, 0.0
+    B = np.array(B, dtype=float, order="C")
+    A, p, q = B.shape
+    c = np.broadcast_to(np.reshape(lam, (-1, 1)) * weights, (A, p))
+    steps = np.zeros(A, dtype=int)
+    total = np.zeros(A)
+    G = X.T @ X
+    # a level's work arrays: about two (n, q), eight (p, q) and three (p, p);
+    # a trial point's: three (p, q)
+    size = max(1, _BLOCK_ENTRIES // ((2 * X.shape[0] + 8 * p) * q + 3 * p * p))
+    chunk = max(1, _BLOCK_ENTRIES // (3 * p * q))
     with np.errstate(all="ignore"):
-        while steps < _NEWTON_STEPS and S.size:
-            HS = XS.T @ R
-            if _kkt_rows(HS[:, None, :], BS[:, None, :], c[:, None]).max() <= kkt_tol:
-                break
-            grad = (c / nrm)[:, None] * BS - 2.0 * HS
-            try:
-                d = _newton_direction(GS, BS, grad, c)
-            except np.linalg.LinAlgError:
-                break
-            slope = np.sum(grad * d)
-            if not (np.all(np.isfinite(d)) and slope < 0):
-                break
-            cross = np.flatnonzero(np.einsum("sq,sq->s", BS, BS + d) < 0)
-            df = np.inf
-            if cross.size:
-                t = -np.einsum("kq,kq->k", BS[cross], d[cross]) / np.einsum(
-                    "kq,kq->k", d[cross], d[cross])
-                trial = BS + np.concatenate([[1.0], t])[:, None, None] * d
-                trial[0, cross] = 0.0
-                trial[np.arange(1, cross.size + 1), cross] = 0.0
-                dfs, nrms = changes(trial)
-                k = np.argmin(dfs)
-                df, new, nrm_new = dfs[k], trial[k], nrms[k]
-            if not df < 0:
-                t = 1.0
-                for _ in range(_NEWTON_BACKTRACKS):
-                    new = BS + t * d
-                    dfs, nrms = changes(new[None])
-                    df, nrm_new = dfs[0], nrms[0]
-                    if df < 0 and df <= _ARMIJO * t * slope:
-                        break
-                    t *= 0.5
-                else:
-                    break
-            steps += 1
-            total += df
-            keep = nrm_new > 0
-            if not keep.all():
-                S, XS, c = S[keep], XS[:, keep], c[keep]
-                GS = GS[np.ix_(keep, keep)]
-            BS, nrm = new[keep], nrm_new[keep]
-            R = Y - XS @ BS
-    if steps == 0:
-        return B, 0, 0.0
-    B = np.zeros_like(B)
-    B[S] = BS
+        for lo in range(0, A, size):
+            blk = slice(lo, lo + size)
+            _newton_steps(X, Y, G, B[blk], c[blk], kkt_tol, steps[blk], total[blk], chunk)
     return B, steps, total
+
+
+def _newton_steps(X, Y, G, B, c, kkt_tol, steps, total, chunk):
+    """The steps of :func:`_newton_finish` on one block of levels, trial points
+    evaluated ``chunk`` at a time; updates B, steps and total in place."""
+    p = B.shape[1]
+    lengths = 0.5 ** np.arange(_NEWTON_BACKTRACKS)           # 1, 1/2, 1/4, ...
+    live = np.flatnonzero(np.any(B != 0, axis=(1, 2)))
+    for _ in range(_NEWTON_STEPS):
+        Bl, cl = B[live], c[live]
+        nrm = np.sqrt(np.einsum("apq,apq->ap", Bl, Bl))
+        S = nrm > 0
+        R = Y - X @ Bl
+        H = X.T @ R
+        # on S, row j's KKT residual is ||grad_j||
+        grad = np.divide(cl, nrm, out=np.zeros_like(nrm), where=S)[:, :, None] * Bl - 2.0 * H
+        grad[~S] = 0.0
+        go = np.sqrt(np.einsum("apq,apq->ap", grad, grad)).max(axis=1) > kkt_tol
+        live, Bl, cl, nrm, S, R, H, grad = (
+            v[go] for v in (live, Bl, cl, nrm, S, R, H, grad))
+        if live.size == 0:
+            break
+        d = _newton_direction(G, Bl, grad, cl)
+        slope = np.einsum("apq,apq->a", grad, d)
+        ok = np.isfinite(d).all(axis=(1, 2)) & (slope < 0)
+        live, Bl, nrm, S, R, H, cl, d, slope = (
+            v[ok] for v in (live, Bl, nrm, S, R, H, cl, d, slope))
+        Xd = X @ d
+        xx = np.einsum("anq,anq->a", Xd, Xd)
+        xr = np.einsum("anq,anq->a", Xd, R)
+        del Xd, R
+
+        def changes(lv, t, zero=None, extra=None):
+            # objective change at Bl[lv] + t d[lv] with the rows in zero (K, p)
+            # set to zero, whose change of fit is ``extra`` (K,); non-finite
+            # as +inf, in chunks of (K, p, q) trials
+            out = np.empty(len(lv))
+            for i in range(0, len(lv), chunk):
+                s = slice(i, i + chunk)
+                l, ts = lv[s], t[s]
+                P = d[l]
+                P *= ts[:, None, None]
+                P += Bl[l]
+                fit = ts * (ts * xx[l] - 2.0 * xr[l])
+                if zero is not None:
+                    P[zero[s]] = 0.0
+                    fit += extra[s]
+                nrm_t = np.sqrt(np.einsum("kpq,kpq->kp", P, P))
+                out[s] = fit + np.einsum("kp,kp->k", cl[l], nrm_t - nrm[l])
+            return np.where(np.isfinite(out), out, np.inf)
+
+        a = len(live)
+        df = np.full(a, np.inf)
+        t = np.ones(a)
+        zero = np.zeros((a, p), dtype=bool)
+        cross = S & (np.einsum("apq,apq->ap", Bl, Bl + d) < 0)
+        lc, jc = np.nonzero(cross)
+        if lc.size:
+            hl = np.flatnonzero(cross.any(axis=1))
+            bj, dj = Bl[lc, jc], d[lc, jc]
+            tj = -np.einsum("kq,kq->k", bj, dj) / np.einsum("kq,kq->k", dj, dj)
+            # zeroing the rows V of a trial adds <V, G V + 2 X'R - 2t X'Xd> to
+            # its change of fit: all crossing rows at t = 1, or one row j, a
+            # rank-one update through x_j
+            Gd = G @ d[hl]
+            V = np.where(cross[hl, :, None], Bl[hl] + d[hl], 0.0)
+            vj = bj + tj[:, None] * dj
+            Gdj = Gd[np.searchsorted(hl, lc), jc]
+            extra = np.concatenate([
+                np.einsum("hpq,hpq->h", V, G @ V + 2.0 * (H[hl] - Gd)),
+                np.einsum("kq,kq->k", vj, G[jc, jc][:, None] * vj
+                          + 2.0 * (H[lc, jc] - tj[:, None] * Gdj))])
+            lv = np.concatenate([hl, lc])
+            tc = np.concatenate([np.ones(hl.size), tj])
+            zc = np.concatenate([cross[hl], np.arange(p) == jc[:, None]])
+            dfc = changes(lv, tc, zc, extra)
+            # per level the lowest candidate; lexsort is stable, so a tie goes
+            # to the earlier one: the all-crossing step, then rows in order
+            order = np.lexsort((dfc, lv))
+            best = order[np.r_[True, lv[order][1:] != lv[order][:-1]]]
+            df[hl], t[hl], zero[hl] = dfc[best], tc[best], zc[best]
+        # the others backtrack: the full step, then all halvings at once for
+        # the levels it does not satisfy, each taking the longest that does
+        back = np.flatnonzero(~(df < 0))
+        df[back], zero[back] = np.inf, False
+        for ts in (lengths[:1], lengths[1:]):
+            if back.size == 0:
+                break
+            dfs = changes(np.repeat(back, ts.size), np.tile(ts, back.size))
+            dfs = dfs.reshape(back.size, ts.size)
+            armijo = (dfs < 0) & (dfs <= (_ARMIJO * ts) * slope[back, None])
+            m = armijo.argmax(axis=1)
+            found = armijo[np.arange(back.size), m]
+            df[back[found]] = dfs[found, m[found]]
+            t[back[found]] = ts[m[found]]
+            back = back[~found]
+        take = df < 0
+        live, t, zero, df = live[take], t[take], zero[take], df[take]
+        new = Bl[take] + t[:, None, None] * d[take]
+        new[zero] = 0.0
+        B[live] = new
+        steps[live] += 1
+        total[live] += df
 
 
 def _solve_masked(G, mask, rhs):
     """Solve G_MM x_M = rhs_M for each row of mask (N, p), x = 0 off the mask.
 
     The systems are built as (N, p, p) matrices with identity blocks off the
-    mask.  A singular batch is solved one system at a time, and a system that
-    is singular on its own gets a NaN solution.
+    mask (:func:`_padded`); a system that is singular gets a NaN solution.
     """
-    p = G.shape[0]
-    K = np.where(mask[:, :, None] & mask[:, None, :], G, 0.0)
-    K[:, np.arange(p), np.arange(p)] += ~mask
     rhs = np.where(mask, rhs, 0.0)[:, :, None]
-    try:
-        return np.linalg.solve(K, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full(mask.shape, np.nan)
-        for i in range(len(K)):
-            try:
-                out[i] = np.linalg.solve(K[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    return _stacked(np.linalg.solve, _padded(G, mask, 0.0), rhs)[:, :, 0]
 
 
 def _orthant_candidates(G, b, g, xty, half, max_active):
@@ -530,14 +619,14 @@ def _feature_sign(G, b, g, xty, half, kkt_tol, max_active):
     the KKT test at ``kkt_tol``, a round does not move it, or
     ``_SIGN_ROUNDS`` rounds have run; ``max_active`` is the number of rows of
     X.  A round handles its pairs in blocks whose (N, p, p) systems hold at
-    most ``_SIGN_BLOCK_ENTRIES`` entries.  Never raises.
+    most ``_BLOCK_ENTRIES`` entries.  Never raises.
 
     Returns the new b (a copy) and a mask (N,) of the pairs that moved.
     """
     b, g = b.copy(), g.copy()
     N, p = b.shape
     moved = np.zeros(N, dtype=bool)
-    step = max(1, _SIGN_BLOCK_ENTRIES // (p * p))
+    step = max(1, _BLOCK_ENTRIES // (p * p))
     idx = np.arange(N)
     for _ in range(_SIGN_ROUNDS):
         idx = idx[_entry_residuals(g[idx], b[idx], half[idx]).max(axis=1) > kkt_tol]
@@ -565,11 +654,12 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     own iterate and the weights taken there.
 
     Every ``_FINISH_WINDOW`` sweeps each active level may run a finish.
-    With ``_GROUP``, each active level whose nonzero-row set did not change
-    over the window (and is not empty) runs :func:`_newton_finish`: at most
-    ``_NEWTON_STEPS`` Woodbury-form Newton steps on those rows, where a row
-    whose step passes through zero may leave them, stopping early once the
-    remaining rows pass the KKT test.
+    With ``_GROUP``, the active levels whose nonzero-row set did not change
+    over the window (and is not empty) go to one :func:`_newton_finish`
+    call: each takes at most ``_NEWTON_STEPS`` Woodbury-form Newton steps on
+    its rows, padded to all p rows so that the levels step together with a
+    closed-form line search, where a row whose step passes through zero may
+    leave them, stopping early once the remaining rows pass the KKT test.
     A finished level is kept when the sum of its steps' computed objective
     changes is negative and its refreshed objective is finite, else
     restored; R and H are then refreshed from B.  Rows the finish zeroes,
@@ -650,15 +740,20 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         return keep_if_lower(levels, before, obj)
 
     def newton(obj):
-        # finish each level whose nonzero rows held over the window
-        todo = np.all(nonzero == nonzero[:, -1:], axis=(1, 2)) & nonzero[:, -1].any(axis=1)
-        before = B.copy()
+        # finish the levels whose nonzero rows held over the window, in one call
+        todo = np.flatnonzero(np.all(nonzero == nonzero[:, -1:], axis=(1, 2))
+                              & nonzero[:, -1].any(axis=1))
+        if todo.size == 0:
+            return False
+        new, _, change = _newton_finish(X, Y, B[:, todo].transpose(1, 0, 2),
+                                        weights[:, todo].T, lam_w[todo], settings.kkt_tol)
         moved = np.zeros(len(obj), dtype=bool)
-        for i in np.flatnonzero(todo):
-            B[:, i, :], _, change = _newton_finish(
-                X, Y, before[:, i, :], weights[:, i], lam_w[i], settings.kkt_tol)
-            moved[i] = change < 0
-        return bool(np.any(moved)) and keep_if_lower(moved, before, obj, lowered=True)
+        moved[todo] = change < 0
+        if not np.any(moved):
+            return False
+        before = B.copy()
+        B[:, todo] = new.transpose(1, 0, 2)
+        return keep_if_lower(moved, before, obj, lowered=True)
 
     obj = objectives()
     traces = [[float(v)] for v in obj]

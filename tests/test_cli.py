@@ -263,9 +263,28 @@ class TestCv:
         with open(out / "cv_best.json") as fh:
             best = json.load(fh)
         assert best["fit_count"] == 18
+        assert best["certified"] is True
 
     def test_fold_failure_exit_1(self, tmp_path, capsys):
         assert_fold_failure_exit_1(tmp_path, capsys, "cv")
+
+    def test_uncertified_selection_exit_3(self, tmp_path, capsys, monkeypatch):
+        # three sweeps leave the selected full-data fit uncertified: the
+        # surface and best pair are written, flagged, and the run exits 3
+        monkeypatch.setattr(SolverSettings.__init__, "__defaults__", (3, 1e-6))
+        rng = np.random.default_rng(6)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        out = tmp_path / "cv"
+        rc = run(["cv", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(out), "--lambdas", "0.5,2", "--n-thresholds", "4",
+                  "--folds", "3"])
+        assert rc == 3
+        assert "not KKT-certified" in capsys.readouterr().err
+        assert (out / "cv_surface.csv").exists()
+        with open(out / "cv_best.json") as fh:
+            best = json.load(fh)
+        assert best["certified"] is False
 
     def test_edge_flag_reaches_json(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -183,9 +183,9 @@ def residual_form_sweeps(X, Y, w, lam, B, sweeps, window=5):
         rows.append(np.linalg.norm(B, axis=1) > 0)
         if window is not None and len(rows) == window + 1:
             if all(np.array_equal(r, rows[-1]) for r in rows) and rows[-1].any():
-                Bn, steps, df = _newton_finish(X, Y, B, w, lam, 1e-6)
-                if steps and df < 0:
-                    B = Bn
+                Bn, steps, df = _newton_finish(X, Y, B[None], w, lam, 1e-6)
+                if steps[0] and df[0] < 0:
+                    B = Bn[0]
                     R = Y - X @ B
             rows = [np.linalg.norm(B, axis=1) > 0]
     return B
@@ -297,22 +297,30 @@ class TestNewtonFinish:
         (40, 8, 4, 1e-9, 1e-8),      # tiny weights
     ])
     def test_woodbury_direction_matches_dense_solve(self, n, p, q, w_lo, w_hi):
+        # on every row, and with row 3 zero: padded out of the support, it
+        # gets a zero direction and the other rows that of the smaller problem
         rng = np.random.default_rng(p + q)
         X = rng.standard_normal((n, p))
         Y = rng.standard_normal((n, q))
         B = rng.normal(0.0, 1.0, (p, q))
         c = 5.0 * rng.uniform(w_lo, w_hi, p)
-        grad, ref = dense_newton_direction(X, Y, B, c)
-        d = _newton_direction(X.T @ X, B, grad, c)
-        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+        for off in ([], [3]):
+            B[off] = 0.0
+            S = np.flatnonzero(np.any(B != 0, axis=1))
+            grad = -2.0 * X.T @ (Y - X @ B)
+            grad[S], ref = dense_newton_direction(X[:, S], Y, B[S], c[S])
+            d = _newton_direction(X.T @ X, B[None], grad[None], c[None])[0]
+            assert np.all(d[off] == 0.0)
+            assert np.linalg.norm(d[S] - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_finish_steps_on_support_only(self):
         d = random_instance(3, n=30, p=8, q=3)
         w = np.random.default_rng(3).uniform(0.5, 1.5, d.p)
         B = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
         B[[1, 4]] = 0.0
-        B_new, steps, _ = _newton_finish(d.X, d.Y, B, w, 2.0, 1e-9)
-        assert steps >= 1
+        B_new, steps, _ = _newton_finish(d.X, d.Y, B[None], w, 2.0, 1e-9)
+        B_new = B_new[0]
+        assert steps[0] >= 1
         assert np.all(B_new[[1, 4]] == 0.0)
         assert objective(d, B_new, w, 2.0) < objective(d, B, w, 2.0)
         support = [0, 2, 3, 5, 6, 7]
@@ -329,10 +337,11 @@ class TestNewtonFinish:
         B = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
         c = lam * w
         grad = (c / np.linalg.norm(B, axis=1))[:, None] * B - 2.0 * d.X.T @ (d.Y - d.X @ B)
-        step = _newton_direction(d.X.T @ d.X, B, grad, c)
+        step = _newton_direction(d.X.T @ d.X, B[None], grad[None], c[None])[0]
         cross = np.flatnonzero(np.einsum("sq,sq->s", B, B + step) < 0)
         assert list(cross) == [0, 4, 5]
-        B_new, steps, change = _newton_finish(d.X, d.Y, B, w, lam, 1e-9)
+        B_new, steps, change = _newton_finish(d.X, d.Y, B[None], w, lam, 1e-9)
+        B_new, steps, change = B_new[0], steps[0], change[0]
         assert np.all(B_new[cross] == 0.0)
         assert 1 <= steps < group_solver._NEWTON_STEPS
         support = row_support(B_new)
@@ -342,7 +351,8 @@ class TestNewtonFinish:
         objs = [objective(d, B, w, lam)]
         for cap in range(1, steps + 1):
             monkeypatch.setattr(group_solver, "_NEWTON_STEPS", cap)
-            objs.append(objective(d, _newton_finish(d.X, d.Y, B, w, lam, 1e-9)[0], w, lam))
+            objs.append(objective(d, _newton_finish(d.X, d.Y, B[None], w, lam, 1e-9)[0][0],
+                                  w, lam))
         assert np.all(np.diff(objs) <= 1e-12)
         assert objs[-1] - objs[0] == pytest.approx(change, rel=1e-12)
 
@@ -358,12 +368,49 @@ class TestNewtonFinish:
 
         def recording(*args):
             out = _newton_finish(*args)
-            steps.append(out[1])
+            steps.extend(out[1])
             return out
 
         monkeypatch.setattr(group_solver, "_newton_finish", recording)
         bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
         assert steps and max(steps) < group_solver._NEWTON_STEPS
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_levels_finished_together_equal_each_finished_alone(self, singular, monkeypatch):
+        # p > n: three levels four sweeps in, before their first finish.  The
+        # singular case duplicates design column 1 into column 0 and adds a
+        # level with zero weights whose support is those two rows, so its
+        # A = 2 G_SS is exactly singular: the batch is solved level by level,
+        # that level stops, and the others are untouched by it
+        data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
+        X = data.X.copy()
+        if singular:
+            X[:, 0] = X[:, 1]
+        data = Dataset(X, data.Y)
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            B0 = initial_estimate(data)
+        w = group_weights(B0, LarnConfig().penalty)
+        lambdas = np.array([0.05, 2.0, 50.0])
+        stack, _ = bcd_solve_path(data, w, lambdas, init=B0,
+                                  settings=SolverSettings(max_sweeps=4))
+        weights = np.tile(w, (3, 1))
+        if singular:
+            flat = np.zeros((data.p, data.q))
+            flat[:2] = np.random.default_rng(0).standard_normal((2, data.q))
+            stack = np.concatenate([stack, flat[None]])
+            weights = np.vstack([weights, np.zeros(data.p)])
+            lambdas = np.append(lambdas, 1.0)
+        with monkeypatch.context() as m:
+            m.setattr(group_solver, "_BLOCK_ENTRIES", 1 << 30)   # all levels in one block
+            together, steps, change = _newton_finish(X, data.Y, stack, weights, lambdas, 1e-6)
+        assert np.all(steps[:3] >= 1)
+        for i in range(3):
+            alone = _newton_finish(X, data.Y, stack[i:i + 1], weights[i], lambdas[i], 1e-6)
+            assert np.array_equal(together[i], alone[0][0])
+            assert steps[i] == alone[1][0] and change[i] == alone[2][0]
+        if singular:
+            assert steps[3] == 0 and change[3] == 0.0
+            assert np.array_equal(together[3], stack[3])
 
     def test_wide_instance_every_level_certified_and_batch_free(self):
         # p > n: without the finish, the four smallest levels used all 1000
@@ -445,7 +492,7 @@ class TestFeatureSignFinish:
         d = random_instance(6, n=30, p=9, q=5)
         pairs = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), 1.5)
         ref, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
-        monkeypatch.setattr(group_solver, "_SIGN_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(group_solver, "_BLOCK_ENTRIES", 1)
         b, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
         assert np.max(np.abs(b - ref)) <= 1e-12
 
