@@ -35,7 +35,7 @@ import numpy as np
 
 from . import group_solver
 from .depth_penalty import PenaltySpec, inverse_depth, penalty_weight
-from .group_solver import _GROUP, SolverSettings, _cd_path, _path_kkt, row_support
+from .group_solver import SolverSettings, _cd_path, _path_kkt, row_support
 # not called here; perfbench/spans.py wraps this name in this module
 from .group_solver import bcd_solve  # noqa: F401
 
@@ -201,7 +201,7 @@ def larn_path(data, config, lambdas):
             # each level starts at its own iterate, where its surrogate touches
             # Q, so the inner solve cannot increase Q
             stack[todo] = _cd_path(data, weights[:, todo], lambdas[todo], stack[todo],
-                                   config.solver, _GROUP)[0]
+                                   config.solver)[0]
             iters[todo] += 1
     return [FitResult(B, float(lam), 0.0, trace, kkt[:, i], int(n),
                       bool(kkt[:, i].max() <= config.solver.kkt_tol))

@@ -32,7 +32,7 @@ and the KKT certificate never rest on the cancelling expansion
 
 Every five sweeps (the finish window) each level may take a second-order
 finish, kept only when it lowers the objective; a trace still holds one
-value per sweep.  For the group penalty, the levels whose nonzero rows S
+value per sweep.  Levels that read q > 1 columns and whose nonzero rows S
 stayed the same over the window get a Newton finish on S (proximal
 Newton, Lee, Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the
 identified support, Bareilles, Iutzeler and Malick, Math. Programming),
@@ -63,19 +63,22 @@ KKT test, when the line search fails, or after a fixed number of steps.
 This is what certifies p > n levels that sweeps alone leave uncertified
 after 1000.
 
-With the entrywise soft-threshold as row update and the entrywise KKT
-conditions as certificate, the kernel solves the lasso of
-:func:`larn.simbench.lasso_path`.  Its finish, run at the same point, is
-feature-sign search (Lee, Battle, Raina and Ng, NIPS 2007).  The lasso
-separates over response columns, so the finish works on the (level, column)
-pairs whose entries fail the KKT test.  In each round, zero entries with
-|x_j'r| > lam/2 enter with the sign s_j of x_j'r; the minimizer on that
-orthant solves G_MM b_M = X_M'y - (lam/2) s_M; and the step goes to the
-best of that point and the points where an entry reaches zero.  A round is
-kept only when it lowers the column's objective.  A column with more
-nonzeros than X has rows (p > n) instead steps along a null vector of X_M
-until one entry reaches zero, which does not raise the objective.  The
-masked systems of a round are solved in batches of bounded size.
+At q = 1 the row penalty is l1, ||b_j|| = |b_j|, and the finish is
+feature-sign search (Lee, Battle, Raina and Ng, NIPS 2007) instead: there
+the Hessian on S is 2 G_SS, singular once |S| > n.  Which finish a level
+takes follows only from how many response columns it reads, so a
+single-response group fit and the per-response lasso of
+:func:`larn.simbench.lasso_path`, run as single-column levels, both take
+it.  It works on the levels whose entries fail the KKT test.  In each
+round, zero entries with |x_j'r| > lam w_j/2 enter with the sign s_j of
+x_j'r; the minimizer on that orthant solves
+G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read as X'r + G b; and the
+step goes to the best of that point and the points where an entry reaches
+zero.  A round is kept only when it lowers the level's objective.  A level
+with more nonzeros than X has rows (p > n), or whose orthant step fails on
+collinear columns, instead steps along a null vector of X_M until one entry
+reaches zero, which does not raise the objective.  The masked systems of a
+round are solved in batches of bounded size.
 :func:`bcd_solve` and :func:`bcd_solve_path` solve the group lasso at one
 level or many.
 """
@@ -190,17 +193,21 @@ def _path_kkt(data, stack, weights, lambdas):
     return _kkt_rows(G.transpose(1, 0, 2), stack.transpose(1, 0, 2), weights * lambdas)
 
 
+def _row_norms(B):
+    """Row norms (p, A) of a level stack B (p, A, q)."""
+    return np.sqrt(np.einsum("plq,plq->pl", B, B))
+
+
 def _kkt_rows(G3, B3, shrink):
     """Row residuals (p, L); G3 = X'R and B3 are (p, L, q), shrink is lam w (p, L)."""
-    gn = np.sqrt(np.einsum("plq,plq->pl", G3, G3))
-    bn = np.sqrt(np.einsum("plq,plq->pl", B3, B3))
+    gn = _row_norms(G3)
+    bn = _row_norms(B3)
     res = np.maximum(gn - 0.5 * shrink, 0.0)
     nz = bn > 0
     if np.any(nz):
         inv = np.divide(1.0, bn, out=np.zeros_like(bn), where=nz)
         stat = 2.0 * G3 - (shrink * inv)[:, :, None] * B3
-        sn = np.sqrt(np.einsum("plq,plq->pl", stat, stat))
-        res = np.where(nz, sn, res)
+        res = np.where(nz, _row_norms(stat), res)
     return res
 
 
@@ -210,28 +217,11 @@ def _entry_residuals(g, b, half):
                     np.maximum(np.abs(g) - half, 0.0))
 
 
-def _kkt_entrywise_rows(G3, B3, shrink):
-    """Max entry residual per row (p, L): |2g - lam sign(b)| or (|g| - lam/2)_+."""
-    return _entry_residuals(G3, B3, 0.5 * shrink[:, :, None]).max(axis=2)
-
-
 def _group_prox(g, half, s):
     """Row update for the l2 row penalty; g is (A, q), half is (A,)."""
     gnorm = np.sqrt(np.einsum("lq,lq->l", g, g))
     inv = np.divide(1.0, gnorm, out=np.zeros(len(g)), where=gnorm > 0)
     return (np.maximum(1.0 - half * inv, 0.0) / s)[:, None] * g
-
-
-def _entrywise_prox(g, half, s):
-    """Row update for the entrywise l1 penalty (soft-threshold at half)."""
-    return np.sign(g) * np.maximum(np.abs(g) - half[:, None], 0.0) / s
-
-
-# (row update, per-row penalty norms (p, A), per-row KKT residual (p, A))
-_GROUP = (_group_prox, lambda B: np.sqrt(np.einsum("plq,plq->pl", B, B)),
-          _kkt_rows)
-_ENTRYWISE = (_entrywise_prox, lambda B: np.abs(B).sum(axis=2),
-              _kkt_entrywise_rows)
 
 
 # a level may stop once a sweep changes its objective by less than this
@@ -251,7 +241,7 @@ _SIGN_ROUNDS = 20
 
 # entries (0.5 MB) of each (N, p, p) system stack of a feature-sign round,
 # and of all the work arrays of a block of Newton-finished levels, so memory
-# does not grow with the number of levels or (level, column) pairs
+# does not grow with the number of levels
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -290,7 +280,7 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     if init is not None:
         init = np.broadcast_to(init, (L,) + init.shape)
     return _cd_path(data, np.broadcast_to(weights[:, None], (data.p, L)), lambdas, init,
-                    settings or SolverSettings(), _GROUP)
+                    settings or SolverSettings())
 
 
 def _padded(G, mask, shift):
@@ -353,13 +343,13 @@ def _newton_direction(G, B, grad, c):
     return d
 
 
-def _newton_finish(X, Y, B, weights, lam, kkt_tol):
+def _newton_finish(X, Y, B, c, kkt_tol):
     """Safeguarded Newton steps on the nonzero rows S of each level of B (A, p, q).
 
-    Level i has the shrinkage c_i = lam_i w_i (``weights`` (A, p) or (p,),
-    ``lam`` (A,) or scalar).  The levels step together, in blocks whose work
-    arrays hold about ``_BLOCK_ENTRIES`` entries in all; each level is padded
-    to all p rows, so its arithmetic does not depend on the other levels.
+    Row i of ``c`` (A, p) is level i's shrinkage lam_i w_i.  The levels step
+    together, in blocks whose work arrays hold about ``_BLOCK_ENTRIES``
+    entries in all; each level is padded to all p rows, so its arithmetic
+    does not depend on the other levels.
 
     Each step follows :func:`_newton_direction` on S; zero rows stay zero.
     With R = Y - XB the objective change at B + t d is
@@ -382,7 +372,6 @@ def _newton_finish(X, Y, B, weights, lam, kkt_tol):
     """
     B = np.array(B, dtype=float, order="C")
     A, p, q = B.shape
-    c = np.broadcast_to(np.reshape(lam, (-1, 1)) * weights, (A, p))
     steps = np.zeros(A, dtype=int)
     total = np.zeros(A)
     G = X.T @ X
@@ -510,16 +499,16 @@ def _solve_masked(G, mask, rhs):
     return _stacked(np.linalg.solve, _padded(G, mask, 0.0), rhs)[:, :, 0]
 
 
-def _orthant_candidates(G, b, g, xty, half, max_active):
+def _orthant_candidates(G, b, g, half, max_active):
     """Feature-sign step candidates (N, p+1, p) for the lasso columns b (N, p).
 
     Zero entries with |g_j| > half_j enter with the sign of g_j, the
     strongest first and only while at most ``max_active`` entries are
     nonzero.  On that sign pattern s the objective is a quadratic whose
-    minimizer solves G_MM b_M = xty_M - half_M s_M.  The candidates along the
-    segment to it are the point where each nonzero entry reaches zero (that
-    entry set to exactly zero; the segment end where no entry crosses) and
-    the end itself.
+    minimizer solves G_MM b_M = (X'y)_M - half_M s_M, with X'y = g + G b.
+    The candidates along the segment to it are the point where each nonzero
+    entry reaches zero (that entry set to exactly zero; the segment end where
+    no entry crosses) and the end itself.
     """
     p = b.shape[1]
     zero = b == 0
@@ -528,7 +517,7 @@ def _orthant_candidates(G, b, g, xty, half, max_active):
     rank = np.argsort(np.argsort(-viol, axis=1), axis=1)
     s = np.where(zero, np.sign(g) * ((viol > 0) & (rank < room[:, None])), np.sign(b))
     with np.errstate(all="ignore"):
-        end = _solve_masked(G, s != 0, xty - half * s)
+        end = _solve_masked(G, s != 0, g + b @ G - half * s)
         cross = b * end < 0
         t = np.where(cross, b / (b - end), 1.0)
         trial = b[:, None, :] + t[:, :, None] * (end - b)[:, None, :]
@@ -537,22 +526,34 @@ def _orthant_candidates(G, b, g, xty, half, max_active):
 
 
 def _null_candidates(G, b, max_active):
-    """Support-reducing candidates (N, 2, p) for columns with over ``max_active`` nonzeros.
+    """Support-reducing candidates (N, 2, p) for lasso columns b (N, p).
 
-    With more nonzeros than X has rows, X_M has a null vector v: keeping the
-    ``max_active`` largest entries A and one more entry j, v = e_j - z with
-    G_AA z = G_Aj.  Along +-v the fit X b does not change, so the objective
-    is linear up to the first entry that reaches zero; that point (the entry
-    set to exactly zero) is the candidate in each direction.
+    v is a null vector of X_M, M the nonzeros of a column.  With more of
+    them than ``max_active`` (the rows of X), keeping the ``max_active``
+    largest entries A and one more entry j, v = e_j - z with G_AA z = G_Aj.
+    With fewer, v is the eigenvector of the smallest eigenvalue of G_MM
+    (padded with an identity off M) where G_MM is singular (collinear
+    columns), and 0, which leaves the column where it is, elsewhere.  Along
+    +-v the fit X b does not change, so the objective is linear up to the
+    first entry that reaches zero; that point (the entry set to exactly
+    zero) is the candidate in each direction.
     """
     N, p = b.shape
     rows = np.arange(N)
-    order = np.argsort(-np.abs(b), axis=1)
-    keep = np.zeros((N, p), dtype=bool)
-    keep[rows[:, None], order[:, :max_active]] = True
-    j = order[:, max_active]
-    v = -_solve_masked(G, keep, G[j])
-    v[rows, j] = 1.0
+    over = np.count_nonzero(b, axis=1) > max_active
+    v = np.empty((N, p))
+    if np.any(over):
+        bo = b[over]
+        order = np.argsort(-np.abs(bo), axis=1)
+        keep = np.zeros(bo.shape, dtype=bool)
+        keep[np.arange(len(bo))[:, None], order[:, :max_active]] = True
+        j = order[:, max_active]
+        v[over] = -_solve_masked(G, keep, G[j])
+        v[np.flatnonzero(over), j] = 1.0
+    if not np.all(over):
+        # singular by the tolerance of np.linalg.matrix_rank
+        w, V = np.linalg.eigh(_padded(G, b[~over] != 0, 0.0))
+        v[~over] = V[:, :, 0] * (w[:, :1] <= w[:, -1:] * p * np.finfo(float).eps)
     out = []
     for u in (v, -v):
         with np.errstate(all="ignore"):
@@ -583,26 +584,33 @@ def _best_candidate(G, b, g, half, trial):
     return change[rows, best], trial[rows, best], GD[rows, best]
 
 
-def _sign_round(G, b, g, xty, half, max_active):
+def _sign_round(G, b, g, half, max_active):
     """One feature-sign round on lasso columns b (N, p) with g = X'(y - Xb).
 
     Columns with at most ``max_active`` nonzeros take the best of
-    :func:`_orthant_candidates` when it lowers their objective; the others
-    take the best of :func:`_null_candidates` when it does not raise it (a
-    flat step still removes an entry).  Updates b and g in place and
-    returns a mask (N,) of the columns that moved.
+    :func:`_orthant_candidates` when it lowers their objective.  Those with
+    more, and those with two or more whose orthant step failed (as where
+    collinear columns make the orthant system singular), take the best of
+    :func:`_null_candidates` when it does not raise the objective (a flat
+    step still removes an entry).  Updates b and g in place and returns a
+    mask (N,) of the columns that moved.
     """
-    over = np.count_nonzero(b, axis=1) > max_active
+    nnz = np.count_nonzero(b, axis=1)
+    reduce = nnz > max_active
     moved = np.zeros(len(b), dtype=bool)
-    for reduce in (False, True):
-        rows = np.flatnonzero(over == reduce)
+    for reducing in (False, True):
+        rows = np.flatnonzero(reduce == reducing)
         if rows.size == 0:
             continue
         br, gr, hr = b[rows], g[rows], half[rows]
-        trial = (_null_candidates(G, br, max_active) if reduce
-                 else _orthant_candidates(G, br, gr, xty[rows], hr, max_active))
+        trial = (_null_candidates(G, br, max_active) if reducing
+                 else _orthant_candidates(G, br, gr, hr, max_active))
         change, point, GD = _best_candidate(G, br, gr, hr, trial)
-        ok = ((change <= 0) & np.any(point != br, axis=1)) if reduce else change < 0
+        if reducing:
+            ok = (change <= 0) & np.any(point != br, axis=1)
+        else:
+            ok = change < 0
+            reduce[rows] = ~ok & (nnz[rows] > 1)
         rows = rows[ok]
         b[rows] = point[ok]
         g[rows] -= GD[ok]
@@ -610,18 +618,18 @@ def _sign_round(G, b, g, xty, half, max_active):
     return moved
 
 
-def _feature_sign(G, b, g, xty, half, kkt_tol, max_active):
+def _feature_sign(G, b, g, half, kkt_tol, max_active):
     """Feature-sign search on lasso columns (Lee, Battle, Raina and Ng, NIPS 2007).
 
-    Each row of b (N, p) is one (level, column) pair of
-    ||y - Xb||^2 + 2 sum_j half_j |b_j|, with g = X'(y - Xb), xty = X'y and
-    G = X'X.  Each pair repeats :func:`_sign_round` until its entries pass
-    the KKT test at ``kkt_tol``, a round does not move it, or
-    ``_SIGN_ROUNDS`` rounds have run; ``max_active`` is the number of rows of
-    X.  A round handles its pairs in blocks whose (N, p, p) systems hold at
-    most ``_BLOCK_ENTRIES`` entries.  Never raises.
+    Each row of b (N, p) is one single-column level of
+    ||y - Xb||^2 + 2 sum_j half_j |b_j|, with g = X'(y - Xb) and G = X'X.
+    Each level repeats :func:`_sign_round` until its entries pass the KKT
+    test at ``kkt_tol``, a round does not move it, or ``_SIGN_ROUNDS``
+    rounds have run; ``max_active`` is the number of rows of X.  A round
+    handles its levels in blocks whose (N, p, p) systems hold at most
+    ``_BLOCK_ENTRIES`` entries.  Never raises.
 
-    Returns the new b (a copy) and a mask (N,) of the pairs that moved.
+    Returns the new b (a copy) and a mask (N,) of the levels that moved.
     """
     b, g = b.copy(), g.copy()
     N, p = b.shape
@@ -634,7 +642,7 @@ def _feature_sign(G, b, g, xty, half, kkt_tol, max_active):
         for start in range(0, len(idx), step):
             blk = idx[start:start + step]
             bb, gb = b[blk], g[blk]
-            ok[start:start + step] = _sign_round(G, bb, gb, xty[blk], half[blk], max_active)
+            ok[start:start + step] = _sign_round(G, bb, gb, half[blk], max_active)
             b[blk], g[blk] = bb, gb
         idx = idx[ok]
         moved[idx] = True
@@ -643,43 +651,42 @@ def _feature_sign(G, b, g, xty, half, kkt_tol, max_active):
     return b, moved
 
 
-def _cd_path(data, weights, lambdas, init, settings, penalty):
-    """Batched cyclic coordinate descent on validated inputs (``_GROUP`` or ``_ENTRYWISE``).
+def _cd_path(data, weights, lambdas, init, settings, per_column=False):
+    """Batched cyclic coordinate descent on validated inputs.
 
     Each level has its own inputs: ``weights`` is (p, L), column l holding
     the row weights of level l, and ``init`` is (L, p, q), the start of each
     level (or None for zeros).  :func:`bcd_solve_path` broadcasts one weight
     vector and one start to that form; the reweighting rounds of
     :func:`larn.estimator.larn_path` after the first pass each level its
-    own iterate and the weights taken there.
+    own iterate and the weights taken there.  With ``per_column`` each level
+    reads one column of Y, level l the column l mod q (L a multiple of q),
+    and ``init`` is (L, p, 1).
 
-    Every ``_FINISH_WINDOW`` sweeps each active level may run a finish.
-    With ``_GROUP``, the active levels whose nonzero-row set did not change
-    over the window (and is not empty) go to one :func:`_newton_finish`
-    call: each takes at most ``_NEWTON_STEPS`` Woodbury-form Newton steps on
-    its rows, padded to all p rows so that the levels step together with a
-    closed-form line search, where a row whose step passes through zero may
-    leave them, stopping early once the remaining rows pass the KKT test.
-    A finished level is kept when the sum of its steps' computed objective
-    changes is negative and its refreshed objective is finite, else
-    restored; R and H are then refreshed from B.  Rows the finish zeroes,
-    like the other zero rows, are left to the sweeps and to the KKT retire
-    test, which with the stopping rule and compaction are unchanged.  A
-    trace holds one value per sweep, an accepted finish included.
-
-    With ``_ENTRYWISE``, the (level, column) pairs whose entries fail the KKT
-    test at ``settings.kkt_tol`` run :func:`_feature_sign` there instead, and
-    a level with a moved pair is kept or restored under the same rule.
-    Only this finish needs ``X'Y``; the group path never computes it.
+    Every ``_FINISH_WINDOW`` sweeps each active level may run a finish, and
+    the number of columns a level reads picks it.  With more than one, the
+    active levels whose nonzero-row set did not change over the window (and
+    is not empty) go to one :func:`_newton_finish` call: each takes at most
+    ``_NEWTON_STEPS`` Woodbury-form Newton steps on its rows, padded to all
+    p rows so that the levels step together with a closed-form line search,
+    where a row whose step passes through zero may leave them, stopping
+    early once the remaining rows pass the KKT test.  With one column, the
+    levels whose entries fail the KKT test at ``settings.kkt_tol`` run
+    :func:`_feature_sign` instead.  A finished level is kept when its
+    refreshed objective is finite and, for the Newton finish, the sum of
+    its steps' computed objective changes is negative, for feature-sign
+    strictly lower; else it is restored.  R and H are then refreshed from B.
+    Rows the finish zeroes, like the other zero rows, are left to the
+    sweeps and to the KKT retire test, which with the stopping rule and
+    compaction are unchanged.  A trace holds one value per sweep, an
+    accepted finish included.
     """
-    prox, row_norms, kkt = penalty
     X, Y = data.X, data.Y
-    n, p, q = data.n, data.p, data.q
+    n, p = data.n, data.p
+    q = 1 if per_column else data.q                # columns per level
     L = len(lambdas)
     col_ss = _column_norms_squared(X)
     G = X.T @ X                                    # symmetric: row j is column j
-    if penalty is _ENTRYWISE:
-        XtY = X.T @ Y
 
     # work arrays cover the active levels only; solved levels retire into
     # ``out`` and the remaining blocks are compacted
@@ -688,20 +695,19 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
     if init is not None:
         B[:] = init.transpose(1, 0, 2)
     B2 = B.reshape(p, -1)
-    Yb = np.repeat(Y[:, None, :], L, axis=1).reshape(n, L * q)
+    Yb = np.tile(Y, L * q // data.q)               # column i is Y[:, i mod q]
     R = Yb - X @ B2                                # (n, A*q), C-contiguous
     H = X.T @ R                                    # (p, A*q)
-    lam_w = lambdas.copy()
-    half = 0.5 * lam_w[None, :] * weights          # (p, A): lam w_j / 2
+    half = 0.5 * lambdas[None, :] * weights        # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
     # which rows of each level were nonzero at each sweep of the window
     nonzero = np.empty((L, _FINISH_WINDOW + 1, p), dtype=bool)
-    nonzero[:, 0] = row_norms(B).T > 0
+    nonzero[:, 0] = _row_norms(B).T > 0
     since = 0                                      # sweeps since nonzero[:, 0]
 
     def objectives():
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
-        return resid + lam_w * np.einsum("pa,pa->a", weights, row_norms(B))
+        return resid + 2.0 * np.einsum("pa,pa->a", half, _row_norms(B))
 
     def keep_if_lower(moved, before, obj, lowered=False):
         # B holds a candidate on each level in ``moved``; keep it only when
@@ -721,23 +727,14 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         return bool(np.any(take))
 
     def feature_sign(obj):
-        # finish the (level, column) pairs whose entries fail the KKT test;
-        # H still carries this sweep's incremental updates, so X'R is formed
-        # from the refreshed R
-        Hn = (X.T @ R).reshape(p, -1, q)
-        res = _entry_residuals(Hn, B, half[:, :, None]).max(axis=0)
-        lv, col = np.nonzero(res > settings.kkt_tol)
-        if lv.size == 0:
-            return False
-        b, moved = _feature_sign(G, B[:, lv, col].T, Hn[:, lv, col].T, XtY[:, col].T,
-                                 half[:, lv].T, settings.kkt_tol, n)
+        # single-column levels; H still carries this sweep's incremental
+        # updates, so X'R is formed from the refreshed R
+        b, moved = _feature_sign(G, B2.T, (X.T @ R).T, half.T, settings.kkt_tol, n)
         if not np.any(moved):
             return False
         before = B.copy()
-        B[:, lv[moved], col[moved]] = b[moved].T
-        levels = np.zeros(len(obj), dtype=bool)
-        levels[lv[moved]] = True
-        return keep_if_lower(levels, before, obj)
+        B2[:, moved] = b[moved].T
+        return keep_if_lower(moved, before, obj)
 
     def newton(obj):
         # finish the levels whose nonzero rows held over the window, in one call
@@ -746,7 +743,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         if todo.size == 0:
             return False
         new, _, change = _newton_finish(X, Y, B[:, todo].transpose(1, 0, 2),
-                                        weights[:, todo].T, lam_w[todo], settings.kkt_tol)
+                                        2.0 * half[:, todo].T, settings.kkt_tol)
         moved = np.zeros(len(obj), dtype=bool)
         moved[todo] = change < 0
         if not np.any(moved):
@@ -755,8 +752,9 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         B[:, todo] = new.transpose(1, 0, 2)
         return keep_if_lower(moved, before, obj, lowered=True)
 
+    finish = newton if q > 1 else feature_sign
     obj = objectives()
-    traces = [[float(v)] for v in obj]
+    traces = [[v] for v in obj.tolist()]
 
     for _ in range(settings.max_sweeps):
         A = len(act)
@@ -765,7 +763,7 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
             b_old = B[j]                           # (A, q) view
             g = col_ss[j] * b_old
             g += H[j].reshape(A, q)
-            b_new = prox(g, half[j], col_ss[j])
+            b_new = _group_prox(g, half[j], col_ss[j])
             delta = b_new - b_old
             if delta.any():
                 H -= G[j][:, None] * delta.reshape(A * q)[None, :]
@@ -780,26 +778,22 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
         prev = obj
         obj = objectives()
         since += 1
-        nonzero[:, since] = row_norms(B).T > 0
+        nonzero[:, since] = _row_norms(B).T > 0
         if since == _FINISH_WINDOW:
-            if penalty is _GROUP:
-                changed = newton(obj) or changed
-            else:
-                changed = feature_sign(obj) or changed
-            nonzero[:, 0] = row_norms(B).T > 0
+            changed = finish(obj) or changed
+            nonzero[:, 0] = _row_norms(B).T > 0
             since = 0
         if changed:
             np.matmul(X.T, R, out=H)
-        for i, l in enumerate(act):
-            traces[l].append(float(obj[i]))
+        for l, v in zip(act.tolist(), obj.tolist()):
+            traces[l].append(v)
         rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))
         ready = rel < _FLAT_TOL
         if np.any(ready):
-            worst = kkt(H.reshape(p, A, q), B, 2.0 * half).max(axis=0)
+            worst = _kkt_rows(H.reshape(p, A, q), B, 2.0 * half).max(axis=0)
             retire = ready & (worst <= settings.kkt_tol)
             if np.any(retire):
-                for i in np.flatnonzero(retire):
-                    out[act[i]] = B[:, i, :]
+                out[act[retire]] = B[:, retire].transpose(1, 0, 2)
                 keep = ~retire
                 act = act[keep]
                 if act.size == 0:
@@ -810,13 +804,10 @@ def _cd_path(data, weights, lambdas, init, settings, penalty):
                     Yb.reshape(n, A, q)[:, keep, :]).reshape(n, -1)
                 R = Yb - X @ B2
                 H = X.T @ R
-                lam_w = lam_w[keep]
-                weights = weights[:, keep]
                 half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
                 nonzero = nonzero[keep]
-    for i, l in enumerate(act):
-        out[l] = B[:, i, :]
+    out[act] = B.transpose(1, 0, 2)
     return out, traces
 
 
@@ -842,7 +833,9 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
         Solution with exact zeros on thresholded rows.
     trace : list of float
         Objective value at the start and after each sweep; nonincreasing up
-        to rounding (a Newton finish is kept on its computed objective change).
+        to rounding (at q > 1 a Newton finish is kept on its computed
+        objective change; at q = 1 a feature-sign finish only when the
+        refreshed objective is strictly lower).
 
     Raises
     ------

@@ -27,8 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
-from .group_solver import (_ENTRYWISE, Dataset, SolverError, SolverSettings, _cd_path,
-                           _entry_residuals)
+from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _entry_residuals
 from .model_selection import CvGrid, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
@@ -169,11 +168,13 @@ def metrics(B_hat, B0, cv_rmse_value):
 def lasso_path(data, lambdas, max_sweeps=1000):
     """Entrywise-penalized fits ||Y - XB||_F^2 + lam ||B||_1 for a level grid.
 
-    The batched kernel of :mod:`larn.group_solver` with the soft-threshold
-    at lam / 2 as row update and a feature-sign finish on the columns that
-    fail the KKT test; a level stops under the kernel's rule (a flat
-    objective and every entry meeting the lasso KKT conditions to the
-    default ``kkt_tol``) or when ``max_sweeps`` runs out.  Warns once
+    The lasso separates over response columns, and at one column the row
+    norm is |b_j|, so this is one call of the group kernel of
+    :mod:`larn.group_solver` on L*q single-column levels with unit weights:
+    level l*q + k is column k at lambdas[l], and it takes the kernel's
+    feature-sign finish.  Each column stops on its own under the kernel's
+    rule (a flat objective and every entry meeting the lasso KKT conditions
+    to the default ``kkt_tol``) or when ``max_sweeps`` runs out.  Warns once
     (``RuntimeWarning``, naming the worst level) when a level is not
     certified.  Returns (L, p, q).
     """
@@ -181,7 +182,10 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
     settings = SolverSettings(max_sweeps=max_sweeps)
-    stack = _cd_path(data, np.ones((data.p, len(lambdas))), lambdas, None, settings, _ENTRYWISE)[0]
+    L, p, q = len(lambdas), data.p, data.q
+    columns = _cd_path(data, np.broadcast_to(1.0, (p, L * q)), np.repeat(lambdas, q), None,
+                       settings, per_column=True)[0]
+    stack = columns.reshape(L, q, p).transpose(0, 2, 1)
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
     worst = _entry_residuals(G, stack, 0.5 * lambdas[:, None, None]).max(axis=(1, 2))
     i = int(np.argmax(worst))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from larn import group_solver
-from larn.estimator import LarnConfig, group_weights, initial_estimate
+from larn.estimator import LarnConfig, group_weights, initial_estimate, larn_path
 from larn.group_solver import (Dataset, SolverError, SolverSettings,
                                _entry_residuals, _feature_sign, _newton_direction,
                                _newton_finish, _sign_round, bcd_solve,
@@ -183,7 +183,7 @@ def residual_form_sweeps(X, Y, w, lam, B, sweeps, window=5):
         rows.append(np.linalg.norm(B, axis=1) > 0)
         if window is not None and len(rows) == window + 1:
             if all(np.array_equal(r, rows[-1]) for r in rows) and rows[-1].any():
-                Bn, steps, df = _newton_finish(X, Y, B[None], w, lam, 1e-6)
+                Bn, steps, df = _newton_finish(X, Y, B[None], (lam * w)[None], 1e-6)
                 if steps[0] and df[0] < 0:
                     B = Bn[0]
                     R = Y - X @ B
@@ -318,7 +318,7 @@ class TestNewtonFinish:
         w = np.random.default_rng(3).uniform(0.5, 1.5, d.p)
         B = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
         B[[1, 4]] = 0.0
-        B_new, steps, _ = _newton_finish(d.X, d.Y, B[None], w, 2.0, 1e-9)
+        B_new, steps, _ = _newton_finish(d.X, d.Y, B[None], (2.0 * w)[None], 1e-9)
         B_new = B_new[0]
         assert steps[0] >= 1
         assert np.all(B_new[[1, 4]] == 0.0)
@@ -340,7 +340,7 @@ class TestNewtonFinish:
         step = _newton_direction(d.X.T @ d.X, B[None], grad[None], c[None])[0]
         cross = np.flatnonzero(np.einsum("sq,sq->s", B, B + step) < 0)
         assert list(cross) == [0, 4, 5]
-        B_new, steps, change = _newton_finish(d.X, d.Y, B[None], w, lam, 1e-9)
+        B_new, steps, change = _newton_finish(d.X, d.Y, B[None], c[None], 1e-9)
         B_new, steps, change = B_new[0], steps[0], change[0]
         assert np.all(B_new[cross] == 0.0)
         assert 1 <= steps < group_solver._NEWTON_STEPS
@@ -351,7 +351,7 @@ class TestNewtonFinish:
         objs = [objective(d, B, w, lam)]
         for cap in range(1, steps + 1):
             monkeypatch.setattr(group_solver, "_NEWTON_STEPS", cap)
-            objs.append(objective(d, _newton_finish(d.X, d.Y, B[None], w, lam, 1e-9)[0][0],
+            objs.append(objective(d, _newton_finish(d.X, d.Y, B[None], c[None], 1e-9)[0][0],
                                   w, lam))
         assert np.all(np.diff(objs) <= 1e-12)
         assert objs[-1] - objs[0] == pytest.approx(change, rel=1e-12)
@@ -402,10 +402,12 @@ class TestNewtonFinish:
             lambdas = np.append(lambdas, 1.0)
         with monkeypatch.context() as m:
             m.setattr(group_solver, "_BLOCK_ENTRIES", 1 << 30)   # all levels in one block
-            together, steps, change = _newton_finish(X, data.Y, stack, weights, lambdas, 1e-6)
+            together, steps, change = _newton_finish(X, data.Y, stack, lambdas[:, None] * weights,
+                                                     1e-6)
         assert np.all(steps[:3] >= 1)
         for i in range(3):
-            alone = _newton_finish(X, data.Y, stack[i:i + 1], weights[i], lambdas[i], 1e-6)
+            alone = _newton_finish(X, data.Y, stack[i:i + 1], (lambdas[i] * weights[i])[None],
+                                   1e-6)
             assert np.array_equal(together[i], alone[0][0])
             assert steps[i] == alone[1][0] and change[i] == alone[2][0]
         if singular:
@@ -429,9 +431,9 @@ class TestNewtonFinish:
 
 
 def column_pairs(X, Y, B, lam):
-    # (level, column) pair arrays of the feature-sign finish for one level
-    return (B.T.copy(), (X.T @ (Y - X @ B)).T, (X.T @ Y).T,
-            np.full((Y.shape[1], X.shape[1]), 0.5 * lam))
+    # the feature-sign finish's arrays for the columns of one level, each
+    # column a single-column level
+    return (B.T.copy(), (X.T @ (Y - X @ B)).T, np.full((Y.shape[1], X.shape[1]), 0.5 * lam))
 
 
 def column_objectives(X, Y, b, lam):
@@ -440,27 +442,32 @@ def column_objectives(X, Y, b, lam):
     return np.sum(R * R, axis=0) + lam * np.abs(b).sum(axis=1)
 
 
+def fail(*args):
+    raise AssertionError("a level ran the other finish")
+
+
 class TestFeatureSignFinish:
     @pytest.mark.parametrize("lam", [0.05, 2.0, 30.0])
     def test_from_zero_reaches_the_lasso_optimum(self, lam, monkeypatch):
         # the finish alone, from B = 0, certifies every column, and no round
         # raises a column's objective
         d = random_instance(4, n=25, p=7, q=3)
-        b0, g, xty, half = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), lam)
+        b0, g, half = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), lam)
         rounds = []
 
         def shifted(G, b, xty, half):
-            # each column's objective less ||y||^2, from the pair arrays alone
+            # each column's objective less ||y||^2, from the finish's arrays
             return np.einsum("np,np->n", b, b @ G - 2.0 * xty) + 2.0 * (half * np.abs(b)).sum(1)
 
-        def recording(G, b, g, xty, half, max_active):
+        def recording(G, b, g, half, max_active):
+            xty = g + b @ G
             before = shifted(G, b, xty, half)
-            moved = _sign_round(G, b, g, xty, half, max_active)
+            moved = _sign_round(G, b, g, half, max_active)
             rounds.append((before, shifted(G, b, xty, half), moved))
             return moved
 
         monkeypatch.setattr(group_solver, "_sign_round", recording)
-        b, moved = _feature_sign(d.X.T @ d.X, b0, g, xty, half, 1e-10, d.n)
+        b, moved = _feature_sign(d.X.T @ d.X, b0, g, half, 1e-10, d.n)
         assert rounds and moved.all()
         for before, after, step in rounds:
             assert np.all(after[step] < before[step])
@@ -476,14 +483,14 @@ class TestFeatureSignFinish:
         Y = rng.standard_normal((8, 2))
         lam = 0.3
         B = np.linalg.lstsq(X, Y, rcond=None)[0]
-        b, g, xty, half = column_pairs(X, Y, B, lam)
+        b, g, half = column_pairs(X, Y, B, lam)
         G = X.T @ X
         before = column_objectives(X, Y, b, lam)
-        moved = _sign_round(G, b, g, xty, half, 8)
+        moved = _sign_round(G, b, g, half, 8)
         assert moved.all()
         assert np.all(np.count_nonzero(b, axis=1) == 13)
         assert np.all(column_objectives(X, Y, b, lam) <= before + 1e-12)
-        b, _ = _feature_sign(G, b, g, xty, half, 1e-9, 8)
+        b, _ = _feature_sign(G, b, g, half, 1e-9, 8)
         assert np.all(np.count_nonzero(b, axis=1) <= 8)
         g = (X.T @ (Y - X @ b.T)).T
         assert np.max(_entry_residuals(g, b, half)) <= 1e-9
@@ -496,10 +503,7 @@ class TestFeatureSignFinish:
         b, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
         assert np.max(np.abs(b - ref)) <= 1e-12
 
-    def test_group_path_does_not_run_it(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the group path ran the feature-sign finish")
-
+    def test_levels_with_q_above_one_never_run_it(self, monkeypatch):
         monkeypatch.setattr(group_solver, "_feature_sign", fail)
         monkeypatch.setattr(group_solver, "_sign_round", fail)
         for sim, lambdas in ((dict(n=50, p=20, q=20, seed=1), np.logspace(-2, 4, 20)),
@@ -507,6 +511,47 @@ class TestFeatureSignFinish:
             data, _ = generate_instance(SimConfig(**sim))
             stack, _ = bcd_solve_path(data, np.ones(data.p), lambdas)
             assert np.all(np.isfinite(stack))
+
+
+def wide_single_response():
+    data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
+    return Dataset(data.X, data.Y[:, [0]])
+
+
+class TestSingleResponse:
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_wide_path_every_level_certified(self, unit):
+        # p > n with one response: the Newton finish's Hessian on S, 2 G_SS,
+        # is singular once |S| > n, and with it 5 (depth weights) and 2 (unit
+        # weights) of these levels ended uncertified after 1000 sweeps
+        data = wide_single_response()
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            fits = larn_path(data, LarnConfig(unit_weights=unit), np.logspace(-2, 4, 20))
+        for fit in fits:
+            assert fit.certified
+            assert len(row_support(fit.b_hat)) <= data.n
+
+    def test_collinear_columns_certified(self):
+        # a design column that is -2 times another makes the orthant systems
+        # of levels holding both singular; the feature-sign finish steps
+        # along their null vector
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((20, 6))
+        X[:, 5] = -2.0 * X[:, 2]
+        data = Dataset(X, X[:, :3] @ np.ones((3, 1)) + 0.1 * rng.standard_normal((20, 1)))
+        lambdas = [0.01, 0.5, 3.0]
+        stack, _ = bcd_solve_path(data, np.ones(6), lambdas)
+        for B, lam in zip(stack, lambdas):
+            assert np.max(kkt_residual(data, B, np.ones(6), lam)) <= 1e-6
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_wide_path_never_runs_newton(self, unit, monkeypatch):
+        # the level's column count picks its finish: one column, feature-sign
+        monkeypatch.setattr(group_solver, "_newton_finish", fail)
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            fits = larn_path(wide_single_response(), LarnConfig(unit_weights=unit),
+                             np.logspace(-2, 4, 20))
+        assert all(np.all(np.isfinite(fit.b_hat)) for fit in fits)
 
 
 class TestKktResidual:

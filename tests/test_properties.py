@@ -73,16 +73,22 @@ def test_lasso_path_certified_or_exhausted(case):
     data, lambdas, _ = case
     runs = []
 
-    def recording(*args):
-        runs.append(group_solver._cd_path(*args))
+    def recording(*args, **kwargs):
+        runs.append(group_solver._cd_path(*args, **kwargs))
         return runs[-1]
 
     with mock.patch.object(simbench, "_cd_path", recording):
         stack = simbench.lasso_path(data, lambdas, max_sweeps=MAX_SWEEPS)
-    (kernel_stack, traces), = runs
-    assert stack is kernel_stack
-    for B, lam, trace in zip(stack, lambdas, traces):
-        assert_level_done(trace, lasso_kkt(data, B, lam), SolverSettings().kkt_tol)
+    # one single-column kernel level per (lambda, column), column k of
+    # lambda l at l q + k
+    (columns, traces), = runs
+    q = data.q
+    assert np.array_equal(stack, columns.reshape(len(lambdas), q, data.p).transpose(0, 2, 1))
+    for i, trace in enumerate(traces):
+        l, k = divmod(i, q)
+        B = stack[l][:, [k]]
+        kkt = lasso_kkt(Dataset(data.X, data.Y[:, [k]]), B, lambdas[l])
+        assert_level_done(trace, kkt, SolverSettings().kkt_tol)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

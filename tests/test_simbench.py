@@ -265,32 +265,55 @@ def proximal_gradient_lasso(X, Y, lam, steps=20000):
     return B
 
 
+def assert_collinear_path_certified(scale):
+    # lasso path on a design whose column 5 is ``scale`` times column 2
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((20, 6))
+    X[:, 5] = scale * X[:, 2]
+    d = Dataset(X, X[:, :3] @ np.ones((3, 2)) + 0.1 * rng.standard_normal((20, 2)))
+    lambdas = [0.0, 0.01, 0.5, 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stack = lasso_path(d, lambdas)
+    for B, lam in zip(stack, lambdas):
+        assert np.max(lasso_residuals(d, B, lam)) <= 1e-6
+
+
 def recorded_lasso_path(data, lambdas, **kw):
-    # lasso_path plus the kernel's traces
+    # lasso_path plus the kernel's traces, one list of q column traces per level
     runs = []
 
-    def recording(*args):
-        runs.append(group_solver._cd_path(*args))
+    def recording(*args, **kwargs):
+        runs.append(group_solver._cd_path(*args, **kwargs))
         return runs[-1]
 
     with mock.patch.object(simbench, "_cd_path", recording):
         stack = lasso_path(data, lambdas, **kw)
-    return stack, runs[0][1]
+    traces = runs[0][1]
+    return stack, [traces[i:i + data.q] for i in range(0, len(traces), data.q)]
+
+
+def sweeps_and_monotone(traces):
+    # level-sweeps, counting a level's as its slowest column's; and whether
+    # every column's trace is nonincreasing, scaled by its own start
+    sweeps = sum(max(len(t) - 1 for t in level) for level in traces)
+    return sweeps, all(np.all(np.diff(t) <= 1e-12 * t[0]) for level in traces for t in level)
 
 
 class TestLassoFinish:
     def test_paper_path_certified_in_few_sweeps(self):
         # plain sweeps certify this path in 9574 level-sweeps; with the
-        # feature-sign finish every five sweeps it takes 651
+        # feature-sign finish every five sweeps it takes 641, a level's
+        # sweeps counted as its slowest column's
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
         lambdas = np.logspace(-2, 4, 100)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             stack, traces = recorded_lasso_path(data, lambdas)
-        assert sum(len(t) - 1 for t in traces) <= 1500
-        for B, lam, trace in zip(stack, lambdas, traces):
+        sweeps, monotone = sweeps_and_monotone(traces)
+        assert sweeps <= 1500 and monotone
+        for B, lam in zip(stack, lambdas):
             assert np.max(lasso_residuals(data, B, lam)) <= 1e-6
-            assert np.all(np.diff(trace) <= 1e-12 * trace[0])
 
     @pytest.mark.parametrize("n, p, q", [(30, 8, 3), (25, 6, 1)])
     def test_agrees_with_proximal_gradient(self, n, p, q):
@@ -313,10 +336,10 @@ class TestLassoFinish:
             warnings.simplefilter("error", RuntimeWarning)
             stack, traces = recorded_lasso_path(data, lambdas)
         assert np.all(np.isfinite(stack))
-        for B, lam, trace in zip(stack, lambdas, traces):
+        assert sweeps_and_monotone(traces)[1]
+        for B, lam in zip(stack, lambdas):
             assert np.max(lasso_residuals(data, B, lam)) <= 1e-6
             assert np.count_nonzero(B, axis=0).max() <= data.n
-            assert np.all(np.diff(trace) <= 1e-12 * trace[0])
 
     def test_tiny_wide_design_finite(self):
         rng = np.random.default_rng(9)
@@ -328,17 +351,14 @@ class TestLassoFinish:
 
     def test_duplicate_column_certified(self):
         # two equal columns make some orthant systems exactly singular; those
-        # columns are solved one at a time and the singular ones left alone
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((20, 6))
-        X[:, 5] = X[:, 2]
-        d = Dataset(X, X[:, :3] @ np.ones((3, 2)) + 0.1 * rng.standard_normal((20, 2)))
-        lambdas = [0.0, 0.01, 0.5, 3.0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            stack = lasso_path(d, lambdas)
-        for B, lam in zip(stack, lambdas):
-            assert np.max(lasso_residuals(d, B, lam)) <= 1e-6
+        # columns are solved one at a time, and a column holding both steps
+        # along the null vector instead
+        assert_collinear_path_certified(1.0)
+
+    def test_scaled_copy_column_certified(self):
+        # a column -2 times another: the sweeps alone left lambda = 0.01 at
+        # a KKT residual of 5e-3, where the orthant systems are singular
+        assert_collinear_path_certified(-2.0)
 
     def test_uncertified_level_warns_once(self):
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
