@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 numeric/solver failure (nothing written), 2 I/O
 or configuration failure, 3 outputs written but the selected fit is not
 KKT-certified (``fit`` and ``cv``; ``fit.json`` or ``cv_best.json`` then
 holds ``certified: false``).  Progress goes to stderr; data only to the
-output files.
+output files.  ``fit`` and ``cv`` also say on stderr when the selected
+lambda is the first or last of the grid, which leaves the exit code as is.
 """
 
 import argparse
@@ -159,6 +160,11 @@ def _load_dataset(x_path, y_path):
     return Dataset(X, Y), y_header
 
 
+def _log_edge(cv):
+    if cv.best_on_edge:
+        _log(f"selected lambda={cv.best[0]:.6g} is on the grid's edge; try a wider --lambdas")
+
+
 def _ensure_out_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -183,6 +189,7 @@ def cmd_fit(args):
         io.write_matrix_csv(args.trace_out, trace, header=["objective"])
     _log(f"fit written to {args.out_dir} "
          f"(lambda={fit.lam:.6g}, threshold={fit.threshold:.6g})")
+    _log_edge(cv)
     if not fit.certified:
         _log("fit is not KKT-certified")
         return EXIT_UNCERTIFIED
@@ -204,6 +211,7 @@ def cmd_cv(args):
     best["certified"] = bool(cv.full_fit.certified)
     io.write_json(os.path.join(args.out_dir, "cv_best.json"), best)
     _log(f"cv surface written to {args.out_dir}")
+    _log_edge(cv)
     if not cv.full_fit.certified:
         _log("selected full-data fit is not KKT-certified")
         return EXIT_UNCERTIFIED

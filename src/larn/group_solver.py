@@ -26,8 +26,9 @@ form (the covariance updates of Friedman, Hastie and Tibshirani, JSS
     g_j = H_j + s_j b_j,    H -= (X'X)[:, j] delta_j'
 
 so a row costs O(p) instead of the O(n) of reading x_j'R and updating R.
-R, and H from it, are recomputed from B after every sweep, so the traces
-and the KKT certificate never rest on the cancelling expansion
+R, and H from it, are recomputed from B after every sweep that moved a
+row, so the traces, the finishes and the KKT certificate never rest on the
+incremental updates or on the cancelling expansion
 ||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).
 
 Every five sweeps (the finish window) each level may take a second-order
@@ -44,15 +45,17 @@ e_j (x) sqrt(k_j) u_j: a rank-|S| correction, solved by Woodbury in
 O(|S|^3 + |S|^2 q) without forming the (|S| q)^2 matrix.  Each level's S
 is padded to all p rows, with identity blocks off S, so a step is one
 batched inverse and one batched solve over the levels, and a level's
-arithmetic does not depend on which other levels share the call.  Along a
-step d the change of fit is t Xd, so the line search is in closed form: a
-trial point costs only its row norms.  Rows may leave S:
+arithmetic does not depend on which other levels share the call.  The
+finish reads the design only through G = X'X and the kernel's H = X'R,
+and tracks H across its steps as the sweeps do.  Along a step d the fit
+term changes by t^2 <d, Gd> - 2t <d, H>, so the line search is in closed
+form: a trial point costs only its row norms.  Rows may leave S:
 a row j crosses when its full step d_j passes through zero,
 <b_j, b_j + d_j> < 0, and the candidates are then the full step with every
 crossing row set to zero and, for each crossing row, the point of the
 segment where its norm is smallest with that row set to zero (the group
-counterpart of feature-sign's sign-change points), whose change of fit is
-a rank-one update through x_j.  The lowest is taken if it lowers the
+counterpart of feature-sign's sign-change points), whose change of fit
+reads G_jj and row j of H and Gd.  The lowest is taken if it lowers the
 objective, and the rows it zeroes leave S; the step backtracks (Armijo)
 only when no row crosses or no candidate is lower.
 Each step, and the finish as a whole, is accepted on its computed
@@ -69,12 +72,12 @@ the Hessian on S is 2 G_SS, singular once |S| > n.  Which finish a level
 takes follows only from how many response columns it reads, so a
 single-response group fit and the per-response lasso of
 :func:`larn.simbench.lasso_path`, run as single-column levels, both take
-it.  It works on the levels whose entries fail the KKT test.  In each
-round, zero entries with |x_j'r| > lam w_j/2 enter with the sign s_j of
-x_j'r; the minimizer on that orthant solves
-G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read as X'r + G b; and the
-step goes to the best of that point and the points where an entry reaches
-zero.  A round is kept only when it lowers the level's objective.  A level
+it.  It too reads only G and the kernel's H, and works on the levels
+whose entries fail the KKT test.  In each round, zero entries with
+|x_j'r| > lam w_j/2 enter with the sign s_j of x_j'r; the minimizer on
+that orthant solves G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read
+as X'r + G b; and the step goes to the best of that point and the points
+where an entry reaches zero.  A round is kept only when it lowers the level's objective.  A level
 with more nonzeros than X has rows (p > n), or whose orthant step fails on
 collinear columns, instead steps along a null vector of X_M until one entry
 reaches zero, which does not raise the objective.  The masked systems of a
@@ -194,32 +197,29 @@ def _path_kkt(data, stack, weights, lambdas):
 
 
 def _row_norms(B):
-    """Row norms (p, A) of a level stack B (p, A, q)."""
-    return np.sqrt(np.einsum("plq,plq->pl", B, B))
+    """Euclidean norms over the last axis: row norms (p, A) of a level stack (p, A, q)."""
+    return np.sqrt(np.einsum("...q,...q->...", B, B))
 
 
 def _kkt_rows(G3, B3, shrink):
-    """Row residuals (p, L); G3 = X'R and B3 are (p, L, q), shrink is lam w (p, L)."""
+    """Row residuals (p, L); G3 = X'R and B3 are (p, L, q), shrink is lam w (p, L).
+
+    Any leading shape in place of (p, L) works alike, shrink broadcast to it.
+    """
     gn = _row_norms(G3)
     bn = _row_norms(B3)
     res = np.maximum(gn - 0.5 * shrink, 0.0)
     nz = bn > 0
     if np.any(nz):
         inv = np.divide(1.0, bn, out=np.zeros_like(bn), where=nz)
-        stat = 2.0 * G3 - (shrink * inv)[:, :, None] * B3
+        stat = 2.0 * G3 - (shrink * inv)[..., None] * B3
         res = np.where(nz, _row_norms(stat), res)
     return res
 
 
-def _entry_residuals(g, b, half):
-    """Entrywise KKT residuals: |2g - 2 half sign(b)| if b != 0, else (|g| - half)_+."""
-    return np.where(b != 0, np.abs(2.0 * g - 2.0 * half * np.sign(b)),
-                    np.maximum(np.abs(g) - half, 0.0))
-
-
 def _group_prox(g, half, s):
     """Row update for the l2 row penalty; g is (A, q), half is (A,)."""
-    gnorm = np.sqrt(np.einsum("lq,lq->l", g, g))
+    gnorm = _row_norms(g)
     inv = np.divide(1.0, gnorm, out=np.zeros(len(g)), where=gnorm > 0)
     return (np.maximum(1.0 - half * inv, 0.0) / s)[:, None] * g
 
@@ -325,7 +325,7 @@ def _newton_direction(G, B, grad, c):
     the stack; rows off S get a zero direction.  A level whose A or C is
     singular gets NaN.
     """
-    nrm = np.sqrt(np.einsum("npq,npq->np", B, B))
+    nrm = _row_norms(B)
     S = nrm > 0
     k = np.divide(c, nrm, out=np.zeros_like(nrm), where=S)
     U = B / np.where(S, nrm, 1.0)[:, :, None]
@@ -343,18 +343,21 @@ def _newton_direction(G, B, grad, c):
     return d
 
 
-def _newton_finish(X, Y, B, c, kkt_tol):
+def _newton_finish(G, H, B, c, kkt_tol):
     """Safeguarded Newton steps on the nonzero rows S of each level of B (A, p, q).
 
-    Row i of ``c`` (A, p) is level i's shrinkage lam_i w_i.  The levels step
-    together, in blocks whose work arrays hold about ``_BLOCK_ENTRIES``
-    entries in all; each level is padded to all p rows, so its arithmetic
-    does not depend on the other levels.
+    G = X'X, and H (A, p, q) is each level's X'R at B, R = Y - XB; row i of
+    ``c`` (A, p) is level i's shrinkage lam_i w_i.  The finish reads the
+    design only through G and H, and H follows each accepted step as
+    H - G (B_new - B), zeroed rows included.  The levels step together, in
+    blocks whose work arrays hold about ``_BLOCK_ENTRIES`` entries in all;
+    each level is padded to all p rows, so its arithmetic does not depend on
+    the other levels.
 
     Each step follows :func:`_newton_direction` on S; zero rows stay zero.
-    With R = Y - XB the objective change at B + t d is
-    t^2 ||Xd||^2 - 2t <Xd, R> + c'(||b + t d|| - ||b||), and setting rows V of
-    that point to zero adds <V, G V + 2 X'R - 2t X'Xd>.  When rows cross,
+    The objective change at B + t d is
+    t^2 <d, Gd> - 2t <d, H> + c'(||b + t d|| - ||b||), and setting rows V of
+    that point to zero adds <V, G V + 2 H - 2t Gd>.  When rows cross,
     <b_j, b_j + d_j> < 0, the candidates are the full step with every
     crossing row zeroed and, per crossing row j, the step
     t_j = -<b_j, d_j> / ||d_j||^2 with row j zeroed; the lowest is taken when
@@ -371,50 +374,46 @@ def _newton_finish(X, Y, B, c, kkt_tol):
     took a step.
     """
     B = np.array(B, dtype=float, order="C")
+    H = np.array(H, dtype=float, order="C")
     A, p, q = B.shape
     steps = np.zeros(A, dtype=int)
     total = np.zeros(A)
-    G = X.T @ X
-    # a level's work arrays: about two (n, q), eight (p, q) and three (p, p);
-    # a trial point's: three (p, q)
-    size = max(1, _BLOCK_ENTRIES // ((2 * X.shape[0] + 8 * p) * q + 3 * p * p))
+    # a level's work arrays: about nine (p, q) and three (p, p); a trial
+    # point's: three (p, q)
+    size = max(1, _BLOCK_ENTRIES // (9 * p * q + 3 * p * p))
     chunk = max(1, _BLOCK_ENTRIES // (3 * p * q))
     with np.errstate(all="ignore"):
         for lo in range(0, A, size):
             blk = slice(lo, lo + size)
-            _newton_steps(X, Y, G, B[blk], c[blk], kkt_tol, steps[blk], total[blk], chunk)
+            _newton_steps(G, H[blk], B[blk], c[blk], kkt_tol, steps[blk], total[blk], chunk)
     return B, steps, total
 
 
-def _newton_steps(X, Y, G, B, c, kkt_tol, steps, total, chunk):
+def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
     """The steps of :func:`_newton_finish` on one block of levels, trial points
-    evaluated ``chunk`` at a time; updates B, steps and total in place."""
+    evaluated ``chunk`` at a time; updates B, H, steps and total in place."""
     p = B.shape[1]
     lengths = 0.5 ** np.arange(_NEWTON_BACKTRACKS)           # 1, 1/2, 1/4, ...
     live = np.flatnonzero(np.any(B != 0, axis=(1, 2)))
     for _ in range(_NEWTON_STEPS):
-        Bl, cl = B[live], c[live]
-        nrm = np.sqrt(np.einsum("apq,apq->ap", Bl, Bl))
+        Bl, Hl, cl = B[live], H[live], c[live]
+        nrm = _row_norms(Bl)
         S = nrm > 0
-        R = Y - X @ Bl
-        H = X.T @ R
         # on S, row j's KKT residual is ||grad_j||
-        grad = np.divide(cl, nrm, out=np.zeros_like(nrm), where=S)[:, :, None] * Bl - 2.0 * H
+        grad = np.divide(cl, nrm, out=np.zeros_like(nrm), where=S)[:, :, None] * Bl - 2.0 * Hl
         grad[~S] = 0.0
-        go = np.sqrt(np.einsum("apq,apq->ap", grad, grad)).max(axis=1) > kkt_tol
-        live, Bl, cl, nrm, S, R, H, grad = (
-            v[go] for v in (live, Bl, cl, nrm, S, R, H, grad))
+        go = _row_norms(grad).max(axis=1) > kkt_tol
+        live, Bl, Hl, cl, nrm, S, grad = (v[go] for v in (live, Bl, Hl, cl, nrm, S, grad))
         if live.size == 0:
             break
         d = _newton_direction(G, Bl, grad, cl)
         slope = np.einsum("apq,apq->a", grad, d)
         ok = np.isfinite(d).all(axis=(1, 2)) & (slope < 0)
-        live, Bl, nrm, S, R, H, cl, d, slope = (
-            v[ok] for v in (live, Bl, nrm, S, R, H, cl, d, slope))
-        Xd = X @ d
-        xx = np.einsum("anq,anq->a", Xd, Xd)
-        xr = np.einsum("anq,anq->a", Xd, R)
-        del Xd, R
+        live, Bl, Hl, nrm, S, cl, d, slope = (
+            v[ok] for v in (live, Bl, Hl, nrm, S, cl, d, slope))
+        Gd = G @ d
+        dgd = np.einsum("apq,apq->a", d, Gd)
+        dh = np.einsum("apq,apq->a", d, Hl)
 
         def changes(lv, t, zero=None, extra=None):
             # objective change at Bl[lv] + t d[lv] with the rows in zero (K, p)
@@ -427,12 +426,11 @@ def _newton_steps(X, Y, G, B, c, kkt_tol, steps, total, chunk):
                 P = d[l]
                 P *= ts[:, None, None]
                 P += Bl[l]
-                fit = ts * (ts * xx[l] - 2.0 * xr[l])
+                fit = ts * (ts * dgd[l] - 2.0 * dh[l])
                 if zero is not None:
                     P[zero[s]] = 0.0
                     fit += extra[s]
-                nrm_t = np.sqrt(np.einsum("kpq,kpq->kp", P, P))
-                out[s] = fit + np.einsum("kp,kp->k", cl[l], nrm_t - nrm[l])
+                out[s] = fit + np.einsum("kp,kp->k", cl[l], _row_norms(P) - nrm[l])
             return np.where(np.isfinite(out), out, np.inf)
 
         a = len(live)
@@ -445,17 +443,14 @@ def _newton_steps(X, Y, G, B, c, kkt_tol, steps, total, chunk):
             hl = np.flatnonzero(cross.any(axis=1))
             bj, dj = Bl[lc, jc], d[lc, jc]
             tj = -np.einsum("kq,kq->k", bj, dj) / np.einsum("kq,kq->k", dj, dj)
-            # zeroing the rows V of a trial adds <V, G V + 2 X'R - 2t X'Xd> to
-            # its change of fit: all crossing rows at t = 1, or one row j, a
-            # rank-one update through x_j
-            Gd = G @ d[hl]
+            # zeroing the rows V of a trial adds <V, G V + 2 H - 2t Gd> to its
+            # change of fit: all crossing rows at t = 1, or one row j
             V = np.where(cross[hl, :, None], Bl[hl] + d[hl], 0.0)
             vj = bj + tj[:, None] * dj
-            Gdj = Gd[np.searchsorted(hl, lc), jc]
             extra = np.concatenate([
-                np.einsum("hpq,hpq->h", V, G @ V + 2.0 * (H[hl] - Gd)),
+                np.einsum("hpq,hpq->h", V, G @ V + 2.0 * (Hl[hl] - Gd[hl])),
                 np.einsum("kq,kq->k", vj, G[jc, jc][:, None] * vj
-                          + 2.0 * (H[lc, jc] - tj[:, None] * Gdj))])
+                          + 2.0 * (Hl[lc, jc] - tj[:, None] * Gd[lc, jc]))])
             lv = np.concatenate([hl, lc])
             tc = np.concatenate([np.ones(hl.size), tj])
             zc = np.concatenate([cross[hl], np.arange(p) == jc[:, None]])
@@ -484,6 +479,7 @@ def _newton_steps(X, Y, G, B, c, kkt_tol, steps, total, chunk):
         live, t, zero, df = live[take], t[take], zero[take], df[take]
         new = Bl[take] + t[:, None, None] * d[take]
         new[zero] = 0.0
+        H[live] = Hl[take] - G @ (new - Bl[take])
         B[live] = new
         steps[live] += 1
         total[live] += df
@@ -637,7 +633,8 @@ def _feature_sign(G, b, g, half, kkt_tol, max_active):
     step = max(1, _BLOCK_ENTRIES // (p * p))
     idx = np.arange(N)
     for _ in range(_SIGN_ROUNDS):
-        idx = idx[_entry_residuals(g[idx], b[idx], half[idx]).max(axis=1) > kkt_tol]
+        res = _kkt_rows(g[idx, :, None], b[idx, :, None], 2.0 * half[idx])
+        idx = idx[res.max(axis=1) > kkt_tol]
         ok = np.zeros(len(idx), dtype=bool)
         for start in range(0, len(idx), step):
             blk = idx[start:start + step]
@@ -675,7 +672,9 @@ def _cd_path(data, weights, lambdas, init, settings, per_column=False):
     :func:`_feature_sign` instead.  A finished level is kept when its
     refreshed objective is finite and, for the Newton finish, the sum of
     its steps' computed objective changes is negative, for feature-sign
-    strictly lower; else it is restored.  R and H are then refreshed from B.
+    strictly lower; else it is restored.  Both finishes read the kernel's
+    G and H: R and H = X'R are refreshed from B after every sweep that moved
+    a row, so a finish reads a fresh H, and again after an accepted finish.
     Rows the finish zeroes, like the other zero rows, are left to the
     sweeps and to the KKT retire test, which with the stopping rule and
     compaction are unchanged.  A trace holds one value per sweep, an
@@ -727,9 +726,8 @@ def _cd_path(data, weights, lambdas, init, settings, per_column=False):
         return bool(np.any(take))
 
     def feature_sign(obj):
-        # single-column levels; H still carries this sweep's incremental
-        # updates, so X'R is formed from the refreshed R
-        b, moved = _feature_sign(G, B2.T, (X.T @ R).T, half.T, settings.kkt_tol, n)
+        # single-column levels
+        b, moved = _feature_sign(G, B2.T, H.T, half.T, settings.kkt_tol, n)
         if not np.any(moved):
             return False
         before = B.copy()
@@ -742,7 +740,8 @@ def _cd_path(data, weights, lambdas, init, settings, per_column=False):
                               & nonzero[:, -1].any(axis=1))
         if todo.size == 0:
             return False
-        new, _, change = _newton_finish(X, Y, B[:, todo].transpose(1, 0, 2),
+        new, _, change = _newton_finish(G, H.reshape(B.shape)[:, todo].transpose(1, 0, 2),
+                                        B[:, todo].transpose(1, 0, 2),
                                         2.0 * half[:, todo].T, settings.kkt_tol)
         moved = np.zeros(len(obj), dtype=bool)
         moved[todo] = change < 0
@@ -773,18 +772,18 @@ def _cd_path(data, weights, lambdas, init, settings, per_column=False):
             if not np.all(np.isfinite(B)):
                 bad = int(np.flatnonzero(~np.isfinite(B).all(axis=(1, 2)))[0])
                 raise SolverError(f"non-finite update in row {bad}")
-            # full refresh keeps traces free of incremental drift
+            # full refresh keeps traces and the finishes free of incremental drift
             np.subtract(Yb, X @ B2, out=R)
+            np.matmul(X.T, R, out=H)
         prev = obj
         obj = objectives()
         since += 1
         nonzero[:, since] = _row_norms(B).T > 0
         if since == _FINISH_WINDOW:
-            changed = finish(obj) or changed
+            if finish(obj):
+                np.matmul(X.T, R, out=H)
             nonzero[:, 0] = _row_norms(B).T > 0
             since = 0
-        if changed:
-            np.matmul(X.T, R, out=H)
         for l, v in zip(act.tolist(), obj.tolist()):
             traces[l].append(v)
         rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
-from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _entry_residuals
+from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _kkt_rows
 from .model_selection import CvGrid, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
@@ -187,7 +187,7 @@ def lasso_path(data, lambdas, max_sweeps=1000):
                        settings, per_column=True)[0]
     stack = columns.reshape(L, q, p).transpose(0, 2, 1)
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
-    worst = _entry_residuals(G, stack, 0.5 * lambdas[:, None, None]).max(axis=(1, 2))
+    worst = _kkt_rows(G[..., None], stack[..., None], lambdas[:, None, None]).max(axis=(1, 2))
     i = int(np.argmax(worst))
     _warn_uncertified(lambdas[i], worst[i], settings.kkt_tol)
     return stack

@@ -286,15 +286,17 @@ class TestCv:
             best = json.load(fh)
         assert best["certified"] is False
 
-    def test_edge_flag_reaches_json(self, tmp_path):
+    def test_edge_flag_reaches_json(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((15, 4))
         write_matrix_csv(tmp_path / "x.csv", X)
         write_matrix_csv(tmp_path / "y.csv", X @ np.ones((4, 2)) + 0.1 * rng.standard_normal((15, 2)))
         args = ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
                 "--lambdas", "1e-8,1e3,1e4", "--thresholds", "0", "--folds", "3"]
-        assert run(["cv", "--out-dir", str(tmp_path / "cv")] + args) == 0
-        assert run(["fit", "--out-dir", str(tmp_path / "fit")] + args) == 0
+        for cmd in ("cv", "fit"):
+            assert run([cmd, "--out-dir", str(tmp_path / cmd)] + args) == 0
+            err = capsys.readouterr().err
+            assert "selected lambda=1e-08 is on the grid's edge; try a wider --lambdas" in err
         with open(tmp_path / "cv" / "cv_best.json") as fh:
             best = json.load(fh)
         with open(tmp_path / "fit" / "fit.json") as fh:

@@ -1,10 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from larn import group_solver
 from larn.estimator import LarnConfig, group_weights, initial_estimate, larn_path
 from larn.group_solver import (Dataset, SolverError, SolverSettings,
-                               _entry_residuals, _feature_sign, _newton_direction,
+                               _feature_sign, _newton_direction,
                                _newton_finish, _sign_round, bcd_solve,
                                bcd_solve_path, kkt_residual, objective,
                                row_support)
@@ -183,7 +185,8 @@ def residual_form_sweeps(X, Y, w, lam, B, sweeps, window=5):
         rows.append(np.linalg.norm(B, axis=1) > 0)
         if window is not None and len(rows) == window + 1:
             if all(np.array_equal(r, rows[-1]) for r in rows) and rows[-1].any():
-                Bn, steps, df = _newton_finish(X, Y, B[None], (lam * w)[None], 1e-6)
+                Bn, steps, df = _newton_finish(X.T @ X, (X.T @ (Y - X @ B))[None], B[None],
+                                               (lam * w)[None], 1e-6)
                 if steps[0] and df[0] < 0:
                     B = Bn[0]
                     R = Y - X @ B
@@ -290,6 +293,12 @@ def dense_newton_direction(X, Y, B, c):
     return grad, -np.linalg.solve(hess, grad.ravel()).reshape(s, q)
 
 
+def gram_args(data, B):
+    # the Newton finish's design arrays for one level B: G = X'X and H = X'R
+    X = data.X
+    return X.T @ X, (X.T @ (data.Y - X @ B))[None], B[None]
+
+
 class TestNewtonFinish:
     @pytest.mark.parametrize("n, p, q, w_lo, w_hi", [
         (40, 8, 4, 0.5, 2.0),        # n > p
@@ -318,7 +327,7 @@ class TestNewtonFinish:
         w = np.random.default_rng(3).uniform(0.5, 1.5, d.p)
         B = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
         B[[1, 4]] = 0.0
-        B_new, steps, _ = _newton_finish(d.X, d.Y, B[None], (2.0 * w)[None], 1e-9)
+        B_new, steps, _ = _newton_finish(*gram_args(d, B), (2.0 * w)[None], 1e-9)
         B_new = B_new[0]
         assert steps[0] >= 1
         assert np.all(B_new[[1, 4]] == 0.0)
@@ -340,7 +349,7 @@ class TestNewtonFinish:
         step = _newton_direction(d.X.T @ d.X, B[None], grad[None], c[None])[0]
         cross = np.flatnonzero(np.einsum("sq,sq->s", B, B + step) < 0)
         assert list(cross) == [0, 4, 5]
-        B_new, steps, change = _newton_finish(d.X, d.Y, B[None], c[None], 1e-9)
+        B_new, steps, change = _newton_finish(*gram_args(d, B), c[None], 1e-9)
         B_new, steps, change = B_new[0], steps[0], change[0]
         assert np.all(B_new[cross] == 0.0)
         assert 1 <= steps < group_solver._NEWTON_STEPS
@@ -351,7 +360,7 @@ class TestNewtonFinish:
         objs = [objective(d, B, w, lam)]
         for cap in range(1, steps + 1):
             monkeypatch.setattr(group_solver, "_NEWTON_STEPS", cap)
-            objs.append(objective(d, _newton_finish(d.X, d.Y, B[None], c[None], 1e-9)[0][0],
+            objs.append(objective(d, _newton_finish(*gram_args(d, B), c[None], 1e-9)[0][0],
                                   w, lam))
         assert np.all(np.diff(objs) <= 1e-12)
         assert objs[-1] - objs[0] == pytest.approx(change, rel=1e-12)
@@ -375,19 +384,26 @@ class TestNewtonFinish:
         bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
         assert steps and max(steps) < group_solver._NEWTON_STEPS
 
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_levels_finished_together_equal_each_finished_alone(self, singular, monkeypatch):
-        # p > n: three levels four sweeps in, before their first finish.  The
-        # singular case duplicates design column 1 into column 0 and adds a
-        # level with zero weights whose support is those two rows, so its
-        # A = 2 G_SS is exactly singular: the batch is solved level by level,
-        # that level stops, and the others are untouched by it
-        data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
+    @pytest.mark.parametrize("sim, singular", [
+        pytest.param(dict(n=50, p=60, q=10, seed=1), False, id="False"),
+        pytest.param(dict(n=50, p=60, q=10, seed=1), True, id="True"),
+        pytest.param(dict(n=1000, p=50, q=20, rho=0.7, seed=1), False, id="tall"),
+    ])
+    def test_levels_finished_together_equal_each_finished_alone(self, sim, singular,
+                                                                monkeypatch):
+        # three levels four sweeps in, before their first finish, on the p > n
+        # instance and on the tall one of the CLI workload.  The singular case
+        # duplicates design column 1 into column 0 and adds a level with zero
+        # weights whose support is those two rows, so its A = 2 G_SS is
+        # exactly singular: the batch is solved level by level, that level
+        # stops, and the others are untouched by it
+        data, _ = generate_instance(SimConfig(**sim))
         X = data.X.copy()
         if singular:
             X[:, 0] = X[:, 1]
         data = Dataset(X, data.Y)
-        with pytest.warns(RuntimeWarning, match="rank deficient"):
+        with (pytest.warns(RuntimeWarning, match="rank deficient") if data.p > data.n
+              else contextlib.nullcontext()):
             B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
         lambdas = np.array([0.05, 2.0, 50.0])
@@ -400,16 +416,23 @@ class TestNewtonFinish:
             stack = np.concatenate([stack, flat[None]])
             weights = np.vstack([weights, np.zeros(data.p)])
             lambdas = np.append(lambdas, 1.0)
+        G, H = X.T @ X, X.T @ (data.Y - X @ stack)
         with monkeypatch.context() as m:
             m.setattr(group_solver, "_BLOCK_ENTRIES", 1 << 30)   # all levels in one block
-            together, steps, change = _newton_finish(X, data.Y, stack, lambdas[:, None] * weights,
+            together, steps, change = _newton_finish(G, H, stack, lambdas[:, None] * weights,
                                                      1e-6)
         assert np.all(steps[:3] >= 1)
         for i in range(3):
-            alone = _newton_finish(X, data.Y, stack[i:i + 1], (lambdas[i] * weights[i])[None],
-                                   1e-6)
+            alone = _newton_finish(G, H[i:i + 1], stack[i:i + 1],
+                                   (lambdas[i] * weights[i])[None], 1e-6)
             assert np.array_equal(together[i], alone[0][0])
             assert steps[i] == alone[1][0] and change[i] == alone[2][0]
+            # the change computed from the tracked H is the refreshed one, to
+            # 1e-12 of the objective (the tall one is 2e4, so the difference
+            # of two refreshed objectives is known only to about 4e-12)
+            before = objective(data, stack[i], weights[i], lambdas[i])
+            after = objective(data, together[i], weights[i], lambdas[i])
+            assert abs(after - before - change[i]) <= 1e-12 * before
         if singular:
             assert steps[3] == 0 and change[3] == 0.0
             assert np.array_equal(together[3], stack[3])
@@ -434,6 +457,13 @@ def column_pairs(X, Y, B, lam):
     # the feature-sign finish's arrays for the columns of one level, each
     # column a single-column level
     return (B.T.copy(), (X.T @ (Y - X @ B)).T, np.full((Y.shape[1], X.shape[1]), 0.5 * lam))
+
+
+def entry_residuals(g, b, half):
+    # the lasso KKT residuals entry by entry: |2g - 2 half sign(b)| where
+    # b != 0, else (|g| - half)_+
+    return np.where(b != 0, np.abs(2.0 * g - 2.0 * half * np.sign(b)),
+                    np.maximum(np.abs(g) - half, 0.0))
 
 
 def column_objectives(X, Y, b, lam):
@@ -472,7 +502,7 @@ class TestFeatureSignFinish:
         for before, after, step in rounds:
             assert np.all(after[step] < before[step])
         g = (d.X.T @ (d.Y - d.X @ b.T)).T
-        assert np.max(_entry_residuals(g, b, half)) <= 1e-9
+        assert np.max(entry_residuals(g, b, half)) <= 1e-9
 
     def test_wide_columns_step_down_to_n_nonzeros(self):
         # p > n: from the least-norm interpolant every entry is nonzero; each
@@ -493,7 +523,7 @@ class TestFeatureSignFinish:
         b, _ = _feature_sign(G, b, g, half, 1e-9, 8)
         assert np.all(np.count_nonzero(b, axis=1) <= 8)
         g = (X.T @ (Y - X @ b.T)).T
-        assert np.max(_entry_residuals(g, b, half)) <= 1e-9
+        assert np.max(entry_residuals(g, b, half)) <= 1e-9
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         d = random_instance(6, n=30, p=9, q=5)
