@@ -7,6 +7,10 @@ norm r, so every quantity here is a scalar function of r >= 0:
 * halfspace depth:   D(r) = 1 - Phi(r)          (Phi = standard normal cdf)
 * projection depth:  D(r) = c / (c + r),        c = Phi^{-1}(3/4)
 
+Phi is computed as erfc(-x / sqrt 2) / 2 through ``math.erfc``, and c is a
+float literal (the tests check it bitwise against scipy's ``ndtri(0.75)``),
+so this module, like the rest of the package, needs numpy alone.
+
 An inverse-depth transform turns depth into a bounded, increasing penalty
 p(r) (small near the origin, saturating for large rows):
 
@@ -19,8 +23,9 @@ by the reweighted solver; its right-limit at 0 is strictly positive for
 every combination implemented here.
 """
 
+import math
+
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 HALFSPACE = "halfspace"
 PROJECTION = "projection"
@@ -32,12 +37,20 @@ TRANSFORMS = (MAX_MINUS, EXP_NEG)
 
 # 3/4 quantile of the standard normal: projection-depth constant for a
 # spherical Gaussian reference.
-PROJECTION_C = float(ndtri(0.75))
+PROJECTION_C = 0.6744897501960817
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def std_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def _std_normal_cdf(x):
+    """Phi(x) = erfc(-x / sqrt 2) / 2, elementwise; a float for 0-d input."""
+    out = 0.5 * np.asarray(_erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
+    return _scalar_like(out, x)
 
 
 class PenaltySpec:
@@ -91,7 +104,7 @@ def depth(r, family=HALFSPACE):
     """
     arr = _check_radius(r)
     if family == HALFSPACE:
-        out = 1.0 - ndtr(arr)
+        out = 1.0 - _std_normal_cdf(arr)
     elif family == PROJECTION:
         out = PROJECTION_C / (PROJECTION_C + arr)
     else:
@@ -135,7 +148,7 @@ def penalty_weight(r, spec):
     if spec.depth == HALFSPACE:
         out = std_normal_pdf(arr)
         if spec.transform == EXP_NEG:
-            out = out * np.exp(ndtr(arr) - 1.0)
+            out = out * np.exp(_std_normal_cdf(arr) - 1.0)
     else:
         c = PROJECTION_C
         out = c / (c + arr) ** 2

@@ -38,7 +38,7 @@ def read_matrix_csv(path):
     if not lines:
         raise ValueError(f"{path}: file is empty")
     header = lines[0].split(",")
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -47,16 +47,19 @@ def read_matrix_csv(path):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
                              f"found {len(cells)}")
         try:
-            row = [float(c) for c in cells]
+            rows.append([float(c) for c in cells])
         except ValueError:
             bad = next(c for c in cells if not _is_float(c))
             raise ValueError(f"{path}:{lineno}: non-numeric cell {bad!r}") from None
-        if not all(np.isfinite(v) for v in row):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float), header
+    M = np.asarray(rows, dtype=float)
+    finite = np.isfinite(M).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: non-finite value")
+    return M, header
 
 
 def _is_float(cell):

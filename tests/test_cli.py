@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +68,26 @@ class TestMatrixCsv:
         path.write_text("a,b\n1.0\n")
         with pytest.raises(ValueError, match="expected 2 cells"):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_non_finite_cell_names_line(self, tmp_path, cell, blank):
+        # a blank line is skipped but still counted in the line numbers
+        path = tmp_path / "nonfinite.csv"
+        gap = "\n" if blank else ""
+        path.write_text(f"a,b\n1.0,2.0\n{gap}3.0,4.0\n5.0,{cell}\n6.0,{cell}\n")
+        with pytest.raises(ValueError, match=rf"nonfinite.csv:{4 + blank}: non-finite value"):
+            read_matrix_csv(path)
+
+    def test_fit_on_non_finite_cell_exit_2(self, tmp_path, capsys):
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        X[6, 1] = np.inf
+        write_matrix_csv(tmp_path / "x.csv", X)
+        write_matrix_csv(tmp_path / "y.csv", np.ones((10, 2)))
+        rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(tmp_path / "fit")])
+        assert rc == 2
+        assert "x.csv:8: non-finite value" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -430,3 +452,51 @@ class TestBenchmark:
         assert run(["benchmark", "--config", str(cfg_path), "--out", str(out),
                     f"--jobs={jobs}"]) == 2
         assert not out.exists()
+
+
+# Runs in a fresh interpreter in which every scipy import fails: the package
+# imports, and each command below (the first two evaluate the normal cdf
+# through the halfspace + exp weights) exits 0, with scipy never loaded.
+WITHOUT_SCIPY = """
+import importlib, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+for name in ("group_solver", "estimator", "model_selection", "simbench", "io", "cli"):
+    importlib.import_module(f"larn.{name}")
+from larn import cli
+
+out, x, y = sys.argv[1:]
+penalty = ["--depth", "halfspace", "--transform", "exp"]
+codes = [
+    cli.main(["threshold-curve", "--out", f"{out}/curve.csv", "--step", "0.5"] + penalty),
+    cli.main(["minimax-check", "--out", f"{out}/mm.json", "--n", "128",
+              "--replications", "5"] + penalty),
+    cli.main(["fit", "--x", x, "--y", y, "--out-dir", f"{out}/fit", "--n-lambdas", "5",
+              "--n-thresholds", "5", "--folds", "3"]),
+]
+assert codes == [0, 0, 0], codes
+assert "scipy" not in sys.modules
+"""
+
+
+class TestWithoutScipy:
+    def test_commands_run_without_scipy(self, tmp_path):
+        rng = np.random.default_rng(0)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path),
+             str(tmp_path / "x.csv"), str(tmp_path / "y.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "curve.csv").exists()
+        assert (tmp_path / "fit" / "coefficients.csv").exists()

@@ -1,11 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from larn.depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PROJECTION,
-                                PROJECTION_C, PenaltySpec, depth,
-                                inverse_depth, max_depth, penalty_weight,
-                                row_penalty)
+                                PROJECTION_C, PenaltySpec, _std_normal_cdf,
+                                depth, inverse_depth, max_depth,
+                                penalty_weight, row_penalty)
 
 ALL_SPECS = [PenaltySpec(d, t) for d in (HALFSPACE, PROJECTION)
              for t in (MAX_MINUS, EXP_NEG)]
@@ -25,6 +27,26 @@ def cdf_by_quadrature(x):
 class TestNormalHelpers:
     def test_projection_constant_is_three_quarter_quantile(self):
         assert cdf_by_quadrature(PROJECTION_C) == pytest.approx(0.75, abs=1e-10)
+
+    def test_projection_constant_is_scipy_quantile(self):
+        assert PROJECTION_C == float(ndtri(0.75))
+
+    def test_cdf_matches_mpmath(self):
+        grid = np.linspace(0.0, 40.0, 4001)
+        with mpmath.workdps(50):
+            exact = np.array([float(mpmath.ncdf(mpmath.mpf(x))) for x in grid])
+        assert np.max(np.abs(_std_normal_cdf(grid) - exact)) <= 2.3e-16
+
+    def test_halfspace_depth_matches_scipy(self):
+        grid = np.linspace(0.0, 40.0, 4001)
+        assert np.max(np.abs(depth(grid, HALFSPACE) - (1.0 - ndtr(grid)))) <= 2.3e-16
+
+    def test_scalar_input_returns_float(self):
+        assert type(_std_normal_cdf(1.0)) is float
+        for spec in ALL_SPECS:
+            assert type(depth(1.0, spec.depth)) is float
+            assert type(inverse_depth(1.0, spec)) is float
+            assert type(penalty_weight(1.0, spec)) is float
 
 
 class TestDepth:
