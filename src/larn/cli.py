@@ -29,7 +29,7 @@ from .estimator import LarnConfig
 from .group_solver import Dataset, SolverError
 from .model_selection import CvGrid, default_lambdas, fit_with_selection, cross_validate
 from .scalar_rule import depth_scalar_penalty, minimax_check, soft_threshold_depth
-from .simbench import SimConfig, run_benchmark
+from .simbench import MetricsRow, SimConfig, generate_instance, run_benchmark
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -232,7 +232,6 @@ def _load_sim_config(path):
 
 
 def cmd_simulate(args):
-    from .simbench import generate_instance
     cfg = _load_sim_config(args.config)
     _ensure_out_dir(args.out_dir)
     data, B0 = generate_instance(cfg)
@@ -244,33 +243,24 @@ def cmd_simulate(args):
 
 
 def cmd_benchmark(args):
-    from .simbench import METHODS, MetricsRow
     cfg = _load_sim_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise CliError(f"unknown methods {unknown}; choose from {list(METHODS)}")
     if args.lambdas is not None:
-        lambdas = np.asarray(_parse_floats(args.lambdas, "--lambdas"))
+        lambdas = _parse_floats(args.lambdas, "--lambdas")
     else:
         lambdas = default_lambdas(num=args.n_lambdas)
-    if lambdas.size == 0 or np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
-        raise CliError("the lambda grid must be nonempty, finite and nonnegative")
-    if args.jobs < 1:
-        raise CliError("--jobs must be a positive integer")
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    _ensure_out_dir(out_dir)
+    # run_benchmark checks the methods, the grid and the jobs before it runs;
+    # the file is created only after it returns, so bad input leaves none
+    rows = run_benchmark(cfg, methods=methods, lambdas=lambdas,
+                         n_thresholds=args.n_thresholds, k=args.folds,
+                         jobs=args.jobs, progress=_log)
+    _ensure_out_dir(os.path.dirname(os.path.abspath(args.out)))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(MetricsRow.FIELDS) + "\n")
-        fh.flush()
-        rows = run_benchmark(cfg, methods=methods, lambdas=lambdas,
-                             n_thresholds=args.n_thresholds, k=args.folds,
-                             jobs=args.jobs, progress=_log)
         for row in rows:
             setting, rho, rep, method, err, mae, tp, tn = row.astuple()
             fh.write(",".join([setting, io.fmt(rho), str(rep), method,
                                io.fmt(err), io.fmt(mae), io.fmt(tp), io.fmt(tn)]) + "\n")
-            fh.flush()
     _log(f"metrics written to {args.out}")
     return EXIT_OK
 

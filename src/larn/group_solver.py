@@ -32,12 +32,14 @@ incremental updates or on the cancelling expansion
 ||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).
 
 Every five sweeps (the finish window) each level may take a second-order
-finish, kept only when it lowers the objective; a trace still holds one
-value per sweep.  Levels that read q > 1 columns and whose nonzero rows S
-stayed the same over the window get a Newton finish on S (proximal
-Newton, Lee, Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the
-identified support, Bareilles, Iutzeler and Malick, Math. Programming),
-all of them in one call that steps them together.
+finish.  Both finishes are kept on one rule: a level keeps its finish when
+the summed computed objective change of its steps is negative (and its
+refreshed objective is finite); a trace still holds one value per sweep.
+Levels that read q > 1 columns and whose nonzero rows S stayed the same
+over the window get a Newton finish on S (proximal Newton, Lee, Sun and
+Saunders, SIAM J. Optim. 2014; Newton steps on the identified support,
+Bareilles, Iutzeler and Malick, Math. Programming), all of them in one
+call that steps them together.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -58,30 +60,33 @@ counterpart of feature-sign's sign-change points), whose change of fit
 reads G_jj and row j of H and Gd.  The lowest is taken if it lowers the
 objective, and the rows it zeroes leave S; the step backtracks (Armijo)
 only when no row crosses or no candidate is lower.
-Each step, and the finish as a whole, is accepted on its computed
-objective change, which must be finite and negative, not on the
-difference of two rounded objectives; the trace then records the
-refreshed objective.  A level's finish stops once the rows in S pass the
-KKT test, when the line search fails, or after a fixed number of steps.
+Each step is accepted on its computed objective change, which must be
+finite and negative, not on the difference of two rounded objectives; the
+trace then records the refreshed objective.  A level's finish stops once
+the rows in S pass the KKT test, when the line search fails, or after a
+fixed number of steps.
 This is what certifies p > n levels that sweeps alone leave uncertified
 after 1000.
 
 At q = 1 the row penalty is l1, ||b_j|| = |b_j|, and the finish is
 feature-sign search (Lee, Battle, Raina and Ng, NIPS 2007) instead: there
 the Hessian on S is 2 G_SS, singular once |S| > n.  Which finish a level
-takes follows only from how many response columns it reads, so a
-single-response group fit and the per-response lasso of
-:func:`larn.simbench.lasso_path`, run as single-column levels, both take
-it.  It too reads only G and the kernel's H, and works on the levels
-whose entries fail the KKT test.  In each round, zero entries with
-|x_j'r| > lam w_j/2 enter with the sign s_j of x_j'r; the minimizer on
-that orthant solves G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read
-as X'r + G b; and the step goes to the best of that point and the points
-where an entry reaches zero.  A round is kept only when it lowers the level's objective.  A level
-with more nonzeros than X has rows (p > n), or whose orthant step fails on
-collinear columns, instead steps along a null vector of X_M until one entry
-reaches zero, which does not raise the objective.  The masked systems of a
-round are solved in batches of bounded size.
+takes follows only from how many response columns it reads, which the
+kernel reads from the shape of the levels' start, so a single-response
+group fit and the per-response lasso of :func:`larn.simbench.lasso_path`,
+run as single-column levels, both take it.  It too reads only G and the
+kernel's H, and works on the levels whose entries fail the KKT test.  In
+each round, zero entries with |x_j'r| > lam w_j/2 enter with the sign s_j
+of x_j'r; the minimizer on that orthant solves
+G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read as X'r + G b; and the
+step goes to the best of that point and the points where an entry reaches
+zero.  A round's step is taken when its computed objective change is
+negative.  A level with more nonzeros than X has rows (p > n), or whose
+orthant step fails on collinear columns, instead steps along a null vector
+of X_M until one entry reaches zero, which does not raise the objective.
+The finish reports each level's summed change over its rounds, the value
+the kernel's rule reads.  The masked systems of a round are solved in
+batches of bounded size.
 :func:`bcd_solve` and :func:`bcd_solve_path` solve the group lasso at one
 level or many.
 """
@@ -277,10 +282,9 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     weights, lambdas, init = _check_problem(data, weights, lambdas, init)
     L = len(lambdas)
-    if init is not None:
-        init = np.broadcast_to(init, (L,) + init.shape)
-    return _cd_path(data, np.broadcast_to(weights[:, None], (data.p, L)), lambdas, init,
-                    settings or SolverSettings())
+    start = np.zeros((data.p, data.q)) if init is None else init
+    return _cd_path(data, np.broadcast_to(weights[:, None], (data.p, L)), lambdas,
+                    np.broadcast_to(start, (L,) + start.shape), settings or SolverSettings())
 
 
 def _padded(G, mask, shift):
@@ -588,12 +592,12 @@ def _sign_round(G, b, g, half, max_active):
     more, and those with two or more whose orthant step failed (as where
     collinear columns make the orthant system singular), take the best of
     :func:`_null_candidates` when it does not raise the objective (a flat
-    step still removes an entry).  Updates b and g in place and returns a
-    mask (N,) of the columns that moved.
+    step still removes an entry).  Updates b and g in place and returns each
+    column's computed objective change (N,), zero where it did not move.
     """
     nnz = np.count_nonzero(b, axis=1)
     reduce = nnz > max_active
-    moved = np.zeros(len(b), dtype=bool)
+    out = np.zeros(len(b))
     for reducing in (False, True):
         rows = np.flatnonzero(reduce == reducing)
         if rows.size == 0:
@@ -610,8 +614,8 @@ def _sign_round(G, b, g, half, max_active):
         rows = rows[ok]
         b[rows] = point[ok]
         g[rows] -= GD[ok]
-        moved[rows] = True
-    return moved
+        out[rows] = change[ok]
+    return out
 
 
 def _feature_sign(G, b, g, half, kkt_tol, max_active):
@@ -620,79 +624,79 @@ def _feature_sign(G, b, g, half, kkt_tol, max_active):
     Each row of b (N, p) is one single-column level of
     ||y - Xb||^2 + 2 sum_j half_j |b_j|, with g = X'(y - Xb) and G = X'X.
     Each level repeats :func:`_sign_round` until its entries pass the KKT
-    test at ``kkt_tol``, a round does not move it, or ``_SIGN_ROUNDS``
-    rounds have run; ``max_active`` is the number of rows of X.  A round
-    handles its levels in blocks whose (N, p, p) systems hold at most
-    ``_BLOCK_ENTRIES`` entries.  Never raises.
+    test at ``kkt_tol``, a round does not lower its objective, or
+    ``_SIGN_ROUNDS`` rounds have run; ``max_active`` is the number of rows
+    of X.  A round handles its levels in blocks whose (N, p, p) systems hold
+    at most ``_BLOCK_ENTRIES`` entries.  Never raises.
 
-    Returns the new b (a copy) and a mask (N,) of the levels that moved.
+    Returns the new b (a copy) and the sum of each level's computed
+    objective changes over its rounds (N,), negative for every level that a
+    round moved to a lower objective.
     """
     b, g = b.copy(), g.copy()
     N, p = b.shape
-    moved = np.zeros(N, dtype=bool)
+    total = np.zeros(N)
     step = max(1, _BLOCK_ENTRIES // (p * p))
     idx = np.arange(N)
     for _ in range(_SIGN_ROUNDS):
         res = _kkt_rows(g[idx, :, None], b[idx, :, None], 2.0 * half[idx])
         idx = idx[res.max(axis=1) > kkt_tol]
-        ok = np.zeros(len(idx), dtype=bool)
+        change = np.zeros(len(idx))
         for start in range(0, len(idx), step):
             blk = idx[start:start + step]
             bb, gb = b[blk], g[blk]
-            ok[start:start + step] = _sign_round(G, bb, gb, half[blk], max_active)
+            change[start:start + step] = _sign_round(G, bb, gb, half[blk], max_active)
             b[blk], g[blk] = bb, gb
-        idx = idx[ok]
-        moved[idx] = True
+        total[idx] += change
+        idx = idx[change < 0]
         if idx.size == 0:
             break
-    return b, moved
+    return b, total
 
 
-def _cd_path(data, weights, lambdas, init, settings, per_column=False):
+def _cd_path(data, weights, lambdas, init, settings):
     """Batched cyclic coordinate descent on validated inputs.
 
     Each level has its own inputs: ``weights`` is (p, L), column l holding
-    the row weights of level l, and ``init`` is (L, p, q), the start of each
-    level (or None for zeros).  :func:`bcd_solve_path` broadcasts one weight
-    vector and one start to that form; the reweighting rounds of
-    :func:`larn.estimator.larn_path` after the first pass each level its
-    own iterate and the weights taken there.  With ``per_column`` each level
-    reads one column of Y, level l the column l mod q (L a multiple of q),
-    and ``init`` is (L, p, 1).
+    the row weights of level l, and ``init`` is (L, p, c), the start of each
+    level.  A level reads c columns of Y: all q when c = q, and when c = 1
+    level l reads column l mod q (L then a multiple of q).
+    :func:`bcd_solve_path` broadcasts one weight vector and one start to
+    that form; the reweighting rounds of :func:`larn.estimator.larn_path`
+    after the first pass each level its own iterate and the weights taken
+    there, and :func:`larn.simbench.lasso_path` passes L*q single-column
+    zero starts.
 
-    Every ``_FINISH_WINDOW`` sweeps each active level may run a finish, and
-    the number of columns a level reads picks it.  With more than one, the
-    active levels whose nonzero-row set did not change over the window (and
-    is not empty) go to one :func:`_newton_finish` call: each takes at most
-    ``_NEWTON_STEPS`` Woodbury-form Newton steps on its rows, padded to all
-    p rows so that the levels step together with a closed-form line search,
-    where a row whose step passes through zero may leave them, stopping
-    early once the remaining rows pass the KKT test.  With one column, the
-    levels whose entries fail the KKT test at ``settings.kkt_tol`` run
-    :func:`_feature_sign` instead.  A finished level is kept when its
-    refreshed objective is finite and, for the Newton finish, the sum of
-    its steps' computed objective changes is negative, for feature-sign
-    strictly lower; else it is restored.  Both finishes read the kernel's
-    G and H: R and H = X'R are refreshed from B after every sweep that moved
-    a row, so a finish reads a fresh H, and again after an accepted finish.
-    Rows the finish zeroes, like the other zero rows, are left to the
-    sweeps and to the KKT retire test, which with the stopping rule and
-    compaction are unchanged.  A trace holds one value per sweep, an
-    accepted finish included.
+    Every ``_FINISH_WINDOW`` sweeps the due levels run a finish, and c picks
+    it.  At c > 1 the due levels are the active ones whose nonzero-row set
+    did not change over the window (and is not empty), and they go to one
+    :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
+    Woodbury-form Newton steps on its rows, padded to all p rows so that the
+    levels step together with a closed-form line search, where a row whose
+    step passes through zero may leave them, stopping early once the
+    remaining rows pass the KKT test.  At c = 1 every active level goes to
+    :func:`_feature_sign`, which skips those whose entries pass the KKT test
+    at ``settings.kkt_tol``.  Either way a level keeps its finish when the
+    summed computed objective change of its steps is negative and its
+    refreshed objective is finite; else it is restored.  Both finishes read
+    the kernel's G and H: R and H = X'R are refreshed from B after every
+    sweep that moved a row, so a finish reads a fresh H, and again after a
+    kept finish.  Rows the finish zeroes, like the other zero rows, are left
+    to the sweeps and to the KKT retire test, which with the stopping rule
+    and compaction are unchanged.  A trace holds one value per sweep, a
+    kept finish included.
     """
     X, Y = data.X, data.Y
     n, p = data.n, data.p
-    q = 1 if per_column else data.q                # columns per level
-    L = len(lambdas)
+    L, _, q = init.shape                           # q: columns per level
     col_ss = _column_norms_squared(X)
     G = X.T @ X                                    # symmetric: row j is column j
 
     # work arrays cover the active levels only; solved levels retire into
-    # ``out`` and the remaining blocks are compacted
+    # ``out`` and the remaining blocks are compacted.  A copy, not
+    # np.ascontiguousarray: that returns a broadcast (read-only) start as is
     act = np.arange(L)
-    B = np.zeros((p, L, q))                        # level axis in the middle
-    if init is not None:
-        B[:] = init.transpose(1, 0, 2)
+    B = init.transpose(1, 0, 2).copy()             # level axis in the middle
     B2 = B.reshape(p, -1)
     Yb = np.tile(Y, L * q // data.q)               # column i is Y[:, i mod q]
     R = Yb - X @ B2                                # (n, A*q), C-contiguous
@@ -708,50 +712,36 @@ def _cd_path(data, weights, lambdas, init, settings, per_column=False):
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
         return resid + 2.0 * np.einsum("pa,pa->a", half, _row_norms(B))
 
-    def keep_if_lower(moved, before, obj, lowered=False):
-        # B holds a candidate on each level in ``moved``; keep it only when
-        # the refreshed objective is finite and strictly lower (only finite
-        # when ``lowered``: each candidate's computed change is negative),
-        # else restore the level from ``before``.  Sets obj to the kept
-        # levels' refreshed objective and returns whether any candidate was
-        # kept.
+    def finish(obj):
+        # the due levels run their finish; those whose summed computed change
+        # is negative keep it unless their refreshed objective is not finite.
+        # Sets obj to the kept levels' refreshed objective and returns whether
+        # any level kept its finish
+        if q > 1:
+            due = np.flatnonzero(np.all(nonzero == nonzero[:, -1:], axis=(1, 2))
+                                 & nonzero[:, -1].any(axis=1))
+            new, _, change = _newton_finish(G, H.reshape(B.shape)[:, due].transpose(1, 0, 2),
+                                            B[:, due].transpose(1, 0, 2),
+                                            2.0 * half[:, due].T, settings.kkt_tol)
+        else:
+            due = np.arange(len(obj))
+            new, change = _feature_sign(G, B2.T, H.T, half.T, settings.kkt_tol, n)
+            new = new[:, :, None]
+        kept = change < 0
+        take = due[kept]
+        if take.size == 0:
+            return False
+        before = B[:, take]
+        B[:, take] = new[kept].transpose(1, 0, 2)
         np.subtract(Yb, X @ B2, out=R)
-        trial = objectives()
-        take = moved & np.isfinite(trial) & (lowered | (trial < obj))
-        back = moved & ~take
-        if np.any(back):
-            B[:, back] = before[:, back]
+        trial = objectives()[take]
+        bad = ~np.isfinite(trial)
+        if np.any(bad):
+            B[:, take[bad]] = before[:, bad]
             np.subtract(Yb, X @ B2, out=R)
-        obj[take] = trial[take]
-        return bool(np.any(take))
+        obj[take[~bad]] = trial[~bad]
+        return not np.all(bad)
 
-    def feature_sign(obj):
-        # single-column levels
-        b, moved = _feature_sign(G, B2.T, H.T, half.T, settings.kkt_tol, n)
-        if not np.any(moved):
-            return False
-        before = B.copy()
-        B2[:, moved] = b[moved].T
-        return keep_if_lower(moved, before, obj)
-
-    def newton(obj):
-        # finish the levels whose nonzero rows held over the window, in one call
-        todo = np.flatnonzero(np.all(nonzero == nonzero[:, -1:], axis=(1, 2))
-                              & nonzero[:, -1].any(axis=1))
-        if todo.size == 0:
-            return False
-        new, _, change = _newton_finish(G, H.reshape(B.shape)[:, todo].transpose(1, 0, 2),
-                                        B[:, todo].transpose(1, 0, 2),
-                                        2.0 * half[:, todo].T, settings.kkt_tol)
-        moved = np.zeros(len(obj), dtype=bool)
-        moved[todo] = change < 0
-        if not np.any(moved):
-            return False
-        before = B.copy()
-        B[:, todo] = new.transpose(1, 0, 2)
-        return keep_if_lower(moved, before, obj, lowered=True)
-
-    finish = newton if q > 1 else feature_sign
     obj = objectives()
     traces = [[v] for v in obj.tolist()]
 
@@ -832,9 +822,8 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
         Solution with exact zeros on thresholded rows.
     trace : list of float
         Objective value at the start and after each sweep; nonincreasing up
-        to rounding (at q > 1 a Newton finish is kept on its computed
-        objective change; at q = 1 a feature-sign finish only when the
-        refreshed objective is strictly lower).
+        to rounding (a finish, Newton at q > 1 and feature-sign at q = 1, is
+        kept when its computed objective change is negative).
 
     Raises
     ------

@@ -129,20 +129,13 @@ def soft_threshold_depth(z, lam, pen, exact=False):
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     absz = np.abs(z_arr)
-    sign = np.sign(z_arr)
-    if not exact:
-        mag = absz - lam * pen.derivative_fn(absz)
-        out = np.where(mag > 0, sign * mag, 0.0)
-        return float(out) if np.ndim(z) == 0 else out
-
     mag = np.maximum(absz - lam * pen.derivative_fn(absz), 0.0)
-    for _ in range(_EXACT_ITERS):
-        nxt = np.maximum(absz - lam * pen.derivative_fn(mag), 0.0)
-        if np.max(np.abs(nxt - mag)) < _EXACT_TOL:
-            mag = nxt
-            break
-        mag = nxt
-    out = np.where(mag > 0, sign * mag, 0.0)
+    if exact:
+        for _ in range(_EXACT_ITERS):
+            mag, last = np.maximum(absz - lam * pen.derivative_fn(mag), 0.0), mag
+            if np.max(np.abs(mag - last)) < _EXACT_TOL:
+                break
+    out = np.where(mag > 0, np.sign(z_arr) * mag, 0.0)
     return float(out) if np.ndim(z) == 0 else out
 
 

@@ -171,7 +171,8 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     The lasso separates over response columns, and at one column the row
     norm is |b_j|, so this is one call of the group kernel of
     :mod:`larn.group_solver` on L*q single-column levels with unit weights:
-    level l*q + k is column k at lambdas[l], and it takes the kernel's
+    level l*q + k is column k at lambdas[l].  Their (L*q, p, 1) zero start
+    tells the kernel that each level reads one column, so they take its
     feature-sign finish.  Each column stops on its own under the kernel's
     rule (a flat objective and every entry meeting the lasso KKT conditions
     to the default ``kkt_tol``) or when ``max_sweeps`` runs out.  Warns once
@@ -183,8 +184,8 @@ def lasso_path(data, lambdas, max_sweeps=1000):
         raise ValueError("lam must be nonnegative and finite")
     settings = SolverSettings(max_sweeps=max_sweeps)
     L, p, q = len(lambdas), data.p, data.q
-    columns = _cd_path(data, np.broadcast_to(1.0, (p, L * q)), np.repeat(lambdas, q), None,
-                       settings, per_column=True)[0]
+    columns = _cd_path(data, np.broadcast_to(1.0, (p, L * q)), np.repeat(lambdas, q),
+                       np.zeros((L * q, p, 1)), settings)[0]
     stack = columns.reshape(L, q, p).transpose(0, 2, 1)
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
     worst = _kkt_rows(G[..., None], stack[..., None], lambdas[:, None, None]).max(axis=(1, 2))
@@ -219,22 +220,17 @@ def select_lasso(data, lambdas, k, seed):
     return B_final, float(lambdas[best]), float(errors[best])
 
 
-def _score_replication(cfg, rep, methods, grid_settings):
-    """Generate one instance, tune and score every method on it."""
+def _score_replication(cfg, rep, methods, grid):
+    """Generate one instance, tune and score every method on it over ``grid``."""
     rep_cfg = SimConfig(**{**cfg.to_dict(), "seed": [_seed_scalar(cfg.seed), rep]})
     data, B0 = generate_instance(rep_cfg)
     setting = f"p{cfg.p}_q{cfg.q}"
     rows = []
     for method in methods:
         if method == "seplasso":
-            B_hat, _, err = select_lasso(data, grid_settings["lambdas"],
-                                         grid_settings["k"], grid_settings["seed"])
+            B_hat, _, err = select_lasso(data, grid.lambdas, grid.k, grid.seed)
         else:
-            config = LarnConfig(unit_weights=(method == "tgl"))
-            grid = CvGrid(lambdas=grid_settings["lambdas"],
-                          n_thresholds=grid_settings["n_thresholds"],
-                          k=grid_settings["k"], seed=grid_settings["seed"])
-            fit, cv = fit_with_selection(data, config, grid)
+            fit, cv = fit_with_selection(data, LarnConfig(unit_weights=(method == "tgl")), grid)
             i, j = cv.best_index
             B_hat, err = fit.b_hat, float(cv.cv_rmse[i, j])
         m = metrics(B_hat, B0, err)
@@ -256,7 +252,8 @@ def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
 
     Each replication owns an RNG stream derived from (cfg.seed,
     replication), so the output is identical for any ``jobs`` level (at
-    least 1).
+    least 1).  The grid (``lambdas``, the default grid when None) and the
+    other arguments are checked before any replication runs.
     Failed replications are skipped with a note through ``progress``.
     Returns a list of MetricsRow in (replication, method) order.
     """
@@ -265,19 +262,11 @@ def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
-    if lambdas is None:
-        from .model_selection import default_lambdas
-        lambdas = default_lambdas()
-    grid_settings = {
-        "lambdas": np.asarray(lambdas, dtype=float),
-        "n_thresholds": n_thresholds,
-        "k": k,
-        "seed": cv_seed,
-    }
+    grid = CvGrid(lambdas, n_thresholds=n_thresholds, k=k, seed=cv_seed)
 
     def one(rep):
         try:
-            return _score_replication(cfg, rep, methods, grid_settings)
+            return _score_replication(cfg, rep, methods, grid)
         except (SolverError, np.linalg.LinAlgError) as exc:
             if progress is not None:
                 progress(f"replication {rep} failed: {exc}")

@@ -418,8 +418,10 @@ class TestBenchmark:
     def test_unknown_method_exit_2(self, tmp_path):
         cfg_path = tmp_path / "sim.json"
         write_sim_config(cfg_path)
+        out = tmp_path / "m.csv"
         assert run(["benchmark", "--config", str(cfg_path),
-                    "--out", str(tmp_path / "m.csv"), "--methods", "larn,oops"]) == 2
+                    "--out", str(out), "--methods", "larn,oops"]) == 2
+        assert not out.exists()
 
     def test_explicit_lambdas(self, tmp_path):
         cfg_path = tmp_path / "sim.json"

@@ -492,13 +492,13 @@ class TestFeatureSignFinish:
         def recording(G, b, g, half, max_active):
             xty = g + b @ G
             before = shifted(G, b, xty, half)
-            moved = _sign_round(G, b, g, half, max_active)
-            rounds.append((before, shifted(G, b, xty, half), moved))
-            return moved
+            change = _sign_round(G, b, g, half, max_active)
+            rounds.append((before, shifted(G, b, xty, half), change < 0))
+            return change
 
         monkeypatch.setattr(group_solver, "_sign_round", recording)
-        b, moved = _feature_sign(d.X.T @ d.X, b0, g, half, 1e-10, d.n)
-        assert rounds and moved.all()
+        b, change = _feature_sign(d.X.T @ d.X, b0, g, half, 1e-10, d.n)
+        assert rounds and np.all(change < 0)
         for before, after, step in rounds:
             assert np.all(after[step] < before[step])
         g = (d.X.T @ (d.Y - d.X @ b.T)).T
@@ -516,14 +516,32 @@ class TestFeatureSignFinish:
         b, g, half = column_pairs(X, Y, B, lam)
         G = X.T @ X
         before = column_objectives(X, Y, b, lam)
-        moved = _sign_round(G, b, g, half, 8)
-        assert moved.all()
+        change = _sign_round(G, b, g, half, 8)
+        assert np.all(change < 0)
         assert np.all(np.count_nonzero(b, axis=1) == 13)
         assert np.all(column_objectives(X, Y, b, lam) <= before + 1e-12)
         b, _ = _feature_sign(G, b, g, half, 1e-9, 8)
         assert np.all(np.count_nonzero(b, axis=1) <= 8)
         g = (X.T @ (Y - X @ b.T)).T
         assert np.max(entry_residuals(g, b, half)) <= 1e-9
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("start", ["zero", "least squares"])
+    def test_returned_change_is_the_objective_change(self, wide, start):
+        # each column's returned change is its objective after less before
+        # (zero where no round lowered it), also where p > n and the rounds
+        # take null-vector steps
+        rng = np.random.default_rng(5)
+        n, p = (8, 14) if wide else (25, 7)
+        X, Y = rng.standard_normal((n, p)), rng.standard_normal((n, 3))
+        lam = 0.3
+        B = np.zeros((p, 3)) if start == "zero" else np.linalg.lstsq(X, Y, rcond=None)[0]
+        b, g, half = column_pairs(X, Y, B, lam)
+        before = column_objectives(X, Y, b, lam)
+        b, change = _feature_sign(X.T @ X, b, g, half, 1e-9, n)
+        after = column_objectives(X, Y, b, lam)
+        assert np.any(change < 0)
+        assert np.all(np.abs(change - (after - before)) <= 1e-12 * before)
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         d = random_instance(6, n=30, p=9, q=5)

@@ -233,6 +233,26 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown methods"):
             run_benchmark(cfg, methods=["larn", "ridge"])
 
+    def test_failed_replication_skipped_and_reported(self):
+        # a replication whose solve fails adds no rows but a note; the next
+        # one still runs
+        calls = []
+
+        def failing_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise group_solver.SolverError("no progress")
+            return select_lasso(*args)
+
+        notes = []
+        cfg = SimConfig(n=30, p=6, q=3, seed=2, replications=2)
+        with mock.patch.object(simbench, "select_lasso", failing_once):
+            rows = run_benchmark(cfg, methods=("seplasso",), lambdas=[0.1, 1, 10],
+                                 n_thresholds=3, k=3, progress=notes.append)
+        assert [(row.replication, row.method) for row in rows] == [(1, "seplasso")]
+        assert notes == ["replication 0 failed: no progress",
+                         "scored 1 rows over 2 replications"]
+
 
 class TestSimConfigValidation:
     def test_unknown_field_named(self):
