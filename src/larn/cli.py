@@ -51,16 +51,30 @@ def _add_penalty_flags(parser):
     parser.add_argument("--transform", choices=["max", "exp"], default="max")
 
 
-def _add_grid_flags(parser):
+def _add_shared_flags(parser):
+    # the run and lambda-grid flags of every cross-validating command
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--n-lambdas", type=int, default=100,
+                        help="levels on the default grid, 10^-2..10^2 on the log10 "
+                             "scale; wider grids go through --lambdas")
+    parser.add_argument("--lambdas", type=str, default=None,
+                        help="explicit comma-separated penalty levels (overrides --n-lambdas)")
+    parser.add_argument("--n-thresholds", type=int, default=100)
+    parser.add_argument("--folds", type=int, default=5)
+
+
+def _add_cv_flags(parser):
+    # the flags of the commands that cross-validate on CSV data: fit and cv
+    parser.add_argument("--x", required=True, help="design matrix CSV")
+    parser.add_argument("--y", required=True, help="response matrix CSV")
+    parser.add_argument("--out-dir", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    _add_penalty_flags(parser)
+    _add_shared_flags(parser)
     parser.add_argument("--lambda-scale", choices=["log10", "linear-positive"],
                         default="log10")
-    parser.add_argument("--n-lambdas", type=int, default=100)
-    parser.add_argument("--lambdas", type=str, default=None,
-                        help="explicit comma-separated penalty levels (overrides the scale flags)")
-    parser.add_argument("--n-thresholds", type=int, default=100)
     parser.add_argument("--thresholds", type=str, default=None,
                         help="explicit comma-separated threshold levels")
-    parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--one-step", choices=["true", "false"], default="true")
 
 
@@ -70,24 +84,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="cross-validate and write the selected estimate")
-    p_fit.add_argument("--x", required=True, help="design matrix CSV")
-    p_fit.add_argument("--y", required=True, help="response matrix CSV")
-    p_fit.add_argument("--out-dir", required=True)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--jobs", type=int, default=1)
+    _add_cv_flags(p_fit)
     p_fit.add_argument("--trace-out", default=None,
                        help="optional CSV path for the solver objective trace")
-    _add_penalty_flags(p_fit)
-    _add_grid_flags(p_fit)
-
-    p_cv = sub.add_parser("cv", help="cross-validate only; write surface + best pair")
-    p_cv.add_argument("--x", required=True)
-    p_cv.add_argument("--y", required=True)
-    p_cv.add_argument("--out-dir", required=True)
-    p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--jobs", type=int, default=1)
-    _add_penalty_flags(p_cv)
-    _add_grid_flags(p_cv)
+    _add_cv_flags(sub.add_parser("cv", help="cross-validate only; write surface + best pair"))
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic instance")
     p_sim.add_argument("--config", required=True, help="SimConfig JSON path")
@@ -97,14 +97,7 @@ def build_parser():
     p_bench.add_argument("--config", required=True, help="SimConfig JSON path")
     p_bench.add_argument("--out", required=True, help="metrics CSV path")
     p_bench.add_argument("--methods", default="larn,tgl,seplasso")
-    p_bench.add_argument("--jobs", type=int, default=1)
-    p_bench.add_argument("--n-lambdas", type=int, default=100,
-                         help="levels on the default grid 10^-2..10^2, which every "
-                              "method shares; wider grids go through --lambdas")
-    p_bench.add_argument("--lambdas", type=str, default=None,
-                         help="explicit comma-separated penalty levels (overrides --n-lambdas)")
-    p_bench.add_argument("--n-thresholds", type=int, default=100)
-    p_bench.add_argument("--folds", type=int, default=5)
+    _add_shared_flags(p_bench)
 
     p_curve = sub.add_parser("threshold-curve", help="tabulate the scalar rule")
     p_curve.add_argument("--out", required=True)
@@ -129,15 +122,18 @@ def _penalty_from(args):
     return PenaltySpec(depth=args.depth, transform=args.transform)
 
 
-def _grid_from(args):
+def _lambdas_from(args, scale="log10"):
+    # an explicit --lambdas overrides --n-lambdas on the default grid
     if args.lambdas is not None:
-        lambdas = _parse_floats(args.lambdas, "--lambdas")
-    else:
-        lambdas = default_lambdas(num=args.n_lambdas, scale=args.lambda_scale)
+        return _parse_floats(args.lambdas, "--lambdas")
+    return default_lambdas(num=args.n_lambdas, scale=scale)
+
+
+def _grid_from(args):
     thresholds = None
     if args.thresholds is not None:
         thresholds = _parse_floats(args.thresholds, "--thresholds")
-    return CvGrid(lambdas=lambdas, thresholds=thresholds,
+    return CvGrid(lambdas=_lambdas_from(args, args.lambda_scale), thresholds=thresholds,
                   n_thresholds=args.n_thresholds, k=args.folds, seed=args.seed)
 
 
@@ -148,21 +144,29 @@ def _parse_floats(text, flag):
         raise CliError(f"{flag}: {exc}") from None
 
 
-def _load_dataset(x_path, y_path):
-    for path in (x_path, y_path):
+def _cv_inputs(args):
+    """(data, Y's header, config, grid) of a fit or cv run, read from its flags."""
+    for path in (args.x, args.y):
         if not os.path.exists(path):
             raise CliError(f"input file not found: {path}")
-    X, _ = io.read_matrix_csv(x_path)
-    Y, y_header = io.read_matrix_csv(y_path)
+    X, _ = io.read_matrix_csv(args.x)
+    Y, y_header = io.read_matrix_csv(args.y)
     if X.shape[0] != Y.shape[0]:
-        raise CliError(f"row count mismatch: {x_path} has {X.shape[0]} rows, "
-                       f"{y_path} has {Y.shape[0]}")
-    return Dataset(X, Y), y_header
+        raise CliError(f"row count mismatch: {args.x} has {X.shape[0]} rows, "
+                       f"{args.y} has {Y.shape[0]}")
+    config = LarnConfig(penalty=_penalty_from(args),
+                        one_step=(args.one_step == "true"))
+    return Dataset(X, Y), y_header, config, _grid_from(args)
 
 
-def _log_edge(cv):
+def _exit_code(cv, certified, what):
+    # the edge note leaves the exit code as is; an uncertified fit exits 3
     if cv.best_on_edge:
         _log(f"selected lambda={cv.best[0]:.6g} is on the grid's edge; try a wider --lambdas")
+    if not certified:
+        _log(f"{what} is not KKT-certified")
+        return EXIT_UNCERTIFIED
+    return EXIT_OK
 
 
 def _ensure_out_dir(path):
@@ -173,10 +177,8 @@ def _ensure_out_dir(path):
 
 
 def cmd_fit(args):
-    data, y_header = _load_dataset(args.x, args.y)
-    config = LarnConfig(penalty=_penalty_from(args),
-                        one_step=(args.one_step == "true"))
-    fit, cv = fit_with_selection(data, config, _grid_from(args), jobs=args.jobs)
+    data, y_header, config, grid = _cv_inputs(args)
+    fit, cv = fit_with_selection(data, config, grid, jobs=args.jobs)
     # created only now, so a run that fails leaves no empty directory
     _ensure_out_dir(args.out_dir)
     io.write_matrix_csv(os.path.join(args.out_dir, "coefficients.csv"),
@@ -189,18 +191,12 @@ def cmd_fit(args):
         io.write_matrix_csv(args.trace_out, trace, header=["objective"])
     _log(f"fit written to {args.out_dir} "
          f"(lambda={fit.lam:.6g}, threshold={fit.threshold:.6g})")
-    _log_edge(cv)
-    if not fit.certified:
-        _log("fit is not KKT-certified")
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+    return _exit_code(cv, fit.certified, "fit")
 
 
 def cmd_cv(args):
-    data, _ = _load_dataset(args.x, args.y)
-    config = LarnConfig(penalty=_penalty_from(args),
-                        one_step=(args.one_step == "true"))
-    cv = cross_validate(data, config, _grid_from(args), jobs=args.jobs)
+    data, _, config, grid = _cv_inputs(args)
+    cv = cross_validate(data, config, grid, jobs=args.jobs)
     _ensure_out_dir(args.out_dir)
     L, T = cv.cv_rmse.shape
     rows = [[cv.lambdas[i], cv.thresholds[i, j], cv.cv_rmse[i, j]]
@@ -211,11 +207,7 @@ def cmd_cv(args):
     best["certified"] = bool(cv.full_fit.certified)
     io.write_json(os.path.join(args.out_dir, "cv_best.json"), best)
     _log(f"cv surface written to {args.out_dir}")
-    _log_edge(cv)
-    if not cv.full_fit.certified:
-        _log("selected full-data fit is not KKT-certified")
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+    return _exit_code(cv, cv.full_fit.certified, "selected full-data fit")
 
 
 def _load_sim_config(path):
@@ -245,22 +237,13 @@ def cmd_simulate(args):
 def cmd_benchmark(args):
     cfg = _load_sim_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.lambdas is not None:
-        lambdas = _parse_floats(args.lambdas, "--lambdas")
-    else:
-        lambdas = default_lambdas(num=args.n_lambdas)
     # run_benchmark checks the methods, the grid and the jobs before it runs;
     # the file is created only after it returns, so bad input leaves none
-    rows = run_benchmark(cfg, methods=methods, lambdas=lambdas,
+    rows = run_benchmark(cfg, methods=methods, lambdas=_lambdas_from(args),
                          n_thresholds=args.n_thresholds, k=args.folds,
                          jobs=args.jobs, progress=_log)
     _ensure_out_dir(os.path.dirname(os.path.abspath(args.out)))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(MetricsRow.FIELDS) + "\n")
-        for row in rows:
-            setting, rho, rep, method, err, mae, tp, tn = row.astuple()
-            fh.write(",".join([setting, io.fmt(rho), str(rep), method,
-                               io.fmt(err), io.fmt(mae), io.fmt(tp), io.fmt(tn)]) + "\n")
+    io.write_rows(args.out, MetricsRow.FIELDS, [r.astuple() for r in rows])
     _log(f"metrics written to {args.out}")
     return EXIT_OK
 

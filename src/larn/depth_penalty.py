@@ -84,11 +84,11 @@ class PenaltySpec:
         return f"PenaltySpec(depth={self.depth!r}, transform={self.transform!r})"
 
 
-def _check_radius(r, allow_negative=False):
+def _check_radius(r):
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("radius must be finite")
-    if not allow_negative and np.any(r < 0):
+    if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
     return r
 

@@ -35,11 +35,11 @@ Every five sweeps (the finish window) each level may take a second-order
 finish.  Both finishes are kept on one rule: a level keeps its finish when
 the summed computed objective change of its steps is negative (and its
 refreshed objective is finite); a trace still holds one value per sweep.
-Levels that read q > 1 columns and whose nonzero rows S stayed the same
-over the window get a Newton finish on S (proximal Newton, Lee, Sun and
-Saunders, SIAM J. Optim. 2014; Newton steps on the identified support,
-Bareilles, Iutzeler and Malick, Math. Programming), all of them in one
-call that steps them together.
+Levels that read q > 1 columns and whose nonzero rows S at the window's
+end are those stored when it began get a Newton finish on S (proximal
+Newton, Lee, Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the
+identified support, Bareilles, Iutzeler and Malick, Math. Programming),
+all of them in one call that steps them together.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -76,8 +76,10 @@ kernel reads from the shape of the levels' start, so a single-response
 group fit and the per-response lasso of :func:`larn.simbench.lasso_path`,
 run as single-column levels, both take it.  It too reads only G and the
 kernel's H, and works on the levels whose entries fail the KKT test.  In
-each round, zero entries with |x_j'r| > lam w_j/2 enter with the sign s_j
-of x_j'r; the minimizer on that orthant solves
+each round one zero entry enters, as published: the one with the largest
+|x_j'r| - lam w_j/2 > 0, with the sign s_j of x_j'r, while fewer than n
+entries are nonzero.  One entering entry always lowers the objective, so a
+column at zero can always start.  The minimizer on that orthant solves
 G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read as X'r + G b; and the
 step goes to the best of that point and the points where an entry reaches
 zero.  A round's step is taken when its computed objective change is
@@ -502,20 +504,22 @@ def _solve_masked(G, mask, rhs):
 def _orthant_candidates(G, b, g, half, max_active):
     """Feature-sign step candidates (N, p+1, p) for the lasso columns b (N, p).
 
-    Zero entries with |g_j| > half_j enter with the sign of g_j, the
-    strongest first and only while at most ``max_active`` entries are
-    nonzero.  On that sign pattern s the objective is a quadratic whose
-    minimizer solves G_MM b_M = (X'y)_M - half_M s_M, with X'y = g + G b.
+    The zero entry with the largest |g_j| - half_j > 0 enters with the sign
+    of g_j, only while fewer than ``max_active`` entries are nonzero; with
+    one entering entry the objective falls from b toward the end point.  On
+    that sign pattern s the objective is a quadratic whose minimizer solves
+    G_MM b_M = (X'y)_M - half_M s_M, with X'y = g + G b.
     The candidates along the segment to it are the point where each nonzero
     entry reaches zero (that entry set to exactly zero; the segment end where
     no entry crosses) and the end itself.
     """
-    p = b.shape[1]
-    zero = b == 0
-    viol = np.where(zero, np.abs(g) - half, -np.inf)
-    room = max_active - np.count_nonzero(~zero, axis=1)
-    rank = np.argsort(np.argsort(-viol, axis=1), axis=1)
-    s = np.where(zero, np.sign(g) * ((viol > 0) & (rank < room[:, None])), np.sign(b))
+    N, p = b.shape
+    rows = np.arange(N)
+    viol = np.where(b == 0, np.abs(g) - half, -np.inf)
+    j = np.argmax(viol, axis=1)
+    s = np.sign(b)
+    s[rows, j] += np.sign(g[rows, j]) * ((viol[rows, j] > 0)
+                                         & (np.count_nonzero(b, axis=1) < max_active))
     with np.errstate(all="ignore"):
         end = _solve_masked(G, s != 0, g + b @ G - half * s)
         cross = b * end < 0
@@ -668,9 +672,10 @@ def _cd_path(data, weights, lambdas, init, settings):
     zero starts.
 
     Every ``_FINISH_WINDOW`` sweeps the due levels run a finish, and c picks
-    it.  At c > 1 the due levels are the active ones whose nonzero-row set
-    did not change over the window (and is not empty), and they go to one
-    :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
+    it.  The kernel stores each level's nonzero rows once, as a window
+    begins.  At c > 1 the due levels are the active ones whose nonzero rows
+    at the window's end equal that snapshot (and are not empty), and they
+    go to one :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
     Woodbury-form Newton steps on its rows, padded to all p rows so that the
     levels step together with a closed-form line search, where a row whose
     step passes through zero may leave them, stopping early once the
@@ -703,10 +708,8 @@ def _cd_path(data, weights, lambdas, init, settings):
     H = X.T @ R                                    # (p, A*q)
     half = 0.5 * lambdas[None, :] * weights        # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
-    # which rows of each level were nonzero at each sweep of the window
-    nonzero = np.empty((L, _FINISH_WINDOW + 1, p), dtype=bool)
-    nonzero[:, 0] = _row_norms(B).T > 0
-    since = 0                                      # sweeps since nonzero[:, 0]
+    support = _row_norms(B).T > 0                  # (A, p): nonzero rows as the window began
+    since = 0                                      # sweeps since the window began
 
     def objectives():
         resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
@@ -718,8 +721,8 @@ def _cd_path(data, weights, lambdas, init, settings):
         # Sets obj to the kept levels' refreshed objective and returns whether
         # any level kept its finish
         if q > 1:
-            due = np.flatnonzero(np.all(nonzero == nonzero[:, -1:], axis=(1, 2))
-                                 & nonzero[:, -1].any(axis=1))
+            nonzero = _row_norms(B).T > 0
+            due = np.flatnonzero(np.all(nonzero == support, axis=1) & nonzero.any(axis=1))
             new, _, change = _newton_finish(G, H.reshape(B.shape)[:, due].transpose(1, 0, 2),
                                             B[:, due].transpose(1, 0, 2),
                                             2.0 * half[:, due].T, settings.kkt_tol)
@@ -768,11 +771,10 @@ def _cd_path(data, weights, lambdas, init, settings):
         prev = obj
         obj = objectives()
         since += 1
-        nonzero[:, since] = _row_norms(B).T > 0
         if since == _FINISH_WINDOW:
             if finish(obj):
                 np.matmul(X.T, R, out=H)
-            nonzero[:, 0] = _row_norms(B).T > 0
+            support = _row_norms(B).T > 0
             since = 0
         for l, v in zip(act.tolist(), obj.tolist()):
             traces[l].append(v)
@@ -795,7 +797,7 @@ def _cd_path(data, weights, lambdas, init, settings):
                 H = X.T @ R
                 half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
-                nonzero = nonzero[keep]
+                support = support[keep]
     out[act] = B.transpose(1, 0, 2)
     return out, traces
 

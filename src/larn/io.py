@@ -15,6 +15,14 @@ def fmt(value):
     return f"{float(value):.17g}"
 
 
+def write_rows(path, header, rows):
+    """Write a CSV: string cells as they are, every other cell through :func:`fmt`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n")
+
+
 def write_matrix_csv(path, M, header=None):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     cols = M.shape[1]
@@ -22,10 +30,7 @@ def write_matrix_csv(path, M, header=None):
         header = [f"c{k}" for k in range(cols)]
     if len(header) != cols:
         raise ValueError(f"header has {len(header)} names for {cols} columns")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in M:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    write_rows(path, header, M)
 
 
 def read_matrix_csv(path):

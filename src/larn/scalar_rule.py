@@ -158,10 +158,9 @@ def equivalence_orthogonal(data, lam, pen):
 class RiskReport:
     """Monte Carlo risk of the rule against the reference bound."""
 
-    def __init__(self, n, theta, lam, monte_carlo_risk, mc_standard_error,
+    def __init__(self, n, lam, monte_carlo_risk, mc_standard_error,
                  ideal_risk, bound, replications, penalty_name):
         self.n = n
-        self.theta = theta
         self.lam = lam
         self.monte_carlo_risk = monte_carlo_risk
         self.mc_standard_error = mc_standard_error
@@ -228,5 +227,5 @@ def minimax_check(n, theta, pen, replications=2000, seed=0):
         totals[r] = np.sum(err * err)
     risk = float(np.mean(totals))
     se = float(np.std(totals, ddof=1) / math.sqrt(replications))
-    return RiskReport(n, theta, lam, risk, se, ideal_risk(theta),
+    return RiskReport(n, lam, risk, se, ideal_risk(theta),
                       risk_bound(n, theta, pen), replications, pen.name)

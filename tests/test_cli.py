@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from larn.group_solver import Dataset, SolverSettings
 from larn.io import read_matrix_csv, write_matrix_csv
 from larn.model_selection import CvGrid, fit_with_selection
 from larn.scalar_rule import depth_scalar_penalty
+from larn.simbench import MetricsRow
 
 
 def run(argv):
@@ -46,6 +48,41 @@ def assert_fold_failure_exit_1(tmp_path, capsys, command):
     assert rc == 1
     assert "numeric failure: fold" in capsys.readouterr().err
     assert not out.exists()
+
+
+REQUIRED = "required"
+
+# every subcommand's options and their defaults; REQUIRED marks a required one
+OPTIONS = {
+    "fit": {"--x": REQUIRED, "--y": REQUIRED, "--out-dir": REQUIRED, "--seed": 0,
+            "--jobs": 1, "--trace-out": None, "--depth": "halfspace", "--transform": "max",
+            "--lambda-scale": "log10", "--n-lambdas": 100, "--lambdas": None,
+            "--n-thresholds": 100, "--thresholds": None, "--folds": 5, "--one-step": "true"},
+    "cv": {"--x": REQUIRED, "--y": REQUIRED, "--out-dir": REQUIRED, "--seed": 0,
+           "--jobs": 1, "--depth": "halfspace", "--transform": "max",
+           "--lambda-scale": "log10", "--n-lambdas": 100, "--lambdas": None,
+           "--n-thresholds": 100, "--thresholds": None, "--folds": 5, "--one-step": "true"},
+    "simulate": {"--config": REQUIRED, "--out-dir": REQUIRED},
+    "benchmark": {"--config": REQUIRED, "--out": REQUIRED, "--methods": "larn,tgl,seplasso",
+                  "--jobs": 1, "--n-lambdas": 100, "--lambdas": None, "--n-thresholds": 100,
+                  "--folds": 5},
+    "threshold-curve": {"--out": REQUIRED, "--lambda": 1.0, "--zmax": 6.0, "--step": 0.01,
+                        "--depth": "halfspace", "--transform": "max"},
+    "minimax-check": {"--out": REQUIRED, "--n": REQUIRED, "--theta-csv": None,
+                      "--replications": 2000, "--seed": 0, "--depth": "halfspace",
+                      "--transform": "max"},
+}
+
+
+class TestParser:
+    def test_options_and_defaults(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {opt: REQUIRED if a.required else a.default
+                        for a in parser._actions for opt in a.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, parser in sub.choices.items()}
+        assert found == OPTIONS
 
 
 class TestMatrixCsv:
@@ -415,6 +452,21 @@ class TestBenchmark:
         run(["benchmark", "--config", str(cfg_path), "--out", str(out2)] + args)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_row_format(self, tmp_path, monkeypatch):
+        # strings verbatim, the replication as an integer, floats through io.fmt
+        rows = [MetricsRow("p5_q3", 0.7, 0, "larn", 0.1, 1 / 3, 1.0, 0.75),
+                MetricsRow("p5_q3", 0.7, 12, "seplasso", 2.5e-17, 0.0, 0.5, 1.0)]
+        monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: rows)
+        cfg_path = tmp_path / "sim.json"
+        write_sim_config(cfg_path)
+        out = tmp_path / "metrics.csv"
+        assert run(["benchmark", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            "setting,rho,replication,method,cv_rmse,mae,tp,tn",
+            "p5_q3,0.69999999999999996,0,larn,0.10000000000000001,0.33333333333333331,1,0.75",
+            "p5_q3,0.69999999999999996,12,seplasso,2.4999999999999999e-17,0,0.5,1",
+        ]
+
     def test_unknown_method_exit_2(self, tmp_path):
         cfg_path = tmp_path / "sim.json"
         write_sim_config(cfg_path)
@@ -460,7 +512,7 @@ class TestBenchmark:
 # imports, and each command below (the first two evaluate the normal cdf
 # through the halfspace + exp weights) exits 0, with scipy never loaded.
 WITHOUT_SCIPY = """
-import importlib, sys
+import importlib, json, sys
 
 class BlockScipy:
     def find_spec(self, name, path=None, target=None):
@@ -475,14 +527,19 @@ from larn import cli
 
 out, x, y = sys.argv[1:]
 penalty = ["--depth", "halfspace", "--transform", "exp"]
+grid = ["--n-lambdas", "5", "--n-thresholds", "5", "--folds", "3"]
+with open(f"{out}/sim.json", "w") as fh:
+    json.dump({"n": 20, "p": 5, "q": 3, "rho": 0.5, "seed": 1, "replications": 1}, fh)
 codes = [
     cli.main(["threshold-curve", "--out", f"{out}/curve.csv", "--step", "0.5"] + penalty),
     cli.main(["minimax-check", "--out", f"{out}/mm.json", "--n", "128",
               "--replications", "5"] + penalty),
-    cli.main(["fit", "--x", x, "--y", y, "--out-dir", f"{out}/fit", "--n-lambdas", "5",
-              "--n-thresholds", "5", "--folds", "3"]),
+    cli.main(["fit", "--x", x, "--y", y, "--out-dir", f"{out}/fit"] + grid),
+    cli.main(["cv", "--x", x, "--y", y, "--out-dir", f"{out}/cv"] + grid),
+    cli.main(["benchmark", "--config", f"{out}/sim.json", "--out", f"{out}/metrics.csv"]
+             + grid),
 ]
-assert codes == [0, 0, 0], codes
+assert codes == [0, 0, 0, 0, 0], codes
 assert "scipy" not in sys.modules
 """
 
@@ -502,3 +559,5 @@ class TestWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "curve.csv").exists()
         assert (tmp_path / "fit" / "coefficients.csv").exists()
+        assert (tmp_path / "cv" / "cv_best.json").exists()
+        assert (tmp_path / "metrics.csv").exists()

@@ -169,8 +169,8 @@ class TestConvergence:
 def residual_form_sweeps(X, Y, w, lam, B, sweeps, window=5):
     # plain cyclic block updates that read x_j'R and update R; after every
     # ``window`` sweeps (never when window is None) the kernel's Newton
-    # finish when the nonzero rows held over the window, kept only when it
-    # lowers the objective
+    # finish when the nonzero rows at the window's end are those at its
+    # start, kept only when it lowers the objective
     B = B.copy()
     R = Y - X @ B
     s = np.einsum("ij,ij->j", X, X)
@@ -184,7 +184,7 @@ def residual_form_sweeps(X, Y, w, lam, B, sweeps, window=5):
             B[j] = b
         rows.append(np.linalg.norm(B, axis=1) > 0)
         if window is not None and len(rows) == window + 1:
-            if all(np.array_equal(r, rows[-1]) for r in rows) and rows[-1].any():
+            if np.array_equal(rows[0], rows[-1]) and rows[-1].any():
                 Bn, steps, df = _newton_finish(X.T @ X, (X.T @ (Y - X @ B))[None], B[None],
                                                (lam * w)[None], 1e-6)
                 if steps[0] and df[0] < 0:
@@ -524,6 +524,25 @@ class TestFeatureSignFinish:
         assert np.all(np.count_nonzero(b, axis=1) <= 8)
         g = (X.T @ (Y - X @ b.T)).T
         assert np.max(entry_residuals(g, b, half)) <= 1e-9
+
+    def test_wide_columns_leave_zero(self):
+        # p > n from B = 0: a round enters one entry, the strongest violator,
+        # so it lowers the objective and every column descends.  Entering
+        # every violator at once raised the objective of two of these three
+        # columns, which then stayed at zero
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((8, 14)), rng.standard_normal((8, 3))
+        lam = 0.3
+        b, g, half = column_pairs(X, Y, np.zeros((14, 3)), lam)
+        G = X.T @ X
+        before = column_objectives(X, Y, b, lam)
+        first, gf = b.copy(), g.copy()
+        _sign_round(G, first, gf, half, 8)
+        assert np.all(np.count_nonzero(first, axis=1) == 1)
+        assert np.all(np.argmax(np.abs(g), axis=1) == np.argmax(np.abs(first), axis=1))
+        b, change = _feature_sign(G, b, g, half, 1e-9, 8)
+        assert np.all(change < 0)
+        assert np.all(column_objectives(X, Y, b, lam) < before)
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("start", ["zero", "least squares"])

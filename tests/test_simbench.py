@@ -228,6 +228,15 @@ class TestRunBenchmark:
         b = run_benchmark(cfg, jobs=4, **kw)
         assert [r.astuple() for r in a] == [r.astuple() for r in b]
 
+    def test_list_seed_rows_do_not_depend_on_jobs(self):
+        # a list-valued seed is flattened to one integer per replication
+        cfg = SimConfig(n=15, p=4, q=2, rho=0.5, seed=[8, 3], replications=2)
+        kw = dict(lambdas=default_lambdas(num=5), n_thresholds=4, k=3)
+        a = run_benchmark(cfg, jobs=1, **kw)
+        b = run_benchmark(cfg, jobs=2, **kw)
+        assert len(a) == 2 * len(METHODS)
+        assert [r.astuple() for r in a] == [r.astuple() for r in b]
+
     def test_unknown_method_rejected(self):
         cfg = SimConfig(replications=1)
         with pytest.raises(ValueError, match="unknown methods"):
