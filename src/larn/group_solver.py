@@ -74,11 +74,13 @@ the Hessian on S is 2 G_SS, singular once |S| > n.  Which finish a level
 takes follows only from how many response columns it reads, which the
 kernel reads from the shape of the levels' start, so a single-response
 group fit and the per-response lasso of :func:`larn.simbench.lasso_path`,
-run as single-column levels, both take it.  It too reads only G and the
-kernel's H, and works on the levels whose entries fail the KKT test.  In
-each round one zero entry enters, as published: the one with the largest
-|x_j'r| - lam w_j/2 > 0, with the sign s_j of x_j'r, while fewer than n
-entries are nonzero.  One entering entry always lowers the objective, so a
+run as single-column levels, both take it.  The lasso starts on its exact
+homotopy path, so its levels pass the KKT test after one sweep and reach
+the finish only where the homotopy stopped short.  Feature-sign too reads
+only G and the kernel's H, and works on the levels whose entries fail the
+KKT test.  In each round one zero entry enters, as published: the one
+with the largest |x_j'r| - lam w_j/2 > 0, with the sign s_j of x_j'r,
+while fewer than n entries are nonzero.  One entering entry always lowers the objective, so a
 column at zero can always start.  The minimizer on that orthant solves
 G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read as X'r + G b; and the
 step goes to the best of that point and the points where an entry reaches
@@ -669,7 +671,7 @@ def _cd_path(data, weights, lambdas, init, settings):
     that form; the reweighting rounds of :func:`larn.estimator.larn_path`
     after the first pass each level its own iterate and the weights taken
     there, and :func:`larn.simbench.lasso_path` passes L*q single-column
-    zero starts.
+    starts, its homotopy's path.
 
     Every ``_FINISH_WINDOW`` sweeps the due levels run a finish, and c picks
     it.  The kernel stores each level's nonzero rows once, as a window

@@ -30,16 +30,15 @@ from .group_solver import bcd_solve_path  # noqa: F401
 def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
     """Penalty grid: num values 10^u for u equally spaced in (low, high).
 
-    ``scale="linear-positive"`` instead spaces the values linearly over the
-    positive part of (low, high); a literal linear grid on (-2, 2) would
-    contain nonpositive penalty levels, which are ill-posed.
+    ``scale="linear-positive"`` instead spaces num values linearly over the
+    positive part (max(low, 0), high), endpoints excluded; a literal linear
+    grid on (-2, 2) would contain nonpositive penalty levels, which are
+    ill-posed.
     """
     if scale == "log10":
         return np.logspace(low, high, num)
     if scale == "linear-positive":
-        step = (high - low) / (num + 1)
-        vals = low + step * np.arange(1, num + 1)
-        return vals[vals > 0]
+        return np.linspace(max(low, 0.0), high, num + 2)[1:-1]
     raise ValueError(f"unknown lambda scale {scale!r}")
 
 

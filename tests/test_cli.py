@@ -324,6 +324,19 @@ class TestCv:
         assert best["fit_count"] == 18
         assert best["certified"] is True
 
+    def test_linear_positive_scale_gives_every_level(self, tmp_path):
+        rng = np.random.default_rng(2)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        out = tmp_path / "cv"
+        rc = run(["cv", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(out), "--n-lambdas", "7",
+                  "--lambda-scale", "linear-positive", "--n-thresholds", "3",
+                  "--folds", "3"])
+        assert rc == 0
+        surface, _ = read_matrix_csv(out / "cv_surface.csv")
+        np.testing.assert_allclose(np.unique(surface[:, 0]), np.linspace(0.25, 1.75, 7))
+
     def test_fold_failure_exit_1(self, tmp_path, capsys):
         assert_fold_failure_exit_1(tmp_path, capsys, "cv")
 

@@ -112,6 +112,12 @@ class TestGrids:
         assert np.all(lam > 0)
         assert lam[-1] < 2.0
 
+    @pytest.mark.parametrize("num", [1, 2, 7, 100])
+    def test_linear_positive_scale_has_every_level(self, num):
+        lam = default_lambdas(num=num, scale="linear-positive")
+        assert len(lam) == num
+        assert np.all((lam > 0) & (lam < 2.0))
+
     def test_threshold_grid_span(self):
         t = threshold_grid(2.0, num=100)
         assert len(t) == 100

@@ -7,7 +7,7 @@ import pytest
 from larn import group_solver, simbench
 from larn.estimator import LarnConfig, larn_fit
 from larn.group_solver import Dataset, bcd_solve
-from larn.model_selection import default_lambdas
+from larn.model_selection import default_lambdas, kfold_split
 from larn.simbench import (METHODS, SimConfig, ar1_covariance,
                            generate_instance, lasso_path, metrics,
                            run_benchmark, sample_gaussian_rows, select_lasso,
@@ -331,8 +331,9 @@ def sweeps_and_monotone(traces):
 
 class TestLassoFinish:
     def test_paper_path_certified_in_few_sweeps(self):
-        # plain sweeps certify this path in 9574 level-sweeps; with the
-        # feature-sign finish every five sweeps it takes 641, a level's
+        # from zero, plain sweeps certify this path in 9574 level-sweeps and
+        # sweeps with the feature-sign finish every five in 641; from the
+        # homotopy's start it takes 100, one sweep per level, a level's
         # sweeps counted as its slowest column's
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
         lambdas = np.logspace(-2, 4, 100)
@@ -356,9 +357,9 @@ class TestLassoFinish:
             np.testing.assert_allclose(B, proximal_gradient_lasso(X, d.Y, lam), atol=1e-8)
 
     def test_wide_instance_certified_and_finite(self):
-        # p > n: the sweeps leave more nonzeros per column than X has rows,
-        # and the six smallest levels used to end uncertified after 1000
-        # sweeps (KKT 2e-2 to 9e-2); the finish first steps the support down
+        # p > n: from zero the sweeps leave more nonzeros per column than X
+        # has rows, and the six smallest levels used to end uncertified after
+        # 1000 sweeps (KKT 2e-2 to 9e-2); the homotopy's start has at most n
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
         lambdas = np.logspace(-2, 4, 20)
         with warnings.catch_warnings():
@@ -379,17 +380,23 @@ class TestLassoFinish:
         assert np.all(np.isfinite(stack))
 
     def test_duplicate_column_certified(self):
-        # two equal columns make some orthant systems exactly singular; those
-        # columns are solved one at a time, and a column holding both steps
-        # along the null vector instead
+        # two equal columns make some orthant systems exactly singular; from
+        # zero, those columns are solved one at a time, and a column holding
+        # both steps along the null vector instead
         assert_collinear_path_certified(1.0)
 
     def test_scaled_copy_column_certified(self):
-        # a column -2 times another: the sweeps alone left lambda = 0.01 at
-        # a KKT residual of 5e-3, where the orthant systems are singular
+        # a column -2 times another: from zero, the sweeps alone left
+        # lambda = 0.01 at a KKT residual of 5e-3, where the orthant systems
+        # are singular
         assert_collinear_path_certified(-2.0)
 
-    def test_uncertified_level_warns_once(self):
+    def test_uncertified_level_warns_once(self, monkeypatch):
+        # from the homotopy's start every level is certified at once, so the
+        # kernel starts from zero here, where three sweeps leave the p > n
+        # path uncertified
+        monkeypatch.setattr(simbench, "_lasso_homotopy",
+                            lambda G, XtY, lambdas: np.zeros((len(lambdas),) + XtY.shape))
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
         lambdas = np.logspace(-2, 4, 20)
         with warnings.catch_warnings(record=True) as caught:
@@ -402,3 +409,80 @@ class TestLassoFinish:
         assert caught[0].category is RuntimeWarning
         assert f"lambda = {lambdas[i]:g}" in message
         assert f"{worst[i]:.3g}" in message and "1e-06" in message
+
+
+def recorded_start(data, lambdas):
+    # the (L*q, p, 1) start that lasso_path hands to the kernel
+    starts = []
+
+    def recording(*args, **kwargs):
+        starts.append(args[3])
+        return group_solver._cd_path(*args, **kwargs)
+
+    with mock.patch.object(simbench, "_cd_path", recording):
+        lasso_path(data, lambdas)
+    return starts[0]
+
+
+def homotopy(data, lambdas):
+    return simbench._lasso_homotopy(data.X.T @ data.X, data.X.T @ data.Y, lambdas)
+
+
+class TestLassoHomotopy:
+    @pytest.mark.parametrize("p, q", [(20, 20), (60, 10)])
+    def test_start_alone_certified_on_training_sets(self, p, q):
+        data, _ = generate_instance(SimConfig(n=50, p=p, q=q, rho=0.7, seed=1))
+        lambdas = np.logspace(-2, 4, 100)
+        for test_idx in kfold_split(data.n, 5, 0):
+            train = data.subset(np.setdiff1d(np.arange(data.n), test_idx))
+            for B, lam in zip(homotopy(train, lambdas), lambdas):
+                assert np.max(lasso_residuals(train, B, lam)) <= 1e-6
+
+    def test_left_entry_does_not_reenter_on_its_side(self):
+        # column 3 of the paper replication's full data: entry 12 leaves at
+        # mu = 2.109, where c_12 = -mu up to rounding; were it let back in
+        # on that side, it would re-enter at once and every level from
+        # mu = 1.76 down would fail the KKT test
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, rho=0.7, seed=[1, 0]))
+        lambdas = np.logspace(-2, 4, 100)
+        for B, lam in zip(homotopy(data, lambdas), lambdas):
+            assert np.max(lasso_residuals(data, B, lam)) <= 1e-6
+
+    def test_any_level_order_matches_separate_lasso(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((30, 8))
+        d = Dataset(X, X @ rng.normal(0.0, 2.0, (8, 3)) + rng.standard_normal((30, 3)))
+        top = 2.0 * np.abs(X.T @ d.Y).max() * 1.5
+        lambdas = [5.0, 0.3, top, 0.3, 0.01, 40.0]
+        start = homotopy(d, lambdas)
+        stack = lasso_path(d, lambdas)
+        assert np.all(start[2] == 0.0) and np.all(stack[2] == 0.0)
+        np.testing.assert_array_equal(start[1], start[3])
+        for lam, B0, B in zip(lambdas, start, stack):
+            reference = separate_lasso(d, lam)
+            np.testing.assert_allclose(B0, reference, atol=1e-8)
+            np.testing.assert_allclose(B, reference, atol=1e-8)
+
+    def test_singular_solve_stops_at_last_knot(self):
+        # G is singular on {0, 1}: the column starts at mu = 1 with entry 0,
+        # entry 1 joins at mu = 0.25, and that solve fails, so the levels
+        # below keep the knot b = (0.75, 0)
+        G = np.ones((2, 2))
+        start = simbench._lasso_homotopy(G, np.array([[1.0], [0.5]]), [3.0, 1.0, 0.2, 0.0])
+        np.testing.assert_allclose(start[:, :, 0], [[0.0, 0.0], [0.5, 0.0],
+                                                    [0.75, 0.0], [0.75, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1.0, -2.0])
+    def test_collinear_start_finite(self, scale):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((20, 6))
+        X[:, 5] = scale * X[:, 2]
+        d = Dataset(X, X[:, :3] @ np.ones((3, 2)) + 0.1 * rng.standard_normal((20, 2)))
+        assert np.all(np.isfinite(recorded_start(d, [0.0, 0.01, 0.5, 3.0])))
+
+    def test_wide_zero_level_start_finite(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((6, 15))
+        X[:, 14] = -2.0 * X[:, 3]
+        d = Dataset(X, rng.standard_normal((6, 2)))
+        assert np.all(np.isfinite(recorded_start(d, [0.0, 1e-3, 0.1, 2.0])))
