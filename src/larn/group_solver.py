@@ -26,10 +26,23 @@ form (the covariance updates of Friedman, Hastie and Tibshirani, JSS
     g_j = H_j + s_j b_j,    H -= (X'X)[:, j] delta_j'
 
 so a row costs O(p) instead of the O(n) of reading x_j'R and updating R.
-R, and H from it, are recomputed from B after every sweep that moved a
-row, so the traces, the finishes and the KKT certificate never rest on the
-incremental updates or on the cancelling expansion
-||Y||^2 - 2 tr(B'X'Y) + tr(B'X'XB).
+R itself is formed once, at each level's start B_s.  With G = X'X,
+D = B - B_s, H_s = X'(Y - X B_s) and r_s = ||Y - X B_s||^2 per column, H
+is recomputed as H_s - G D after every sweep that moved a row, and the fit
+term is read as
+
+    ||Y - XB||^2 = r_s - <D, H_s> - <D, H>,
+
+so the traces, the finishes and the KKT retire test never rest on the
+incremental updates, and a sweep costs O(p^2) per column with no O(n)
+term (G D has the row updates' flop count, but as one BLAS product it takes
+a small share of their time, also at p >> n).  The anchor is the
+start, not zero: the starts the package passes (the least-squares fit, the
+lasso's homotopy path, the previous reweighting round's iterate) lie near
+their solutions, so the expansion cancels little, while the zero-anchored
+||Y||^2 - <B, X'Y> - <B, H> cancels enough to raise one p > n lasso
+column's trace by 1.1e-12 on an objective of 0.149.  :func:`kkt_residual`
+still reads X'(Y - XB) from the data.
 
 Every five sweeps (the finish window) each level may take a second-order
 finish.  Both finishes are kept on one rule: a level keeps its finish when
@@ -686,15 +699,15 @@ def _cd_path(data, weights, lambdas, init, settings):
     at ``settings.kkt_tol``.  Either way a level keeps its finish when the
     summed computed objective change of its steps is negative and its
     refreshed objective is finite; else it is restored.  Both finishes read
-    the kernel's G and H: R and H = X'R are refreshed from B after every
-    sweep that moved a row, so a finish reads a fresh H, and again after a
-    kept finish.  Rows the finish zeroes, like the other zero rows, are left
-    to the sweeps and to the KKT retire test, which with the stopping rule
-    and compaction are unchanged.  A trace holds one value per sweep, a
-    kept finish included.
+    the kernel's G and H.  The kernel forms R = Y - XB only at the starts
+    B_s, keeping H_s = X'R and r_s = ||R||^2 there per column; H is
+    recomputed as H_s - G (B - B_s) after every sweep that moved a row, so a
+    finish reads a fresh H, and again after a kept finish.  Compaction
+    carries each level's B_s, H_s and r_s.  Rows the finish zeroes, like the
+    other zero rows, are left to the sweeps and to the KKT retire test.  A
+    trace holds one value per sweep, a kept finish included.
     """
-    X, Y = data.X, data.Y
-    n, p = data.n, data.p
+    X, n, p = data.X, data.n, data.p
     L, _, q = init.shape                           # q: columns per level
     col_ss = _column_norms_squared(X)
     G = X.T @ X                                    # symmetric: row j is column j
@@ -705,23 +718,31 @@ def _cd_path(data, weights, lambdas, init, settings):
     act = np.arange(L)
     B = init.transpose(1, 0, 2).copy()             # level axis in the middle
     B2 = B.reshape(p, -1)
-    Yb = np.tile(Y, L * q // data.q)               # column i is Y[:, i mod q]
-    R = Yb - X @ B2                                # (n, A*q), C-contiguous
-    H = X.T @ R                                    # (p, A*q)
+    Bs = B2.copy()                                 # (p, A*q): each level's start, its anchor
+    # R at the starts, formed once; column i reads Y[:, i mod q]
+    Rs = np.tile(data.Y, L * q // data.q) - X @ Bs
+    Hs, rs = X.T @ Rs, np.einsum("ab,ab->b", Rs, Rs)   # X'R (p, A*q), ||R||^2 (A*q,)
+    del Rs
+    H = Hs.copy()                                  # (p, A*q): X'R at B
     half = 0.5 * lambdas[None, :] * weights        # (p, A): lam w_j / 2
     out = np.empty((L, p, q))
     support = _row_norms(B).T > 0                  # (A, p): nonzero rows as the window began
     since = 0                                      # sweeps since the window began
 
+    def refresh():
+        # H = H_s - G D with D = B - B_s, recomputed from B, not updated
+        np.subtract(Hs, G @ (B2 - Bs), out=H)
+
     def objectives():
-        resid = np.einsum("ab,ab->b", R, R).reshape(-1, q).sum(axis=1)
-        return resid + 2.0 * np.einsum("pa,pa->a", half, _row_norms(B))
+        # ||R||^2 = r_s - <D, H_s> - <D, H> per column
+        resid = rs - np.einsum("pa,pa->a", B2 - Bs, Hs + H)
+        pen = 2.0 * np.einsum("pa,pa->a", half, _row_norms(B))
+        return resid.reshape(-1, q).sum(axis=1) + pen
 
     def finish(obj):
         # the due levels run their finish; those whose summed computed change
         # is negative keep it unless their refreshed objective is not finite.
-        # Sets obj to the kept levels' refreshed objective and returns whether
-        # any level kept its finish
+        # Sets obj to the kept levels' refreshed objective and H to the kept B
         if q > 1:
             nonzero = _row_norms(B).T > 0
             due = np.flatnonzero(np.all(nonzero == support, axis=1) & nonzero.any(axis=1))
@@ -735,17 +756,16 @@ def _cd_path(data, weights, lambdas, init, settings):
         kept = change < 0
         take = due[kept]
         if take.size == 0:
-            return False
+            return
         before = B[:, take]
         B[:, take] = new[kept].transpose(1, 0, 2)
-        np.subtract(Yb, X @ B2, out=R)
+        refresh()
         trial = objectives()[take]
         bad = ~np.isfinite(trial)
         if np.any(bad):
             B[:, take[bad]] = before[:, bad]
-            np.subtract(Yb, X @ B2, out=R)
+            refresh()
         obj[take[~bad]] = trial[~bad]
-        return not np.all(bad)
 
     obj = objectives()
     traces = [[v] for v in obj.tolist()]
@@ -767,15 +787,13 @@ def _cd_path(data, weights, lambdas, init, settings):
             if not np.all(np.isfinite(B)):
                 bad = int(np.flatnonzero(~np.isfinite(B).all(axis=(1, 2)))[0])
                 raise SolverError(f"non-finite update in row {bad}")
-            # full refresh keeps traces and the finishes free of incremental drift
-            np.subtract(Yb, X @ B2, out=R)
-            np.matmul(X.T, R, out=H)
+            # the traces and the finishes never read the row updates' drift
+            refresh()
         prev = obj
         obj = objectives()
         since += 1
         if since == _FINISH_WINDOW:
-            if finish(obj):
-                np.matmul(X.T, R, out=H)
+            finish(obj)
             support = _row_norms(B).T > 0
             since = 0
         for l, v in zip(act.tolist(), obj.tolist()):
@@ -791,12 +809,11 @@ def _cd_path(data, weights, lambdas, init, settings):
                 act = act[keep]
                 if act.size == 0:
                     return out, traces
+                cols = np.repeat(keep, q)
                 B = np.ascontiguousarray(B[:, keep, :])
                 B2 = B.reshape(p, -1)
-                Yb = np.ascontiguousarray(
-                    Yb.reshape(n, A, q)[:, keep, :]).reshape(n, -1)
-                R = Yb - X @ B2
-                H = X.T @ R
+                Bs, Hs, H = (np.compress(cols, M, axis=1) for M in (Bs, Hs, H))
+                rs = rs[cols]
                 half = np.ascontiguousarray(half[:, keep])
                 obj = obj[keep]
                 support = support[keep]

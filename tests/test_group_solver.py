@@ -452,6 +452,64 @@ class TestNewtonFinish:
             single, _ = bcd_solve(data, w, lam, init=B0)
             assert np.max(np.abs(B - single)) <= 1e-10
 
+    def test_tall_instance_every_level_certified_and_batch_free(self):
+        # n >> p: the kernel retires a level on its H = H_s - G (B - B_s),
+        # never on X'(Y - XB); each level must pass the KKT test recomputed
+        # from the data, and levels retire at different sweeps, so compaction
+        # must carry every level's own H (the levels share their start here;
+        # test_levels_with_their_own_starts covers B_s, H_s and r_s)
+        data, _ = generate_instance(SimConfig(n=1000, p=50, q=20, rho=0.7, seed=1))
+        B0 = initial_estimate(data)
+        w = group_weights(B0, LarnConfig().penalty)
+        lambdas = np.logspace(-2, 4, 10)
+        stack, traces = bcd_solve_path(data, w, lambdas, init=B0)
+        assert len({len(t) for t in traces}) > 1
+        for B, lam in zip(stack, lambdas):
+            assert np.max(kkt_residual(data, B, w, lam)) <= SolverSettings().kkt_tol
+            single, _ = bcd_solve(data, w, lam, init=B0)
+            assert np.max(np.abs(B - single)) <= 1e-12
+
+
+class TestStartAnchor:
+    @pytest.mark.parametrize("case", ["tall-zero", "tall-B0", "wide-B0"])
+    def test_last_trace_value_is_the_objective(self, case):
+        # the kernel's fit term r_s - <D, H_s> - <D, H>, D = B - B_s, against
+        # ||Y - XB||^2 from the data: from a zero start (the anchor is zero,
+        # r_s = ||Y||^2), from the least-squares start, and from the p > n
+        # minimum-norm start
+        sim = dict(n=50, p=60, q=10) if case == "wide-B0" else dict(n=1000, p=50, q=20)
+        data, _ = generate_instance(SimConfig(rho=0.7, seed=1, **sim))
+        with (pytest.warns(RuntimeWarning, match="rank deficient") if data.p > data.n
+              else contextlib.nullcontext()):
+            B0 = initial_estimate(data)
+        w = group_weights(B0, LarnConfig().penalty)
+        lambdas = np.logspace(-2, 4, 10)
+        init = None if case == "tall-zero" else B0
+        stack, traces = bcd_solve_path(data, w, lambdas, init=init)
+        for B, lam, trace in zip(stack, lambdas, traces):
+            # closest: the p > n level at lambda = 0.01, 7e-13 off an
+            # objective of 0.079 (its start leaves a residual of 2e-26)
+            assert trace[-1] == pytest.approx(objective(data, B, w, lam), rel=1e-12)
+
+    def test_levels_with_their_own_starts(self):
+        # each level anchored at a start of its own, as in full-mode rounds:
+        # levels retire at different sweeps, so a level whose start, H_s or
+        # r_s compaction took from another level would leave its single-level
+        # solve or misreport its objective
+        data, _ = generate_instance(SimConfig(n=1000, p=50, q=20, rho=0.7, seed=1))
+        B0 = initial_estimate(data)
+        w = group_weights(B0, LarnConfig().penalty)
+        lambdas = np.logspace(-2, 4, 10)
+        starts = np.linspace(1.0, 0.0, 10)[:, None, None] * B0
+        stack, traces = group_solver._cd_path(data, np.tile(w[:, None], (1, 10)), lambdas,
+                                              starts, SolverSettings())
+        assert len({len(t) for t in traces}) > 1
+        for B, lam, start, trace in zip(stack, lambdas, starts, traces):
+            single, single_trace = bcd_solve(data, w, lam, init=start)
+            assert np.max(np.abs(B - single)) <= 1e-12
+            assert trace == pytest.approx(single_trace, rel=1e-12)
+            assert trace[-1] == pytest.approx(objective(data, B, w, lam), rel=1e-12)
+
 
 def column_pairs(X, Y, B, lam):
     # the feature-sign finish's arrays for the columns of one level, each
