@@ -155,9 +155,10 @@ def larn_path(data, config, lambdas):
     batched :func:`larn.group_solver.bcd_solve_path` call over the grid;
     one-step mode stops after it and reports the inner objective traces.
     In full mode each later round re-solves the unfinished levels as one
-    batched kernel call, each from its own iterate and with the weights
-    taken there.  A level stops once the KKT residual of the weighted
-    problem at the weights taken at its own estimate is at most
+    batched kernel call, each given its own iterate as start and the
+    weights taken there (at one response column the kernel may start lower,
+    on the weighted lasso path).  A level stops once the KKT residual of
+    the weighted problem at the weights taken at its own estimate is at most
     ``config.solver.kkt_tol`` (the estimate is then a certified stationary
     point of the nonconvex objective), or after ``config.max_outer_iters``
     rounds; its trace holds the nonconvex objective at B0 and after each
@@ -198,8 +199,9 @@ def larn_path(data, config, lambdas):
                         & (iters[todo] < config.max_outer_iters)]
             if todo.size == 0:
                 break
-            # each level starts at its own iterate, where its surrogate touches
-            # Q, so the inner solve cannot increase Q
+            # each level is given its own iterate, where its surrogate touches
+            # Q, and starts no higher on the surrogate, so the inner solve
+            # cannot increase Q
             stack[todo] = _cd_path(data, weights[:, todo], lambdas[todo], stack[todo],
                                    config.solver)[0]
             iters[todo] += 1

@@ -44,15 +44,14 @@ their solutions, so the expansion cancels little, while the zero-anchored
 column's trace by 1.1e-12 on an objective of 0.149.  :func:`kkt_residual`
 still reads X'(Y - XB) from the data.
 
-Every five sweeps (the finish window) each level may take a second-order
-finish.  Both finishes are kept on one rule: a level keeps its finish when
-the summed computed objective change of its steps is negative (and its
-refreshed objective is finite); a trace still holds one value per sweep.
-Levels that read q > 1 columns and whose nonzero rows S at the window's
-end are those stored when it began get a Newton finish on S (proximal
-Newton, Lee, Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the
-identified support, Bareilles, Iutzeler and Malick, Math. Programming),
-all of them in one call that steps them together.
+Every five sweeps (the finish window) each level may take a Newton finish,
+kept when the summed computed objective change of its steps is negative
+(and its refreshed objective is finite); a trace still holds one value per
+sweep.  The levels whose nonzero rows S at the window's end are those
+stored when it began get the finish on S (proximal Newton, Lee, Sun and
+Saunders, SIAM J. Optim. 2014; Newton steps on the identified support,
+Bareilles, Iutzeler and Malick, Math. Programming), all of them in one call
+that steps them together.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -68,10 +67,9 @@ form: a trial point costs only its row norms.  Rows may leave S:
 a row j crosses when its full step d_j passes through zero,
 <b_j, b_j + d_j> < 0, and the candidates are then the full step with every
 crossing row set to zero and, for each crossing row, the point of the
-segment where its norm is smallest with that row set to zero (the group
-counterpart of feature-sign's sign-change points), whose change of fit
-reads G_jj and row j of H and Gd.  The lowest is taken if it lowers the
-objective, and the rows it zeroes leave S; the step backtracks (Armijo)
+segment where its norm is smallest with that row set to zero, whose change
+of fit reads G_jj and row j of H and Gd.  The lowest is taken if it lowers
+the objective, and the rows it zeroes leave S; the step backtracks (Armijo)
 only when no row crosses or no candidate is lower.
 Each step is accepted on its computed objective change, which must be
 finite and negative, not on the difference of two rounded objectives; the
@@ -81,29 +79,15 @@ fixed number of steps.
 This is what certifies p > n levels that sweeps alone leave uncertified
 after 1000.
 
-At q = 1 the row penalty is l1, ||b_j|| = |b_j|, and the finish is
-feature-sign search (Lee, Battle, Raina and Ng, NIPS 2007) instead: there
-the Hessian on S is 2 G_SS, singular once |S| > n.  Which finish a level
-takes follows only from how many response columns it reads, which the
-kernel reads from the shape of the levels' start, so a single-response
-group fit and the per-response lasso of :func:`larn.simbench.lasso_path`,
-run as single-column levels, both take it.  The lasso starts on its exact
-homotopy path, so its levels pass the KKT test after one sweep and reach
-the finish only where the homotopy stopped short.  Feature-sign too reads
-only G and the kernel's H, and works on the levels whose entries fail the
-KKT test.  In each round one zero entry enters, as published: the one
-with the largest |x_j'r| - lam w_j/2 > 0, with the sign s_j of x_j'r,
-while fewer than n entries are nonzero.  One entering entry always lowers the objective, so a
-column at zero can always start.  The minimizer on that orthant solves
-G_MM b_M = X_M'y - (lam w / 2)_M s_M, with X'y read as X'r + G b; and the
-step goes to the best of that point and the points where an entry reaches
-zero.  A round's step is taken when its computed objective change is
-negative.  A level with more nonzeros than X has rows (p > n), or whose
-orthant step fails on collinear columns, instead steps along a null vector
-of X_M until one entry reaches zero, which does not raise the objective.
-The finish reports each level's summed change over its rounds, the value
-the kernel's rule reads.  The masked systems of a round are solved in
-batches of bounded size.
+At q = 1 the row penalty is l1, ||b_j|| = |b_j|, the problem is a weighted
+lasso, and the Hessian on S, 2 G_SS, is singular once |S| > n.  There the
+path in lam is piecewise linear, and :func:`_weighted_homotopy` follows it
+exactly (LARS-lasso with row weights; rows of zero weight stay active).
+Levels that read one response column, a single-response group fit and the
+per-response lasso of :func:`larn.simbench.lasso_path` alike, start at the
+better of their given start and their homotopy point, by the weighted
+objective, so those the homotopy solves pass the KKT test after one sweep;
+the sweeps and the Newton finish take any other from there.
 :func:`bcd_solve` and :func:`bcd_solve_path` solve the group lasso at one
 level or many.
 """
@@ -258,12 +242,8 @@ _NEWTON_STEPS = 20
 _ARMIJO = 1e-4
 _NEWTON_BACKTRACKS = 30
 
-# feature-sign finish: rounds per window
-_SIGN_ROUNDS = 20
-
-# entries (0.5 MB) of each (N, p, p) system stack of a feature-sign round,
-# and of all the work arrays of a block of Newton-finished levels, so memory
-# does not grow with the number of levels
+# entries (0.5 MB) of all the work arrays of a block of Newton-finished
+# levels, so memory does not grow with the number of levels
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -288,13 +268,16 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     weights : array (p,)
     lambdas : array (L,) of nonnegative levels.
     init : array (p, q), optional
-        Start shared by every level; zeros when omitted.
+        Start shared by every level; zeros when omitted.  At q = 1 each
+        level starts at whichever of it and the level's point on the
+        weighted lasso path has the lower objective.
     settings : SolverSettings
 
     Returns
     -------
     B : ndarray (L, p, q)
-    traces : list of per-level objective traces (start plus one value per sweep).
+    traces : list of per-level objective traces (the chosen start plus one
+        value per sweep).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     weights, lambdas, init = _check_problem(data, weights, lambdas, init)
@@ -516,189 +499,133 @@ def _solve_masked(G, mask, rhs):
     return _stacked(np.linalg.solve, _padded(G, mask, 0.0), rhs)[:, :, 0]
 
 
-def _orthant_candidates(G, b, g, half, max_active):
-    """Feature-sign step candidates (N, p+1, p) for the lasso columns b (N, p).
+def _weighted_homotopy(G, XtY, W, lambdas, track):
+    """Weighted lasso solutions (L, p) at one response column, by homotopy.
 
-    The zero entry with the largest |g_j| - half_j > 0 enters with the sign
-    of g_j, only while fewer than ``max_active`` entries are nonzero; with
-    one entering entry the objective falls from b toward the end point.  On
-    that sign pattern s the objective is a quadratic whose minimizer solves
-    G_MM b_M = (X'y)_M - half_M s_M, with X'y = g + G b.
-    The candidates along the segment to it are the point where each nonzero
-    entry reaches zero (that entry set to exactly zero; the segment end where
-    no entry crosses) and the end itself.
+    Track k is one column y with row weights W[:, k], given as XtY[:, k] =
+    X'y, and level l lies on track ``track[l]`` at ``lambdas[l]``.  The path
+    of min ||y - Xb||^2 + lam sum_j w_j |b_j| is piecewise linear in lam
+    (Osborne, Presnell and Turlach, IMA J. Numer. Anal. 20, 2000; the lasso
+    variant of LARS, Efron, Hastie, Johnstone and Tibshirani, Ann. Statist.
+    32(2), 2004); with weights it is the adaptive lasso (Zou, JASA 2006).
+    With mu = lam / 2 and c = X'(y - Xb), a track with active set A and
+    signs s has c_A = mu w_A s_A and |c_j| <= mu w_j off A.  Rows with zero
+    weight are unpenalized: they start active, at the least-squares fit on
+    them, and never drop.  A track starts at mu = max_j |c_j| / w_j, and as
+    mu falls by t, b_A moves by t d with G_AA d = w_A s_A and c by -t G d.
+    Each track steps to its nearest event with t > 0: an entry joining
+    (|c_j - t (Gd)_j| = (mu - t) w_j), a penalized active entry reaching
+    zero and leaving A, or the lowest mu among its levels.  An entry that
+    left may not re-enter in the next step on the side it left at, where
+    c_j = +-mu w_j already holds up to rounding.  The tracks step in
+    lockstep, one padded batched solve per step; the levels a step crosses
+    are read off by linear interpolation.  A track whose solve is singular,
+    or whose step does not lower mu in floating point, stops, and its
+    unreached levels take its last knot (NaN where the least-squares fit on
+    the zero-weight rows is singular).  Reads only G = X'X.
     """
-    N, p = b.shape
-    rows = np.arange(N)
-    viol = np.where(b == 0, np.abs(g) - half, -np.inf)
-    j = np.argmax(viol, axis=1)
-    s = np.sign(b)
-    s[rows, j] += np.sign(g[rows, j]) * ((viol[rows, j] > 0)
-                                         & (np.count_nonzero(b, axis=1) < max_active))
+    p, T = XtY.shape
+    mu_lv = 0.5 * np.asarray(lambdas, dtype=float)
+    mu_min = np.full(T, np.inf)
+    np.minimum.at(mu_min, track, mu_lv)
+    Wt = W.T                                       # (T, p): tracks in rows
+    free = Wt == 0                                 # unpenalized rows, always active
+    s = free.astype(float)                         # signs, zero off A; a free row's w s is 0
+    rows = np.arange(T)
     with np.errstate(all="ignore"):
-        end = _solve_masked(G, s != 0, g + b @ G - half * s)
-        cross = b * end < 0
-        t = np.where(cross, b / (b - end), 1.0)
-        trial = b[:, None, :] + t[:, :, None] * (end - b)[:, None, :]
-    trial[:, np.arange(p), np.arange(p)] *= ~cross
-    return np.concatenate([trial, end[:, None, :]], axis=1)
-
-
-def _null_candidates(G, b, max_active):
-    """Support-reducing candidates (N, 2, p) for lasso columns b (N, p).
-
-    v is a null vector of X_M, M the nonzeros of a column.  With more of
-    them than ``max_active`` (the rows of X), keeping the ``max_active``
-    largest entries A and one more entry j, v = e_j - z with G_AA z = G_Aj.
-    With fewer, v is the eigenvector of the smallest eigenvalue of G_MM
-    (padded with an identity off M) where G_MM is singular (collinear
-    columns), and 0, which leaves the column where it is, elsewhere.  Along
-    +-v the fit X b does not change, so the objective is linear up to the
-    first entry that reaches zero; that point (the entry set to exactly
-    zero) is the candidate in each direction.
-    """
-    N, p = b.shape
-    rows = np.arange(N)
-    over = np.count_nonzero(b, axis=1) > max_active
-    v = np.empty((N, p))
-    if np.any(over):
-        bo = b[over]
-        order = np.argsort(-np.abs(bo), axis=1)
-        keep = np.zeros(bo.shape, dtype=bool)
-        keep[np.arange(len(bo))[:, None], order[:, :max_active]] = True
-        j = order[:, max_active]
-        v[over] = -_solve_masked(G, keep, G[j])
-        v[np.flatnonzero(over), j] = 1.0
-    if not np.all(over):
-        # singular by the tolerance of np.linalg.matrix_rank
-        w, V = np.linalg.eigh(_padded(G, b[~over] != 0, 0.0))
-        v[~over] = V[:, :, 0] * (w[:, :1] <= w[:, -1:] * p * np.finfo(float).eps)
-    out = []
-    for u in (v, -v):
-        with np.errstate(all="ignore"):
-            t = np.where(b * u < 0, -b / u, np.inf)
-        k = np.argmin(t, axis=1)
-        tk = np.where(np.isfinite(t[rows, k]), t[rows, k], 0.0)
-        trial = b + tk[:, None] * u
-        trial[rows, k] *= tk == 0
-        out.append(trial)
-    return np.stack(out, axis=1)
-
-
-def _best_candidate(G, b, g, half, trial):
-    """Objective change, point and G (point - b) of the best candidate per row.
-
-    ``trial`` is (N, K, p).  The change of ||y - Xb||^2 + 2 sum half_j |b_j|
-    is computed from D = point - b as D'GD - 2 D'g plus the l1 change;
-    non-finite changes count as +inf.
-    """
-    with np.errstate(all="ignore"):
-        D = trial - b[:, None, :]
-        GD = D @ G
-        change = (np.einsum("nkp,nkp->nk", D, GD - 2.0 * g[:, None, :])
-                  + 2.0 * np.einsum("nkp,np->nk", np.abs(trial) - np.abs(b)[:, None, :], half))
-    change = np.where(np.isfinite(change), change, np.inf)
-    best = np.argmin(change, axis=1)
-    rows = np.arange(len(b))
-    return change[rows, best], trial[rows, best], GD[rows, best]
-
-
-def _sign_round(G, b, g, half, max_active):
-    """One feature-sign round on lasso columns b (N, p) with g = X'(y - Xb).
-
-    Columns with at most ``max_active`` nonzeros take the best of
-    :func:`_orthant_candidates` when it lowers their objective.  Those with
-    more, and those with two or more whose orthant step failed (as where
-    collinear columns make the orthant system singular), take the best of
-    :func:`_null_candidates` when it does not raise the objective (a flat
-    step still removes an entry).  Updates b and g in place and returns each
-    column's computed objective change (N,), zero where it did not move.
-    """
-    nnz = np.count_nonzero(b, axis=1)
-    reduce = nnz > max_active
-    out = np.zeros(len(b))
-    for reducing in (False, True):
-        rows = np.flatnonzero(reduce == reducing)
-        if rows.size == 0:
-            continue
-        br, gr, hr = b[rows], g[rows], half[rows]
-        trial = (_null_candidates(G, br, max_active) if reducing
-                 else _orthant_candidates(G, br, gr, hr, max_active))
-        change, point, GD = _best_candidate(G, br, gr, hr, trial)
-        if reducing:
-            ok = (change <= 0) & np.any(point != br, axis=1)
-        else:
-            ok = change < 0
-            reduce[rows] = ~ok & (nnz[rows] > 1)
-        rows = rows[ok]
-        b[rows] = point[ok]
-        g[rows] -= GD[ok]
-        out[rows] = change[ok]
-    return out
-
-
-def _feature_sign(G, b, g, half, kkt_tol, max_active):
-    """Feature-sign search on lasso columns (Lee, Battle, Raina and Ng, NIPS 2007).
-
-    Each row of b (N, p) is one single-column level of
-    ||y - Xb||^2 + 2 sum_j half_j |b_j|, with g = X'(y - Xb) and G = X'X.
-    Each level repeats :func:`_sign_round` until its entries pass the KKT
-    test at ``kkt_tol``, a round does not lower its objective, or
-    ``_SIGN_ROUNDS`` rounds have run; ``max_active`` is the number of rows
-    of X.  A round handles its levels in blocks whose (N, p, p) systems hold
-    at most ``_BLOCK_ENTRIES`` entries.  Never raises.
-
-    Returns the new b (a copy) and the sum of each level's computed
-    objective changes over its rounds (N,), negative for every level that a
-    round moved to a lower objective.
-    """
-    b, g = b.copy(), g.copy()
-    N, p = b.shape
-    total = np.zeros(N)
-    step = max(1, _BLOCK_ENTRIES // (p * p))
-    idx = np.arange(N)
-    for _ in range(_SIGN_ROUNDS):
-        res = _kkt_rows(g[idx, :, None], b[idx, :, None], 2.0 * half[idx])
-        idx = idx[res.max(axis=1) > kkt_tol]
-        change = np.zeros(len(idx))
-        for start in range(0, len(idx), step):
-            blk = idx[start:start + step]
-            bb, gb = b[blk], g[blk]
-            change[start:start + step] = _sign_round(G, bb, gb, half[blk], max_active)
-            b[blk], g[blk] = bb, gb
-        total[idx] += change
-        idx = idx[change < 0]
-        if idx.size == 0:
+        b = _solve_masked(G, free, XtY.T)          # least squares on the free rows
+        c = XtY.T - b @ G
+        ratio = np.where(free, -np.inf, np.abs(c) / Wt)
+    j = np.argmax(ratio, axis=1)
+    mu = ratio[rows, j]                            # -inf where every row is free
+    s[rows, j] = np.sign(c[rows, j])               # j is free only if all rows are: no step
+    out = b[track]                                 # levels above a track's start
+    # the join root (index into the event candidates below) of the entry
+    # that left in the last step, on the side it left at; -1 for none
+    blocked = np.full(T, -1)
+    live = np.flatnonzero(mu > mu_min)
+    while live.size:
+        act = s[live] != 0
+        d = _solve_masked(G, act, Wt[live] * s[live])
+        ok = np.isfinite(d).all(axis=1)
+        live, act, d = live[ok], act[ok], d[ok]
+        if live.size == 0:
             break
-    return b, total
+        k = np.arange(len(live))
+        a, cl, bl, m, wl, lo = d @ G, c[live], b[live], mu[live], Wt[live], mu_min[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # joins at +(mu - t) w, then at -(mu - t) w, then drops
+            mw = m[:, None] * wl
+            t = np.concatenate([(mw - cl) / (wl - a), (mw + cl) / (wl + a), -bl / d], axis=1)
+        t[np.concatenate([act, act, ~act | free[live]], axis=1)] = np.inf
+        back = blocked[live] >= 0
+        t[k[back], blocked[live][back]] = np.inf
+        t = np.where(t > 0, t, np.inf)             # NaN too
+        event = np.argmin(t, axis=1)
+        step = t[k, event]
+        end = ~(step < m - lo)
+        step[end] = (m - lo)[end]
+        new_mu = np.where(end, lo, m - step)
+        # levels in [new_mu, mu) of a track lie on this step's segment
+        pos = np.full(T, -1)                       # each track's row among the live ones
+        pos[live] = k
+        lv = np.flatnonzero(pos[track] >= 0)
+        kv = pos[track[lv]]
+        on = (mu_lv[lv] < m[kv]) & (mu_lv[lv] >= new_mu[kv])
+        lv, kv = lv[on], kv[on]
+        out[lv] = bl[kv] + (m[kv] - mu_lv[lv])[:, None] * d[kv]
+        c[live] = cl - step[:, None] * a
+        b[live] = bl + step[:, None] * d
+        mu[live] = new_mu
+        blocked[live] = -1
+        ln, e = live[~end], event[~end]
+        join = e < 2 * p
+        s[ln[join], e[join] % p] = np.where(e[join] < p, 1.0, -1.0)
+        gone = ln[~join], e[~join] % p
+        blocked[gone[0]] = gone[1] + p * (s[gone] < 0)
+        s[gone] = b[gone] = 0.0
+        # a step too short to lower mu in floating point stops the track
+        live = live[~end & (new_mu < m)]
+    # tracks stopped short: unreached levels from the last knot
+    lv = np.flatnonzero(mu_lv < mu[track])
+    out[lv] = b[track[lv]]
+    return out
 
 
 def _cd_path(data, weights, lambdas, init, settings):
     """Batched cyclic coordinate descent on validated inputs.
 
     Each level has its own inputs: ``weights`` is (p, L), column l holding
-    the row weights of level l, and ``init`` is (L, p, c), the start of each
-    level.  A level reads c columns of Y: all q when c = q, and when c = 1
-    level l reads column l mod q (L then a multiple of q).
+    the row weights of level l, and ``init`` is (L, p, c), the given start
+    of each level.  A level reads c columns of Y: all q when c = q, and when
+    c = 1 level l reads column l mod q (L then a multiple of q).
     :func:`bcd_solve_path` broadcasts one weight vector and one start to
     that form; the reweighting rounds of :func:`larn.estimator.larn_path`
     after the first pass each level its own iterate and the weights taken
     there, and :func:`larn.simbench.lasso_path` passes L*q single-column
-    starts, its homotopy's path.
+    levels from zero.
 
-    Every ``_FINISH_WINDOW`` sweeps the due levels run a finish, and c picks
-    it.  The kernel stores each level's nonzero rows once, as a window
-    begins.  At c > 1 the due levels are the active ones whose nonzero rows
-    at the window's end equal that snapshot (and are not empty), and they
-    go to one :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
+    At c = 1 a level's problem is a weighted lasso, and the kernel follows
+    its exact path with :func:`_weighted_homotopy`.  Levels share a track
+    when they read the same column and their weight columns are equal
+    (compared with the level before, so a broadcast weight vector gives one
+    track per column); each track runs down to the lowest level on it.  A
+    level starts at whichever of its given start and its homotopy point has
+    the lower weighted objective, so it never starts above its given start,
+    and its trace begins at the chosen start.  A level whose homotopy point
+    is its solution then passes the KKT test after one sweep.
+
+    Every ``_FINISH_WINDOW`` sweeps the due levels run the Newton finish.
+    The kernel stores each level's nonzero rows once, as a window begins.
+    The due levels are the active ones whose nonzero rows at the window's
+    end equal that snapshot (and are not empty), and they go to one
+    :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
     Woodbury-form Newton steps on its rows, padded to all p rows so that the
     levels step together with a closed-form line search, where a row whose
     step passes through zero may leave them, stopping early once the
-    remaining rows pass the KKT test.  At c = 1 every active level goes to
-    :func:`_feature_sign`, which skips those whose entries pass the KKT test
-    at ``settings.kkt_tol``.  Either way a level keeps its finish when the
+    remaining rows pass the KKT test.  A level keeps its finish when the
     summed computed objective change of its steps is negative and its
-    refreshed objective is finite; else it is restored.  Both finishes read
+    refreshed objective is finite; else it is restored.  The finish reads
     the kernel's G and H.  The kernel forms R = Y - XB only at the starts
     B_s, keeping H_s = X'R and r_s = ||R||^2 there per column; H is
     recomputed as H_s - G (B - B_s) after every sweep that moved a row, so a
@@ -707,7 +634,7 @@ def _cd_path(data, weights, lambdas, init, settings):
     other zero rows, are left to the sweeps and to the KKT retire test.  A
     trace holds one value per sweep, a kept finish included.
     """
-    X, n, p = data.X, data.n, data.p
+    X, p = data.X, data.p
     L, _, q = init.shape                           # q: columns per level
     col_ss = _column_norms_squared(X)
     G = X.T @ X                                    # symmetric: row j is column j
@@ -718,13 +645,29 @@ def _cd_path(data, weights, lambdas, init, settings):
     act = np.arange(L)
     B = init.transpose(1, 0, 2).copy()             # level axis in the middle
     B2 = B.reshape(p, -1)
-    Bs = B2.copy()                                 # (p, A*q): each level's start, its anchor
-    # R at the starts, formed once; column i reads Y[:, i mod q]
-    Rs = np.tile(data.Y, L * q // data.q) - X @ Bs
-    Hs, rs = X.T @ Rs, np.einsum("ab,ab->b", Rs, Rs)   # X'R (p, A*q), ||R||^2 (A*q,)
-    del Rs
-    H = Hs.copy()                                  # (p, A*q): X'R at B
     half = 0.5 * lambdas[None, :] * weights        # (p, A): lam w_j / 2
+    # R at the starts, formed once; column i reads Y[:, i mod q]
+    Y = np.tile(data.Y, L * q // data.q)
+    Rs = Y - X @ B2
+    if q == 1:
+        col = np.arange(L) % data.q
+        run = np.cumsum(np.r_[True, np.any(weights[:, 1:] != weights[:, :-1], axis=0)])
+        _, first, track = np.unique(run * data.q + col, return_index=True, return_inverse=True)
+        path = _weighted_homotopy(G, (X.T @ data.Y)[:, col[first]], weights[:, first],
+                                  lambdas, track)
+        path = np.ascontiguousarray(path.T)
+        Rp = Y - X @ path
+
+        def start_objectives(R, b):
+            return np.einsum("ab,ab->b", R, R) + 2.0 * np.einsum("pa,pa->a", half, np.abs(b))
+
+        better = start_objectives(Rp, path) <= start_objectives(Rs, B2)
+        B2[:, better] = path[:, better]
+        Rs[:, better] = Rp[:, better]
+    Bs = B2.copy()                                 # (p, A*q): each level's start, its anchor
+    Hs, rs = X.T @ Rs, np.einsum("ab,ab->b", Rs, Rs)   # X'R (p, A*q), ||R||^2 (A*q,)
+    del Rs, Y
+    H = Hs.copy()                                  # (p, A*q): X'R at B
     out = np.empty((L, p, q))
     support = _row_norms(B).T > 0                  # (A, p): nonzero rows as the window began
     since = 0                                      # sweeps since the window began
@@ -740,19 +683,15 @@ def _cd_path(data, weights, lambdas, init, settings):
         return resid.reshape(-1, q).sum(axis=1) + pen
 
     def finish(obj):
-        # the due levels run their finish; those whose summed computed change
-        # is negative keep it unless their refreshed objective is not finite.
-        # Sets obj to the kept levels' refreshed objective and H to the kept B
-        if q > 1:
-            nonzero = _row_norms(B).T > 0
-            due = np.flatnonzero(np.all(nonzero == support, axis=1) & nonzero.any(axis=1))
-            new, _, change = _newton_finish(G, H.reshape(B.shape)[:, due].transpose(1, 0, 2),
-                                            B[:, due].transpose(1, 0, 2),
-                                            2.0 * half[:, due].T, settings.kkt_tol)
-        else:
-            due = np.arange(len(obj))
-            new, change = _feature_sign(G, B2.T, H.T, half.T, settings.kkt_tol, n)
-            new = new[:, :, None]
+        # the due levels run the Newton finish; those whose summed computed
+        # change is negative keep it unless their refreshed objective is not
+        # finite.  Sets obj to the kept levels' refreshed objective and H to
+        # the kept B
+        nonzero = _row_norms(B).T > 0
+        due = np.flatnonzero(np.all(nonzero == support, axis=1) & nonzero.any(axis=1))
+        new, _, change = _newton_finish(G, H.reshape(B.shape)[:, due].transpose(1, 0, 2),
+                                        B[:, due].transpose(1, 0, 2),
+                                        2.0 * half[:, due].T, settings.kkt_tol)
         kept = change < 0
         take = due[kept]
         if take.size == 0:
@@ -832,7 +771,7 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
     lam : float
         Nonnegative penalty level.
     init : array (p, q), optional
-        Starting matrix; zeros when omitted.  Starting from a reference
+        Given start; zeros when omitted.  Starting from a reference
         iterate guarantees the returned objective does not exceed the
         objective at that iterate.
     settings : SolverSettings, optional
@@ -843,8 +782,10 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
         Solution with exact zeros on thresholded rows.
     trace : list of float
         Objective value at the start and after each sweep; nonincreasing up
-        to rounding (a finish, Newton at q > 1 and feature-sign at q = 1, is
-        kept when its computed objective change is negative).
+        to rounding (a Newton finish is kept when its computed objective
+        change is negative).  At q = 1 the start is whichever of ``init``
+        and the weighted lasso's homotopy point is lower, and the trace
+        begins there.
 
     Raises
     ------

@@ -27,8 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
-from .group_solver import (Dataset, SolverError, SolverSettings, _cd_path, _kkt_rows,
-                           _solve_masked)
+from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _kkt_rows
 from .model_selection import CvGrid, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
@@ -166,110 +165,32 @@ def metrics(B_hat, B0, cv_rmse_value):
     }
 
 
-def _lasso_homotopy(G, XtY, lambdas):
-    """Lasso solutions (L, p, q) of every column of Y at every level, by homotopy.
-
-    The path of min ||y - Xb||^2 + lam ||b||_1 is piecewise linear in lam
-    (Osborne, Presnell and Turlach, IMA J. Numer. Anal. 20, 2000; the lasso
-    variant of LARS, Efron, Hastie, Johnstone and Tibshirani, Ann. Statist.
-    32(2), 2004).  With mu = lam / 2 and c = X'(y - Xb), a column with
-    active set A and signs s has c_A = mu s_A and |c_j| <= mu off A.  It
-    starts at mu = max_j |c_j| with b = 0, and as mu falls by t, b_A moves
-    by t d with G_AA d = s_A and c by -t G d.  Each column steps to its
-    nearest event with t > 0: an entry joining (|c_j - t (Gd)_j| = mu - t),
-    an active entry reaching zero and leaving A, or min(lambdas) / 2.  An
-    entry that left may not re-enter in the next step on the side it left
-    at, where c_j = +-mu already holds up to rounding.  The columns step in
-    lockstep, one padded batched solve per step; the levels a step crosses
-    are read off by linear interpolation.  A column whose solve is singular,
-    or whose step does not lower mu in floating point, stops, and its
-    unreached levels take its last finite knot.  Reads only G = X'X and
-    X'Y (p, q); ``lambdas`` may be in any order and repeat.
-    """
-    p, q = XtY.shape
-    mu_grid = 0.5 * np.asarray(lambdas, dtype=float)
-    mu_min = mu_grid.min()
-    out = np.zeros((len(mu_grid), p, q))
-    c = XtY.T.copy()                               # (q, p): columns in rows
-    b = np.zeros((q, p))
-    s = np.zeros((q, p))                           # signs, zero off the active set
-    rows = np.arange(q)
-    j = np.argmax(np.abs(c), axis=1)
-    mu = np.abs(c[rows, j])
-    s[rows, j] = np.sign(c[rows, j])
-    # the join root (index into the event candidates below) of the entry
-    # that left in the last step, on the side it left at; -1 for none
-    blocked = np.full(q, -1)
-    live = np.flatnonzero(mu > mu_min)
-    while live.size:
-        act = s[live] != 0
-        d = _solve_masked(G, act, s[live])
-        ok = np.isfinite(d).all(axis=1)
-        live, act, d = live[ok], act[ok], d[ok]
-        if live.size == 0:
-            break
-        k = np.arange(len(live))
-        a, cl, bl, m = d @ G, c[live], b[live], mu[live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # joins at +(mu - t), then at -(mu - t), then drops
-            t = np.concatenate([(m[:, None] - cl) / (1.0 - a),
-                                (m[:, None] + cl) / (1.0 + a),
-                                -bl / d], axis=1)
-        t[np.concatenate([act, act, ~act], axis=1)] = np.inf
-        back = blocked[live] >= 0
-        t[k[back], blocked[live][back]] = np.inf
-        t = np.where(t > 0, t, np.inf)             # NaN too
-        event = np.argmin(t, axis=1)
-        step = t[k, event]
-        end = ~(step < m - mu_min)
-        step[end] = (m - mu_min)[end]
-        new_mu = np.where(end, mu_min, m - step)
-        # levels in [new_mu, mu) lie on this step's segment
-        lv, kv = np.nonzero((mu_grid[:, None] < m) & (mu_grid[:, None] >= new_mu))
-        out[lv, :, live[kv]] = bl[kv] + (m[kv] - mu_grid[lv])[:, None] * d[kv]
-        c[live] = cl - step[:, None] * a
-        b[live] = bl + step[:, None] * d
-        mu[live] = new_mu
-        blocked[live] = -1
-        ln, e = live[~end], event[~end]
-        join = e < 2 * p
-        s[ln[join], e[join] % p] = np.where(e[join] < p, 1.0, -1.0)
-        gone = ln[~join], e[~join] % p
-        blocked[gone[0]] = gone[1] + p * (s[gone] < 0)
-        s[gone] = b[gone] = 0.0
-        # a step too short to lower mu in floating point stops the column
-        live = live[~end & (new_mu < m)]
-    # columns stopped short: unreached levels from the last knot
-    lv, kv = np.nonzero(mu_grid[:, None] < mu)
-    out[lv, :, kv] = b[kv]
-    return out
-
-
 def lasso_path(data, lambdas, max_sweeps=1000):
     """Entrywise-penalized fits ||Y - XB||_F^2 + lam ||B||_1 for a level grid.
 
     The lasso separates over response columns, and at one column the row
     norm is |b_j|, so this is one call of the group kernel of
-    :mod:`larn.group_solver` on L*q single-column levels with unit weights:
-    level l*q + k is column k at lambdas[l].  Their (L*q, p, 1) start is
-    the exact path of every column, followed by :func:`_lasso_homotopy`
-    from G = X'X and X'Y, so the kernel only certifies it: a column whose
-    start passes the lasso KKT conditions to the default ``kkt_tol`` stops
-    after one sweep.  Any other column (one the homotopy stopped short on a
-    singular solve) is solved by the sweeps and feature-sign finishes from
-    that start.  Each column stops on its own under the kernel's rule (a
-    flat objective and every entry meeting the KKT conditions) or when
-    ``max_sweeps`` runs out.  Warns once (``RuntimeWarning``, naming the
-    worst level) when a level is not certified.  Returns (L, p, q).
+    :mod:`larn.group_solver` on L*q single-column levels with unit weights,
+    given a zero start: level l*q + k is column k at lambdas[l].  The kernel
+    follows each column's exact path once
+    (:func:`larn.group_solver._weighted_homotopy`, one track per column) and
+    starts every level there, so it only certifies it: a column whose start
+    passes the lasso KKT conditions to the default ``kkt_tol`` stops after
+    one sweep.  Any other column (one the homotopy stopped short on a
+    singular solve) is solved by the sweeps and Newton finishes from the
+    better of zero and that start.  Each column stops on its own under the
+    kernel's rule (a flat objective and every entry meeting the KKT
+    conditions) or when ``max_sweeps`` runs out.  Warns once
+    (``RuntimeWarning``, naming the worst level) when a level is not
+    certified.  Returns (L, p, q).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise ValueError("lam must be nonnegative and finite")
     settings = SolverSettings(max_sweeps=max_sweeps)
     L, p, q = len(lambdas), data.p, data.q
-    start = _lasso_homotopy(data.X.T @ data.X, data.X.T @ data.Y, lambdas)
     columns = _cd_path(data, np.broadcast_to(1.0, (p, L * q)), np.repeat(lambdas, q),
-                       start.transpose(0, 2, 1).reshape(L * q, p, 1), settings)[0]
+                       np.zeros((L * q, p, 1)), settings)[0]
     stack = columns.reshape(L, q, p).transpose(0, 2, 1)
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
     worst = _kkt_rows(G[..., None], stack[..., None], lambdas[:, None, None]).max(axis=(1, 2))

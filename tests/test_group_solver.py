@@ -6,8 +6,7 @@ import pytest
 from larn import group_solver
 from larn.estimator import LarnConfig, group_weights, initial_estimate, larn_path
 from larn.group_solver import (Dataset, SolverError, SolverSettings,
-                               _feature_sign, _newton_direction,
-                               _newton_finish, _sign_round, bcd_solve,
+                               _newton_direction, _newton_finish, bcd_solve,
                                bcd_solve_path, kkt_residual, objective,
                                row_support)
 from larn.simbench import SimConfig, generate_instance
@@ -511,131 +510,8 @@ class TestStartAnchor:
             assert trace[-1] == pytest.approx(objective(data, B, w, lam), rel=1e-12)
 
 
-def column_pairs(X, Y, B, lam):
-    # the feature-sign finish's arrays for the columns of one level, each
-    # column a single-column level
-    return (B.T.copy(), (X.T @ (Y - X @ B)).T, np.full((Y.shape[1], X.shape[1]), 0.5 * lam))
-
-
-def entry_residuals(g, b, half):
-    # the lasso KKT residuals entry by entry: |2g - 2 half sign(b)| where
-    # b != 0, else (|g| - half)_+
-    return np.where(b != 0, np.abs(2.0 * g - 2.0 * half * np.sign(b)),
-                    np.maximum(np.abs(g) - half, 0.0))
-
-
-def column_objectives(X, Y, b, lam):
-    # ||y - X b||^2 + lam ||b||_1 per column, b laid out as (q, p)
-    R = Y - X @ b.T
-    return np.sum(R * R, axis=0) + lam * np.abs(b).sum(axis=1)
-
-
 def fail(*args):
-    raise AssertionError("a level ran the other finish")
-
-
-class TestFeatureSignFinish:
-    @pytest.mark.parametrize("lam", [0.05, 2.0, 30.0])
-    def test_from_zero_reaches_the_lasso_optimum(self, lam, monkeypatch):
-        # the finish alone, from B = 0, certifies every column, and no round
-        # raises a column's objective
-        d = random_instance(4, n=25, p=7, q=3)
-        b0, g, half = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), lam)
-        rounds = []
-
-        def shifted(G, b, xty, half):
-            # each column's objective less ||y||^2, from the finish's arrays
-            return np.einsum("np,np->n", b, b @ G - 2.0 * xty) + 2.0 * (half * np.abs(b)).sum(1)
-
-        def recording(G, b, g, half, max_active):
-            xty = g + b @ G
-            before = shifted(G, b, xty, half)
-            change = _sign_round(G, b, g, half, max_active)
-            rounds.append((before, shifted(G, b, xty, half), change < 0))
-            return change
-
-        monkeypatch.setattr(group_solver, "_sign_round", recording)
-        b, change = _feature_sign(d.X.T @ d.X, b0, g, half, 1e-10, d.n)
-        assert rounds and np.all(change < 0)
-        for before, after, step in rounds:
-            assert np.all(after[step] < before[step])
-        g = (d.X.T @ (d.Y - d.X @ b.T)).T
-        assert np.max(entry_residuals(g, b, half)) <= 1e-9
-
-    def test_wide_columns_step_down_to_n_nonzeros(self):
-        # p > n: from the least-norm interpolant every entry is nonzero; each
-        # round removes one without raising the objective, then the finish
-        # certifies the column with at most n nonzeros
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((8, 14))
-        Y = rng.standard_normal((8, 2))
-        lam = 0.3
-        B = np.linalg.lstsq(X, Y, rcond=None)[0]
-        b, g, half = column_pairs(X, Y, B, lam)
-        G = X.T @ X
-        before = column_objectives(X, Y, b, lam)
-        change = _sign_round(G, b, g, half, 8)
-        assert np.all(change < 0)
-        assert np.all(np.count_nonzero(b, axis=1) == 13)
-        assert np.all(column_objectives(X, Y, b, lam) <= before + 1e-12)
-        b, _ = _feature_sign(G, b, g, half, 1e-9, 8)
-        assert np.all(np.count_nonzero(b, axis=1) <= 8)
-        g = (X.T @ (Y - X @ b.T)).T
-        assert np.max(entry_residuals(g, b, half)) <= 1e-9
-
-    def test_wide_columns_leave_zero(self):
-        # p > n from B = 0: a round enters one entry, the strongest violator,
-        # so it lowers the objective and every column descends.  Entering
-        # every violator at once raised the objective of two of these three
-        # columns, which then stayed at zero
-        rng = np.random.default_rng(5)
-        X, Y = rng.standard_normal((8, 14)), rng.standard_normal((8, 3))
-        lam = 0.3
-        b, g, half = column_pairs(X, Y, np.zeros((14, 3)), lam)
-        G = X.T @ X
-        before = column_objectives(X, Y, b, lam)
-        first, gf = b.copy(), g.copy()
-        _sign_round(G, first, gf, half, 8)
-        assert np.all(np.count_nonzero(first, axis=1) == 1)
-        assert np.all(np.argmax(np.abs(g), axis=1) == np.argmax(np.abs(first), axis=1))
-        b, change = _feature_sign(G, b, g, half, 1e-9, 8)
-        assert np.all(change < 0)
-        assert np.all(column_objectives(X, Y, b, lam) < before)
-
-    @pytest.mark.parametrize("wide", [False, True])
-    @pytest.mark.parametrize("start", ["zero", "least squares"])
-    def test_returned_change_is_the_objective_change(self, wide, start):
-        # each column's returned change is its objective after less before
-        # (zero where no round lowered it), also where p > n and the rounds
-        # take null-vector steps
-        rng = np.random.default_rng(5)
-        n, p = (8, 14) if wide else (25, 7)
-        X, Y = rng.standard_normal((n, p)), rng.standard_normal((n, 3))
-        lam = 0.3
-        B = np.zeros((p, 3)) if start == "zero" else np.linalg.lstsq(X, Y, rcond=None)[0]
-        b, g, half = column_pairs(X, Y, B, lam)
-        before = column_objectives(X, Y, b, lam)
-        b, change = _feature_sign(X.T @ X, b, g, half, 1e-9, n)
-        after = column_objectives(X, Y, b, lam)
-        assert np.any(change < 0)
-        assert np.all(np.abs(change - (after - before)) <= 1e-12 * before)
-
-    def test_blocks_do_not_change_the_result(self, monkeypatch):
-        d = random_instance(6, n=30, p=9, q=5)
-        pairs = column_pairs(d.X, d.Y, np.zeros((d.p, d.q)), 1.5)
-        ref, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
-        monkeypatch.setattr(group_solver, "_BLOCK_ENTRIES", 1)
-        b, _ = _feature_sign(d.X.T @ d.X, *pairs, 1e-10, d.n)
-        assert np.max(np.abs(b - ref)) <= 1e-12
-
-    def test_levels_with_q_above_one_never_run_it(self, monkeypatch):
-        monkeypatch.setattr(group_solver, "_feature_sign", fail)
-        monkeypatch.setattr(group_solver, "_sign_round", fail)
-        for sim, lambdas in ((dict(n=50, p=20, q=20, seed=1), np.logspace(-2, 4, 20)),
-                             (dict(n=50, p=60, q=10, seed=1), np.logspace(-2, 4, 5))):
-            data, _ = generate_instance(SimConfig(**sim))
-            stack, _ = bcd_solve_path(data, np.ones(data.p), lambdas)
-            assert np.all(np.isfinite(stack))
+    raise AssertionError("a level ran the Newton finish")
 
 
 def wide_single_response():
@@ -644,22 +520,28 @@ def wide_single_response():
 
 
 class TestSingleResponse:
-    @pytest.mark.parametrize("unit", [False, True])
-    def test_wide_path_every_level_certified(self, unit):
+    @pytest.mark.parametrize("unit, one_step", [(False, True), (True, True),
+                                                (False, False), (True, False)],
+                             ids=["False", "True", "False-full", "True-full"])
+    def test_wide_path_every_level_certified(self, unit, one_step):
         # p > n with one response: the Newton finish's Hessian on S, 2 G_SS,
         # is singular once |S| > n, and with it 5 (depth weights) and 2 (unit
-        # weights) of these levels ended uncertified after 1000 sweeps
+        # weights) of these levels ended uncertified after 1000 sweeps; each
+        # level now starts on its weighted lasso path, in full mode at every
+        # round, and the outer traces stay nonincreasing
         data = wide_single_response()
         with pytest.warns(RuntimeWarning, match="rank deficient"):
-            fits = larn_path(data, LarnConfig(unit_weights=unit), np.logspace(-2, 4, 20))
+            fits = larn_path(data, LarnConfig(unit_weights=unit, one_step=one_step),
+                             np.logspace(-2, 4, 20))
         for fit in fits:
             assert fit.certified
             assert len(row_support(fit.b_hat)) <= data.n
+            assert np.all(np.diff(fit.objective_trace) <= 1e-10)
 
     def test_collinear_columns_certified(self):
-        # a design column that is -2 times another makes the orthant systems
-        # of levels holding both singular; the feature-sign finish steps
-        # along their null vector
+        # a design column that is -2 times another, which G_AA cannot hold
+        # together: the homotopy's path keeps one of them, and its points
+        # pass the KKT test
         rng = np.random.default_rng(1)
         X = rng.standard_normal((20, 6))
         X[:, 5] = -2.0 * X[:, 2]
@@ -671,12 +553,32 @@ class TestSingleResponse:
 
     @pytest.mark.parametrize("unit", [False, True])
     def test_wide_path_never_runs_newton(self, unit, monkeypatch):
-        # the level's column count picks its finish: one column, feature-sign
+        # the homotopy start alone certifies these levels: each retires after
+        # one sweep, before any finish window ends
         monkeypatch.setattr(group_solver, "_newton_finish", fail)
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             fits = larn_path(wide_single_response(), LarnConfig(unit_weights=unit),
                              np.logspace(-2, 4, 20))
-        assert all(np.all(np.isfinite(fit.b_hat)) for fit in fits)
+        assert all(fit.certified for fit in fits)
+
+    @pytest.mark.parametrize("one_step", [True, False])
+    def test_zero_weight_row_certified(self, one_step):
+        # B0's row 3 is about 60, where the halfspace weight phi(60)
+        # underflows to exactly 0: that row is unpenalized, and the homotopy
+        # starts it active at the least-squares fit on it.  Without that
+        # rule 5 of these 20 one-step levels ended uncertified
+        data = wide_single_response()
+        data = Dataset(data.X, data.Y + 60.0 * data.X[:, [3]])
+        config = LarnConfig(one_step=one_step)
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            B0 = initial_estimate(data)
+            fits = larn_path(data, config, np.logspace(-2, 4, 20))
+        w = group_weights(B0, config.penalty)
+        assert w[3] == 0.0 and np.all(np.delete(w, 3) > 0)
+        for fit in fits:
+            assert fit.certified
+            assert fit.b_hat[3, 0] != 0.0
+            assert np.all(np.diff(fit.objective_trace) <= 1e-10)
 
 
 class TestKktResidual:

@@ -6,7 +6,7 @@ import pytest
 
 from larn import group_solver, simbench
 from larn.estimator import LarnConfig, larn_fit
-from larn.group_solver import Dataset, bcd_solve
+from larn.group_solver import Dataset, bcd_solve, kkt_residual
 from larn.model_selection import default_lambdas, kfold_split
 from larn.simbench import (METHODS, SimConfig, ar1_covariance,
                            generate_instance, lasso_path, metrics,
@@ -331,10 +331,9 @@ def sweeps_and_monotone(traces):
 
 class TestLassoFinish:
     def test_paper_path_certified_in_few_sweeps(self):
-        # from zero, plain sweeps certify this path in 9574 level-sweeps and
-        # sweeps with the feature-sign finish every five in 641; from the
-        # homotopy's start it takes 100, one sweep per level, a level's
-        # sweeps counted as its slowest column's
+        # from zero, plain sweeps certify this path in 9574 level-sweeps;
+        # from the homotopy's start it takes 100, one sweep per level, a
+        # level's sweeps counted as its slowest column's
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
         lambdas = np.logspace(-2, 4, 100)
         with warnings.catch_warnings():
@@ -380,23 +379,21 @@ class TestLassoFinish:
         assert np.all(np.isfinite(stack))
 
     def test_duplicate_column_certified(self):
-        # two equal columns make some orthant systems exactly singular; from
-        # zero, those columns are solved one at a time, and a column holding
-        # both steps along the null vector instead
+        # two equal columns, which G_AA cannot hold together: the homotopy's
+        # path keeps one of them
         assert_collinear_path_certified(1.0)
 
     def test_scaled_copy_column_certified(self):
         # a column -2 times another: from zero, the sweeps alone left
-        # lambda = 0.01 at a KKT residual of 5e-3, where the orthant systems
-        # are singular
+        # lambda = 0.01 at a KKT residual of 5e-3
         assert_collinear_path_certified(-2.0)
 
     def test_uncertified_level_warns_once(self, monkeypatch):
         # from the homotopy's start every level is certified at once, so the
-        # kernel starts from zero here, where three sweeps leave the p > n
-        # path uncertified
-        monkeypatch.setattr(simbench, "_lasso_homotopy",
-                            lambda G, XtY, lambdas: np.zeros((len(lambdas),) + XtY.shape))
+        # homotopy returns zero here, where three sweeps leave the p > n path
+        # uncertified
+        monkeypatch.setattr(group_solver, "_weighted_homotopy",
+                            lambda G, XtY, W, lambdas, track: np.zeros((len(lambdas), len(G))))
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, rho=0.7, seed=1))
         lambdas = np.logspace(-2, 4, 20)
         with warnings.catch_warnings(record=True) as caught:
@@ -412,20 +409,27 @@ class TestLassoFinish:
 
 
 def recorded_start(data, lambdas):
-    # the (L*q, p, 1) start that lasso_path hands to the kernel
+    # the homotopy points (L*q, p) that the kernel computes for lasso_path
     starts = []
+    original = group_solver._weighted_homotopy
 
     def recording(*args, **kwargs):
-        starts.append(args[3])
-        return group_solver._cd_path(*args, **kwargs)
+        starts.append(original(*args, **kwargs))
+        return starts[-1]
 
-    with mock.patch.object(simbench, "_cd_path", recording):
+    with mock.patch.object(group_solver, "_weighted_homotopy", recording):
         lasso_path(data, lambdas)
     return starts[0]
 
 
-def homotopy(data, lambdas):
-    return simbench._lasso_homotopy(data.X.T @ data.X, data.X.T @ data.Y, lambdas)
+def homotopy(data, lambdas, weights=None):
+    # the kernel's weighted homotopy on every column of Y at every level,
+    # (L, p, q); column k of ``weights`` (p, q) weights column k of Y
+    L, q = len(lambdas), data.q
+    W = np.ones((data.p, q)) if weights is None else weights
+    out = group_solver._weighted_homotopy(data.X.T @ data.X, data.X.T @ data.Y, W,
+                                          np.repeat(lambdas, q), np.tile(np.arange(q), L))
+    return out.reshape(L, q, data.p).transpose(0, 2, 1)
 
 
 class TestLassoHomotopy:
@@ -468,9 +472,42 @@ class TestLassoHomotopy:
         # entry 1 joins at mu = 0.25, and that solve fails, so the levels
         # below keep the knot b = (0.75, 0)
         G = np.ones((2, 2))
-        start = simbench._lasso_homotopy(G, np.array([[1.0], [0.5]]), [3.0, 1.0, 0.2, 0.0])
-        np.testing.assert_allclose(start[:, :, 0], [[0.0, 0.0], [0.5, 0.0],
-                                                    [0.75, 0.0], [0.75, 0.0]])
+        start = group_solver._weighted_homotopy(G, np.array([[1.0], [0.5]]), np.ones((2, 1)),
+                                                [3.0, 1.0, 0.2, 0.0], np.zeros(4, dtype=int))
+        np.testing.assert_allclose(start, [[0.0, 0.0], [0.5, 0.0], [0.75, 0.0], [0.75, 0.0]])
+
+    def test_weighted_path_is_the_rescaled_unit_path(self):
+        # with w > 0, b_j = beta_j / w_j maps the weighted lasso on X to the
+        # plain lasso on X diag(1/w), column by column
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((30, 8))
+        d = Dataset(X, X @ rng.normal(0.0, 2.0, (8, 3)) + rng.standard_normal((30, 3)))
+        W = rng.uniform(0.2, 5.0, (8, 3))
+        lambdas = np.logspace(-2, 3, 40)
+        weighted = homotopy(d, lambdas, W)
+        for k in range(d.q):
+            unit = homotopy(Dataset(X / W[:, k], d.Y[:, [k]]), lambdas)[:, :, 0]
+            np.testing.assert_allclose(weighted[:, :, k], unit / W[:, k], rtol=0, atol=1e-10)
+
+    def test_zero_weight_rows_start_at_least_squares_and_stay(self):
+        # rows 0 and 4 are unpenalized: above the path's start the point is
+        # the least-squares fit on them, and every level passes the weighted
+        # KKT test with both rows nonzero
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((30, 8))
+        d = Dataset(X, X @ rng.normal(0.0, 2.0, (8, 2)) + rng.standard_normal((30, 2)))
+        W = np.ones((8, 2))
+        W[[0, 4]] = 0.0
+        lambdas = np.r_[1e6, np.logspace(-2, 3, 30)]
+        path = homotopy(d, lambdas, W)
+        ls = np.linalg.lstsq(X[:, [0, 4]], d.Y, rcond=None)[0]
+        np.testing.assert_allclose(path[0][[0, 4]], ls, atol=1e-12)
+        assert np.all(np.delete(path[0], [0, 4], axis=0) == 0.0)
+        for B, lam in zip(path, lambdas):
+            assert np.all(B[[0, 4]] != 0.0)
+            for k in range(d.q):
+                res = kkt_residual(Dataset(X, d.Y[:, [k]]), B[:, [k]], W[:, k], lam)
+                assert np.max(res) <= 1e-8
 
     @pytest.mark.parametrize("scale", [1.0, -2.0])
     def test_collinear_start_finite(self, scale):
