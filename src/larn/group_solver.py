@@ -47,11 +47,11 @@ still reads X'(Y - XB) from the data.
 Every five sweeps (the finish window) each level may take a Newton finish,
 kept when the summed computed objective change of its steps is negative
 (and its refreshed objective is finite); a trace still holds one value per
-sweep.  The levels whose nonzero rows S at the window's end are those
-stored when it began get the finish on S (proximal Newton, Lee, Sun and
-Saunders, SIAM J. Optim. 2014; Newton steps on the identified support,
-Bareilles, Iutzeler and Malick, Math. Programming), all of them in one call
-that steps them together.
+sweep.  The levels whose nonzero rows S did not change over the window's
+last sweep get the finish on S (proximal Newton, Lee, Sun and Saunders,
+SIAM J. Optim. 2014; Newton steps on the identified support, Bareilles,
+Iutzeler and Malick, Math. Programming), all of them in one call that
+steps them together.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -616,23 +616,25 @@ def _cd_path(data, weights, lambdas, init, settings):
     is its solution then passes the KKT test after one sweep.
 
     Every ``_FINISH_WINDOW`` sweeps the due levels run the Newton finish.
-    The kernel stores each level's nonzero rows once, as a window begins.
-    The due levels are the active ones whose nonzero rows at the window's
-    end equal that snapshot (and are not empty), and they go to one
-    :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
-    Woodbury-form Newton steps on its rows, padded to all p rows so that the
-    levels step together with a closed-form line search, where a row whose
-    step passes through zero may leave them, stopping early once the
-    remaining rows pass the KKT test.  A level keeps its finish when the
-    summed computed objective change of its steps is negative and its
-    refreshed objective is finite; else it is restored.  The finish reads
-    the kernel's G and H.  The kernel forms R = Y - XB only at the starts
-    B_s, keeping H_s = X'R and r_s = ||R||^2 there per column; H is
-    recomputed as H_s - G (B - B_s) after every sweep that moved a row, so a
-    finish reads a fresh H, and again after a kept finish.  Compaction
-    carries each level's B_s, H_s and r_s.  Rows the finish zeroes, like the
-    other zero rows, are left to the sweeps and to the KKT retire test.  A
-    trace holds one value per sweep, a kept finish included.
+    The kernel stores each level's nonzero rows once per window, after its
+    next-to-last sweep.  The due levels are the active ones whose nonzero
+    rows at the window's end equal that snapshot (and are not empty): their
+    rows held over the window's last sweep, however they changed in its
+    first ones.  They go to one :func:`_newton_finish` call: each takes at
+    most ``_NEWTON_STEPS`` Woodbury-form Newton steps on its rows, padded to
+    all p rows so that the levels step together with a closed-form line
+    search, where a row whose step passes through zero may leave them,
+    stopping early once the remaining rows pass the KKT test.  A level
+    keeps its finish when the summed computed objective change of its steps
+    is negative and its refreshed objective is finite; else it is restored.
+    The finish reads the kernel's G and H.  The kernel forms R = Y - XB
+    only at the starts B_s, keeping H_s = X'R and r_s = ||R||^2 there per
+    column; H is recomputed as H_s - G (B - B_s) after every sweep that
+    moved a row, so a finish reads a fresh H, and again after a kept
+    finish.  Compaction carries each level's B_s, H_s and r_s.  Rows the
+    finish zeroes, like the other zero rows, are left to the sweeps and to
+    the KKT retire test.  A trace holds one value per sweep, a kept finish
+    included.
     """
     X, p = data.X, data.p
     L, _, q = init.shape                           # q: columns per level
@@ -669,7 +671,9 @@ def _cd_path(data, weights, lambdas, init, settings):
     del Rs, Y
     H = Hs.copy()                                  # (p, A*q): X'R at B
     out = np.empty((L, p, q))
-    support = _row_norms(B).T > 0                  # (A, p): nonzero rows as the window began
+    # (A, p): each level's nonzero rows before the window's last sweep, taken
+    # after its next-to-last; set here so that compaction can carry it
+    support = _row_norms(B).T > 0
     since = 0                                      # sweeps since the window began
 
     def refresh():
@@ -731,9 +735,10 @@ def _cd_path(data, weights, lambdas, init, settings):
         prev = obj
         obj = objectives()
         since += 1
-        if since == _FINISH_WINDOW:
-            finish(obj)
+        if since == _FINISH_WINDOW - 1:
             support = _row_norms(B).T > 0
+        elif since == _FINISH_WINDOW:
+            finish(obj)
             since = 0
         for l, v in zip(act.tolist(), obj.tolist()):
             traces[l].append(v)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from larn import cli, estimator
+from larn import cli, estimator, group_solver
 from larn.depth_penalty import PenaltySpec
 from larn.estimator import LarnConfig
 from larn.group_solver import Dataset, SolverSettings
@@ -261,9 +261,10 @@ class TestFit:
         assert payload["certified"] is True
 
     def test_uncertified_fit_exit_3(self, tmp_path, capsys, monkeypatch):
-        # three sweeps leave the selected fit uncertified: its outputs are
-        # written, flagged, and the run exits 3
-        monkeypatch.setattr(SolverSettings.__init__, "__defaults__", (3, 1e-6))
+        # sweeps that end before the first finish leave the selected fit
+        # uncertified: its outputs are written, flagged, and the run exits 3
+        monkeypatch.setattr(SolverSettings.__init__, "__defaults__",
+                            (group_solver._FINISH_WINDOW - 2, 1e-6))
         rng = np.random.default_rng(6)
         write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
         write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
@@ -341,9 +342,11 @@ class TestCv:
         assert_fold_failure_exit_1(tmp_path, capsys, "cv")
 
     def test_uncertified_selection_exit_3(self, tmp_path, capsys, monkeypatch):
-        # three sweeps leave the selected full-data fit uncertified: the
-        # surface and best pair are written, flagged, and the run exits 3
-        monkeypatch.setattr(SolverSettings.__init__, "__defaults__", (3, 1e-6))
+        # sweeps that end before the first finish leave the selected
+        # full-data fit uncertified: the surface and best pair are written,
+        # flagged, and the run exits 3
+        monkeypatch.setattr(SolverSettings.__init__, "__defaults__",
+                            (group_solver._FINISH_WINDOW - 2, 1e-6))
         rng = np.random.default_rng(6)
         write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
         write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))

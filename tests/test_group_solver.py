@@ -165,31 +165,31 @@ class TestConvergence:
         assert np.all(B[1:] == 0.0)
 
 
-def residual_form_sweeps(X, Y, w, lam, B, sweeps, window=5):
-    # plain cyclic block updates that read x_j'R and update R; after every
-    # ``window`` sweeps (never when window is None) the kernel's Newton
-    # finish when the nonzero rows at the window's end are those at its
-    # start, kept only when it lowers the objective
+def residual_form_sweeps(X, Y, w, lam, B, sweeps, finish=True):
+    # plain cyclic block updates that read x_j'R and update R; at the end of
+    # every window of group_solver._FINISH_WINDOW sweeps (never when finish
+    # is False) the kernel's Newton finish when the nonzero rows did not
+    # change over the window's last sweep, kept only when it lowers the
+    # objective
     B = B.copy()
     R = Y - X @ B
     s = np.einsum("ij,ij->j", X, X)
-    rows = [np.linalg.norm(B, axis=1) > 0]
-    for _ in range(sweeps):
+    for sweep in range(1, sweeps + 1):
+        before = np.linalg.norm(B, axis=1) > 0
         for j in range(X.shape[1]):
             g = X[:, j] @ R + s[j] * B[j]
             norm = np.linalg.norm(g)
             b = max(0.0, 1.0 - lam * w[j] / (2.0 * norm)) * g / s[j] if norm > 0 else 0.0 * g
             R -= np.outer(X[:, j], b - B[j])
             B[j] = b
-        rows.append(np.linalg.norm(B, axis=1) > 0)
-        if window is not None and len(rows) == window + 1:
-            if np.array_equal(rows[0], rows[-1]) and rows[-1].any():
-                Bn, steps, df = _newton_finish(X.T @ X, (X.T @ (Y - X @ B))[None], B[None],
-                                               (lam * w)[None], 1e-6)
-                if steps[0] and df[0] < 0:
-                    B = Bn[0]
-                    R = Y - X @ B
-            rows = [np.linalg.norm(B, axis=1) > 0]
+        rows = np.linalg.norm(B, axis=1) > 0
+        if (finish and sweep % group_solver._FINISH_WINDOW == 0
+                and np.array_equal(before, rows) and rows.any()):
+            Bn, steps, df = _newton_finish(X.T @ X, (X.T @ (Y - X @ B))[None], B[None],
+                                           (lam * w)[None], 1e-6)
+            if steps[0] and df[0] < 0:
+                B = Bn[0]
+                R = Y - X @ B
     return B
 
 
@@ -228,7 +228,7 @@ class TestGramForm:
                 continue
             ref = B0
             for _ in range(30):
-                ref = residual_form_sweeps(d.X, d.Y, w, lam, ref, 100, window=None)
+                ref = residual_form_sweeps(d.X, d.Y, w, lam, ref, 100, finish=False)
                 if np.max(kkt_residual(d, ref, w, lam)) <= 1e-9:
                     break
             else:
@@ -258,7 +258,9 @@ class TestFinishWindow:
 
     def test_wide_instance_traces_nonincreasing(self):
         # p > n: Newton finishes run at the end of each window, and each is
-        # kept only when it lowers the objective
+        # kept only when it lowers the objective.  The largest trace is 21
+        # sweeps; with the rows compared with those at the window's start it
+        # was 31
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             B0 = initial_estimate(data)
@@ -266,10 +268,32 @@ class TestFinishWindow:
         _, traces = bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
         for trace in traces:
             assert np.all(np.diff(trace) <= 1e-12)
+        assert max(len(t) - 1 for t in traces) <= 21
+
+    def test_level_due_once_its_rows_hold_over_the_last_sweep(self):
+        # from least squares this level drops rows in sweeps 1 and 4, and its
+        # rows hold over sweep W: the finish at the window's end takes it,
+        # and it retires on the next sweep.  Its rows at the window's start
+        # differ from those at its end, so a snapshot taken as the window
+        # began kept it to plain sweeps until sweep 2W + 1
+        W = group_solver._FINISH_WINDOW
+        d = random_instance(2, n=30, p=8, q=3)
+        w = np.random.default_rng(2).uniform(0.5, 1.5, d.p)
+        lam = 80.0
+        B0 = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
+        rows = [np.linalg.norm(residual_form_sweeps(d.X, d.Y, w, lam, B0, k, finish=False),
+                               axis=1) > 0 for k in range(W + 1)]
+        assert not np.array_equal(rows[0], rows[W - 1])
+        assert np.array_equal(rows[W - 1], rows[W])
+        B, trace = bcd_solve(d, w, lam, init=B0)
+        assert len(trace) - 1 == W + 1
+        assert np.max(kkt_residual(d, B, w, lam)) <= 1e-6
+        plain = residual_form_sweeps(d.X, d.Y, w, lam, B0, 2 * W, finish=False)
+        assert np.max(kkt_residual(d, plain, w, lam)) > 1e-6
 
     def test_paper_path_sweep_count(self):
         # plain cyclic sweeps certify this path in 10394 level-sweeps; with
-        # the Newton finish every five sweeps it takes about 816
+        # the Newton finish every five sweeps it takes 670
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=[1, 0]))
         B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
@@ -390,7 +414,7 @@ class TestNewtonFinish:
     ])
     def test_levels_finished_together_equal_each_finished_alone(self, sim, singular,
                                                                 monkeypatch):
-        # three levels four sweeps in, before their first finish, on the p > n
+        # three levels one sweep short of their first finish, on the p > n
         # instance and on the tall one of the CLI workload.  The singular case
         # duplicates design column 1 into column 0 and adds a level with zero
         # weights whose support is those two rows, so its A = 2 G_SS is
@@ -406,8 +430,8 @@ class TestNewtonFinish:
             B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
         lambdas = np.array([0.05, 2.0, 50.0])
-        stack, _ = bcd_solve_path(data, w, lambdas, init=B0,
-                                  settings=SolverSettings(max_sweeps=4))
+        stack, _ = bcd_solve_path(data, w, lambdas, init=B0, settings=SolverSettings(
+            max_sweeps=group_solver._FINISH_WINDOW - 1))
         weights = np.tile(w, (3, 1))
         if singular:
             flat = np.zeros((data.p, data.q))

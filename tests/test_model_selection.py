@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from larn import estimator, model_selection
+from larn import estimator, group_solver, model_selection
 from larn.depth_penalty import EXP_NEG, PenaltySpec
 from larn.estimator import (LarnConfig, initial_estimate, group_weights, larn_fit,
                             within_row_threshold)
@@ -338,7 +338,7 @@ class TestFitWithSelection:
         # in either mode: the selected fit warns, the (fold, lambda) fits do not
         data = make_data(15)
         grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=4, k=3, seed=0)
-        solver = SolverSettings(max_sweeps=3)
+        solver = SolverSettings(max_sweeps=group_solver._FINISH_WINDOW - 2)
         # full mode runs rounds until a level is certified, so it is capped at one
         for config in (LarnConfig(solver=solver),
                        LarnConfig(one_step=False, max_outer_iters=1, solver=solver)):
