@@ -86,8 +86,9 @@ exactly (LARS-lasso with row weights; rows of zero weight stay active).
 Levels that read one response column, a single-response group fit and the
 per-response lasso of :func:`larn.simbench.lasso_path` alike, start at the
 better of their given start and their homotopy point, by the weighted
-objective, so those the homotopy solves pass the KKT test after one sweep;
-the sweeps and the Newton finish take any other from there.
+objective, so those the homotopy solves pass the KKT test at their start
+and take no sweep; the sweeps and the Newton finish take any other from
+there.
 :func:`bcd_solve` and :func:`bcd_solve_path` solve the group lasso at one
 level or many.
 """
@@ -138,11 +139,10 @@ class Dataset:
 class SolverSettings:
     """Stopping parameters for the block coordinate descent loop.
 
-    A level stops once its objective changes by less than a relative
-    ``_FLAT_TOL`` in a sweep and its largest KKT residual is at most
-    ``kkt_tol``, or after ``max_sweeps`` sweeps.  ``kkt_tol`` is also the
-    certificate: a fit whose residual exceeds it is flagged as not
-    certified.
+    A level stops once its largest KKT residual is at most ``kkt_tol``,
+    tested at its start and after every sweep, or after ``max_sweeps``
+    sweeps.  ``kkt_tol`` is also the certificate: a fit whose residual
+    exceeds it is flagged as not certified.
     """
 
     def __init__(self, max_sweeps=1000, kkt_tol=1e-6):
@@ -230,10 +230,6 @@ def _group_prox(g, half, s):
     return (np.maximum(1.0 - half * inv, 0.0) / s)[:, None] * g
 
 
-# a level may stop once a sweep changes its objective by less than this
-# fraction (and it passes the KKT test)
-_FLAT_TOL = 1e-8
-
 # sweeps per finish window: a level's finish runs at the end of each window
 _FINISH_WINDOW = 5
 
@@ -260,7 +256,8 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
 
     All levels share the design and weights; each level keeps its own
     coefficient block, updated by the same cyclic sweeps until every level
-    has a flat objective and a certified solution (or max_sweeps runs out).
+    passes the KKT test (or max_sweeps runs out); a level that passes it at
+    its start takes no sweep.
 
     Parameters
     ----------
@@ -613,7 +610,13 @@ def _cd_path(data, weights, lambdas, init, settings):
     level starts at whichever of its given start and its homotopy point has
     the lower weighted objective, so it never starts above its given start,
     and its trace begins at the chosen start.  A level whose homotopy point
-    is its solution then passes the KKT test after one sweep.
+    is its solution then passes the KKT test at its start.
+
+    A level retires as soon as every row passes the KKT test at
+    ``settings.kkt_tol``, read from the kernel's H.  The test runs before
+    every sweep: at the start, and after each sweep and the finish that may
+    follow it.  A level certified at its start takes no sweep and keeps a
+    one-value trace.
 
     Every ``_FINISH_WINDOW`` sweeps the due levels run the Newton finish.
     The kernel stores each level's nonzero rows once per window, after its
@@ -714,6 +717,20 @@ def _cd_path(data, weights, lambdas, init, settings):
     traces = [[v] for v in obj.tolist()]
 
     for _ in range(settings.max_sweeps):
+        retire = _kkt_rows(H.reshape(B.shape), B, 2.0 * half).max(axis=0) <= settings.kkt_tol
+        if np.any(retire):
+            out[act[retire]] = B[:, retire].transpose(1, 0, 2)
+            keep = ~retire
+            act = act[keep]
+            if act.size == 0:
+                return out, traces
+            cols = np.repeat(keep, q)
+            B = np.ascontiguousarray(B[:, keep, :])
+            B2 = B.reshape(p, -1)
+            Bs, Hs, H = (np.compress(cols, M, axis=1) for M in (Bs, Hs, H))
+            rs = rs[cols]
+            half = np.ascontiguousarray(half[:, keep])
+            support = support[keep]
         A = len(act)
         changed = False
         for j in range(p):
@@ -732,7 +749,6 @@ def _cd_path(data, weights, lambdas, init, settings):
                 raise SolverError(f"non-finite update in row {bad}")
             # the traces and the finishes never read the row updates' drift
             refresh()
-        prev = obj
         obj = objectives()
         since += 1
         if since == _FINISH_WINDOW - 1:
@@ -742,25 +758,6 @@ def _cd_path(data, weights, lambdas, init, settings):
             since = 0
         for l, v in zip(act.tolist(), obj.tolist()):
             traces[l].append(v)
-        rel = np.abs(prev - obj) / np.maximum(1.0, np.abs(prev))
-        ready = rel < _FLAT_TOL
-        if np.any(ready):
-            worst = _kkt_rows(H.reshape(p, A, q), B, 2.0 * half).max(axis=0)
-            retire = ready & (worst <= settings.kkt_tol)
-            if np.any(retire):
-                out[act[retire]] = B[:, retire].transpose(1, 0, 2)
-                keep = ~retire
-                act = act[keep]
-                if act.size == 0:
-                    return out, traces
-                cols = np.repeat(keep, q)
-                B = np.ascontiguousarray(B[:, keep, :])
-                B2 = B.reshape(p, -1)
-                Bs, Hs, H = (np.compress(cols, M, axis=1) for M in (Bs, Hs, H))
-                rs = rs[cols]
-                half = np.ascontiguousarray(half[:, keep])
-                obj = obj[keep]
-                support = support[keep]
     out[act] = B.transpose(1, 0, 2)
     return out, traces
 

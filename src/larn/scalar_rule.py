@@ -209,13 +209,15 @@ def minimax_check(n, theta, pen, replications=2000, seed=0):
     Simulates z = theta + standard normal noise, applies the rule at
     lam = (sqrt(0.5 log n) - 1) / c1, and averages the total squared error
     over independent replications (one RNG stream per call, derived from
-    ``seed``).
+    ``seed``).  At least two replications are needed for a standard error.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n,):
         raise ValueError(f"theta must have shape ({n},), got {theta.shape}")
     if n < 64:
         raise ValueError("n must be at least 64")
+    if replications < 2:
+        raise ValueError(f"replications must be at least 2, got {replications}")
     root = math.sqrt(0.5 * math.log(n)) - 1.0
     lam = root / pen.c1
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
 from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _kkt_rows
-from .model_selection import CvGrid, fit_with_selection, kfold_split
+from .model_selection import CvGrid, _best_cell, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
 
@@ -175,12 +175,11 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     follows each column's exact path once
     (:func:`larn.group_solver._weighted_homotopy`, one track per column) and
     starts every level there, so it only certifies it: a column whose start
-    passes the lasso KKT conditions to the default ``kkt_tol`` stops after
-    one sweep.  Any other column (one the homotopy stopped short on a
-    singular solve) is solved by the sweeps and Newton finishes from the
-    better of zero and that start.  Each column stops on its own under the
-    kernel's rule (a flat objective and every entry meeting the KKT
-    conditions) or when ``max_sweeps`` runs out.  Warns once
+    passes the lasso KKT conditions to the default ``kkt_tol`` takes no
+    sweep.  Any other column (one the homotopy stopped short on a singular
+    solve) is solved by the sweeps and Newton finishes from the better of
+    zero and that start.  Each column stops on its own once every entry
+    meets the KKT conditions, or when ``max_sweeps`` runs out.  Warns once
     (``RuntimeWarning``, naming the worst level) when a level is not
     certified.  Returns (L, p, q).
     """
@@ -220,7 +219,7 @@ def select_lasso(data, lambdas, k, seed):
         Rt = data.Y[test_idx][None, :, :] - preds
         sse += np.einsum("lab,lab->l", Rt, Rt)
     errors = np.sqrt(sse) / (data.n * data.q)
-    best = int(max(np.flatnonzero(errors == errors.min())))
+    best = _best_cell(errors[:, None])[0]
     B_final = separate_lasso(data, lambdas[best])
     return B_final, float(lambdas[best]), float(errors[best])
 

@@ -446,6 +446,13 @@ class TestMinimaxCheck:
         assert run(["minimax-check", "--out", str(tmp_path / "mm.json"),
                     "--n", "32"]) == 2
 
+    @pytest.mark.parametrize("replications", ["0", "1"])
+    def test_fewer_than_two_replications_exit_2(self, tmp_path, replications):
+        out = tmp_path / "mm.json"
+        assert run(["minimax-check", "--out", str(out), "--n", "128",
+                    "--replications", replications]) == 2
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_smoke_rows(self, tmp_path):

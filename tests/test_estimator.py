@@ -106,14 +106,13 @@ class TestLarnFit:
         fit = larn_fit(d, LarnConfig(), 1e6)
         assert np.all(fit.b_hat == 0.0)
 
-    def test_support_stable_under_tightened_tolerances(self, monkeypatch):
+    def test_support_stable_under_tightened_tolerances(self):
         cfg_sim = SimConfig(n=50, p=20, q=20, rho=0.7, seed=1)
         data, _ = generate_instance(cfg_sim)
         base = LarnConfig()
         tight = LarnConfig(solver=SolverSettings(max_sweeps=5000, kkt_tol=1e-8))
         lam = 5.0
         s1 = set(row_support(larn_fit(data, base, lam).b_hat))
-        monkeypatch.setattr(group_solver, "_FLAT_TOL", 1e-10)
         s2 = set(row_support(larn_fit(data, tight, lam).b_hat))
         assert s1 == s2
 

@@ -140,8 +140,7 @@ class TestConvergence:
             B, _ = bcd_solve(d, w, 2.5)
             assert np.max(kkt_residual(d, B, w, 2.5)) <= 1e-6
 
-    def test_solution_not_worse_than_dense_grid(self, monkeypatch):
-        monkeypatch.setattr(group_solver, "_FLAT_TOL", 1e-12)
+    def test_solution_not_worse_than_dense_grid(self):
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((10, 2))
@@ -152,6 +151,20 @@ class TestConvergence:
             B, _ = bcd_solve(d, w, lam, settings=SolverSettings(kkt_tol=1e-8))
             gmin = grid_min_objective(X, Y, w, lam, step=0.02, lo=-3.0, hi=3.0)
             assert objective(d, B, w, lam) <= gmin + 1e-4
+
+    @pytest.mark.parametrize("n, p", [(20, 8), (10, 15)])
+    def test_certified_start_retires_with_no_sweep(self, n, p):
+        # a level that passes the KKT test at its start leaves before the
+        # first sweep: its own solution comes back bitwise, its trace the
+        # start's one value
+        d = random_instance(5, n=n, p=p)
+        w = np.random.default_rng(5).uniform(0.5, 1.5, p)
+        B, trace = bcd_solve(d, w, 3.0)
+        assert len(trace) > 1
+        assert np.max(kkt_residual(d, B, w, 3.0)) <= 1e-6
+        again, trace = bcd_solve(d, w, 3.0, init=B)
+        assert np.array_equal(again, B)
+        assert len(trace) == 1
 
     def test_unpenalized_weight_row(self):
         # w_j = 0 rows take the plain least-squares update
@@ -258,9 +271,10 @@ class TestFinishWindow:
 
     def test_wide_instance_traces_nonincreasing(self):
         # p > n: Newton finishes run at the end of each window, and each is
-        # kept only when it lowers the objective.  The largest trace is 21
-        # sweeps; with the rows compared with those at the window's start it
-        # was 31
+        # kept only when it lowers the objective.  The largest trace is 20
+        # sweeps: a level leaves once a finish certifies it.  It was 21 when a
+        # certified level swept once more, and 31 with the rows compared with
+        # those at the window's start
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             B0 = initial_estimate(data)
@@ -268,14 +282,14 @@ class TestFinishWindow:
         _, traces = bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
         for trace in traces:
             assert np.all(np.diff(trace) <= 1e-12)
-        assert max(len(t) - 1 for t in traces) <= 21
+        assert max(len(t) - 1 for t in traces) <= 20
 
     def test_level_due_once_its_rows_hold_over_the_last_sweep(self):
         # from least squares this level drops rows in sweeps 1 and 4, and its
-        # rows hold over sweep W: the finish at the window's end takes it,
-        # and it retires on the next sweep.  Its rows at the window's start
-        # differ from those at its end, so a snapshot taken as the window
-        # began kept it to plain sweeps until sweep 2W + 1
+        # rows hold over sweep W: the finish at the window's end certifies
+        # it, and it retires before another sweep.  Its rows at the window's
+        # start differ from those at its end, so a snapshot taken as the
+        # window began kept it to plain sweeps until sweep 2W + 1
         W = group_solver._FINISH_WINDOW
         d = random_instance(2, n=30, p=8, q=3)
         w = np.random.default_rng(2).uniform(0.5, 1.5, d.p)
@@ -286,14 +300,14 @@ class TestFinishWindow:
         assert not np.array_equal(rows[0], rows[W - 1])
         assert np.array_equal(rows[W - 1], rows[W])
         B, trace = bcd_solve(d, w, lam, init=B0)
-        assert len(trace) - 1 == W + 1
+        assert len(trace) - 1 == W
         assert np.max(kkt_residual(d, B, w, lam)) <= 1e-6
         plain = residual_form_sweeps(d.X, d.Y, w, lam, B0, 2 * W, finish=False)
         assert np.max(kkt_residual(d, plain, w, lam)) > 1e-6
 
     def test_paper_path_sweep_count(self):
         # plain cyclic sweeps certify this path in 10394 level-sweeps; with
-        # the Newton finish every five sweeps it takes 670
+        # the Newton finish every five sweeps it takes 580
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=[1, 0]))
         B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)

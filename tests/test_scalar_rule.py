@@ -203,3 +203,9 @@ class TestRiskReport:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             minimax_check(128, np.zeros(64), HALF_MAX)
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_fewer_than_two_replications_rejected(self, replications):
+        # one replication gives no standard error, and none gives no mean
+        with pytest.raises(ValueError, match="replications"):
+            minimax_check(128, np.zeros(128), HALF_MAX, replications=replications)

@@ -189,6 +189,24 @@ class TestSeparateLasso:
             assert np.max(res) <= 1e-6
 
 
+class TestSelectLasso:
+    def test_all_zero_fits_tie_to_the_largest_lambda(self):
+        # every level lies above the lasso's zero threshold 2 max |X'Y| on
+        # the full data and on each training set, so every fit is zero, every
+        # level has the same CV error, and the tie goes to the largest level
+        rng = np.random.default_rng(6)
+        d = Dataset(rng.standard_normal((20, 5)), rng.standard_normal((20, 3)))
+        k, seed = 4, 0
+        sets = [np.arange(d.n)] + [np.setdiff1d(np.arange(d.n), f)
+                                   for f in kfold_split(d.n, k, seed)]
+        zero = max(2.0 * np.max(np.abs(d.X[i].T @ d.Y[i])) for i in sets)
+        lambdas = zero * np.array([3.0, 1.5, 8.0, 2.0])
+        B, lam, err = select_lasso(d, lambdas, k, seed)
+        assert np.all(B == 0.0)
+        assert lam == 8.0 * zero
+        assert err == pytest.approx(np.sqrt(np.sum(d.Y ** 2)) / (d.n * d.q), rel=1e-12)
+
+
 class TestUnitWeightSpecialCase:
     def test_larn_fit_with_unit_weights_equals_plain_group_lasso(self):
         rng = np.random.default_rng(6)
@@ -332,15 +350,16 @@ def sweeps_and_monotone(traces):
 class TestLassoFinish:
     def test_paper_path_certified_in_few_sweeps(self):
         # from zero, plain sweeps certify this path in 9574 level-sweeps;
-        # from the homotopy's start it takes 100, one sweep per level, a
-        # level's sweeps counted as its slowest column's
+        # from the homotopy's start it takes 0: every column starts
+        # certified and retires before a sweep, a level's sweeps counted as
+        # its slowest column's
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=1))
         lambdas = np.logspace(-2, 4, 100)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             stack, traces = recorded_lasso_path(data, lambdas)
         sweeps, monotone = sweeps_and_monotone(traces)
-        assert sweeps <= 1500 and monotone
+        assert sweeps == 0 and monotone
         for B, lam in zip(stack, lambdas):
             assert np.max(lasso_residuals(data, B, lam)) <= 1e-6
 
