@@ -249,8 +249,8 @@ def cmd_benchmark(args):
 
 
 def cmd_threshold_curve(args):
-    if args.step <= 0 or args.zmax <= 0:
-        raise CliError("--step and --zmax must be positive")
+    if not (0 < args.step < np.inf and 0 < args.zmax < np.inf):
+        raise CliError("--step and --zmax must be positive and finite")
     pen = depth_scalar_penalty(_penalty_from(args))
     steps = int(round(args.zmax / args.step))
     z = args.step * np.arange(-steps, steps + 1)

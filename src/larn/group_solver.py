@@ -44,14 +44,13 @@ their solutions, so the expansion cancels little, while the zero-anchored
 column's trace by 1.1e-12 on an objective of 0.149.  :func:`kkt_residual`
 still reads X'(Y - XB) from the data.
 
-Every five sweeps (the finish window) each level may take a Newton finish,
-kept when the summed computed objective change of its steps is negative
-(and its refreshed objective is finite); a trace still holds one value per
-sweep.  The levels whose nonzero rows S did not change over the window's
-last sweep get the finish on S (proximal Newton, Lee, Sun and Saunders,
-SIAM J. Optim. 2014; Newton steps on the identified support, Bareilles,
-Iutzeler and Malick, Math. Programming), all of them in one call that
-steps them together.
+After every sweep, the levels whose nonzero rows S held over that sweep
+(and are not empty) take a Newton finish on S (proximal Newton, Lee, Sun
+and Saunders, SIAM J. Optim. 2014; Newton steps on the identified support,
+Bareilles, Iutzeler and Malick, Math. Programming), all of them in one
+call that steps them together.  A finish is kept when the summed computed
+objective change of its steps is negative and its refreshed objective is
+not above the sweep's; a trace still holds one value per sweep.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -73,9 +72,13 @@ the objective, and the rows it zeroes leave S; the step backtracks (Armijo)
 only when no row crosses or no candidate is lower.
 Each step is accepted on its computed objective change, which must be
 finite and negative, not on the difference of two rounded objectives; the
-trace then records the refreshed objective.  A level's finish stops once
-the rows in S pass the KKT test, when the line search fails, or after a
-fixed number of steps.
+trace then records the refreshed objective.  A row's norm change
+||b + t d|| - ||b|| enters that change as
+t (2<b, d> + t ||d||^2) / (||b + t d|| + ||b||), which does not cancel
+when the step is short next to the row, as it is when a finish starts one
+sweep from the optimum.  A level's finish stops once the rows in S pass
+the KKT test, when the line search fails, or after a fixed number of
+steps.
 This is what certifies p > n levels that sweeps alone leave uncertified
 after 1000.
 
@@ -230,10 +233,7 @@ def _group_prox(g, half, s):
     return (np.maximum(1.0 - half * inv, 0.0) / s)[:, None] * g
 
 
-# sweeps per finish window: a level's finish runs at the end of each window
-_FINISH_WINDOW = 5
-
-# Newton finish: steps per window, Armijo slope fraction, step halvings
+# Newton finish: steps per finish, Armijo slope fraction, step halvings
 _NEWTON_STEPS = 20
 _ARMIJO = 1e-4
 _NEWTON_BACKTRACKS = 30
@@ -357,8 +357,11 @@ def _newton_finish(G, H, B, c, kkt_tol):
 
     Each step follows :func:`_newton_direction` on S; zero rows stay zero.
     The objective change at B + t d is
-    t^2 <d, Gd> - 2t <d, H> + c'(||b + t d|| - ||b||), and setting rows V of
-    that point to zero adds <V, G V + 2 H - 2t Gd>.  When rows cross,
+    t^2 <d, Gd> - 2t <d, H> + c'(||b + t d|| - ||b||), each row's norm
+    change read as t (2<b, d> + t ||d||^2) / (||b + t d|| + ||b||) from row
+    dots taken once per step, and setting rows V of that point to zero
+    adds <V, G V + 2 H - 2t Gd> to the fit term and -||b_j|| per zeroed
+    row to the norm term.  When rows cross,
     <b_j, b_j + d_j> < 0, the candidates are the full step with every
     crossing row zeroed and, per crossing row j, the step
     t_j = -<b_j, d_j> / ||d_j||^2 with row j zeroed; the lowest is taken when
@@ -415,11 +418,15 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
         Gd = G @ d
         dgd = np.einsum("apq,apq->a", d, Gd)
         dh = np.einsum("apq,apq->a", d, Hl)
+        bd, dd = np.einsum("apq,apq->ap", Bl, d), np.einsum("apq,apq->ap", d, d)
 
         def changes(lv, t, zero=None, extra=None):
             # objective change at Bl[lv] + t d[lv] with the rows in zero (K, p)
             # set to zero, whose change of fit is ``extra`` (K,); non-finite
-            # as +inf, in chunks of (K, p, q) trials
+            # as +inf, in chunks of (K, p, q) trials.  A row's norm change
+            # ||b + t d|| - ||b|| is read as t (2<b, d> + t ||d||^2) /
+            # (||b + t d|| + ||b||), which does not cancel when the step is
+            # short; a zeroed row's is -||b||
             out = np.empty(len(lv))
             for i in range(0, len(lv), chunk):
                 s = slice(i, i + chunk)
@@ -428,10 +435,14 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
                 P *= ts[:, None, None]
                 P += Bl[l]
                 fit = ts * (ts * dgd[l] - 2.0 * dh[l])
+                den = _row_norms(P) + nrm[l]
+                tk = ts[:, None]
+                pen = np.divide(tk * (2.0 * bd[l] + tk * dd[l]), den,
+                                out=np.zeros_like(den), where=den > 0)
                 if zero is not None:
-                    P[zero[s]] = 0.0
+                    pen[zero[s]] = -nrm[l][zero[s]]
                     fit += extra[s]
-                out[s] = fit + np.einsum("kp,kp->k", cl[l], _row_norms(P) - nrm[l])
+                out[s] = fit + np.einsum("kp,kp->k", cl[l], pen)
             return np.where(np.isfinite(out), out, np.inf)
 
         a = len(live)
@@ -443,7 +454,7 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
         if lc.size:
             hl = np.flatnonzero(cross.any(axis=1))
             bj, dj = Bl[lc, jc], d[lc, jc]
-            tj = -np.einsum("kq,kq->k", bj, dj) / np.einsum("kq,kq->k", dj, dj)
+            tj = -bd[lc, jc] / dd[lc, jc]
             # zeroing the rows V of a trial adds <V, G V + 2 H - 2t Gd> to its
             # change of fit: all crossing rows at t = 1, or one row j
             V = np.where(cross[hl, :, None], Bl[hl] + d[hl], 0.0)
@@ -618,18 +629,17 @@ def _cd_path(data, weights, lambdas, init, settings):
     follow it.  A level certified at its start takes no sweep and keeps a
     one-value trace.
 
-    Every ``_FINISH_WINDOW`` sweeps the due levels run the Newton finish.
-    The kernel stores each level's nonzero rows once per window, after its
-    next-to-last sweep.  The due levels are the active ones whose nonzero
-    rows at the window's end equal that snapshot (and are not empty): their
-    rows held over the window's last sweep, however they changed in its
-    first ones.  They go to one :func:`_newton_finish` call: each takes at
+    After every sweep the due levels run the Newton finish: the active
+    ones whose nonzero rows are not empty and held over the sweep (the rows
+    are taken at the top of each sweep, after retire and compaction).
+    They go to one :func:`_newton_finish` call: each takes at
     most ``_NEWTON_STEPS`` Woodbury-form Newton steps on its rows, padded to
     all p rows so that the levels step together with a closed-form line
     search, where a row whose step passes through zero may leave them,
     stopping early once the remaining rows pass the KKT test.  A level
     keeps its finish when the summed computed objective change of its steps
-    is negative and its refreshed objective is finite; else it is restored.
+    is negative and its refreshed objective is not above the sweep's (nor
+    NaN); else it is restored.
     The finish reads the kernel's G and H.  The kernel forms R = Y - XB
     only at the starts B_s, keeping H_s = X'R and r_s = ||R||^2 there per
     column; H is recomputed as H_s - G (B - B_s) after every sweep that
@@ -674,10 +684,6 @@ def _cd_path(data, weights, lambdas, init, settings):
     del Rs, Y
     H = Hs.copy()                                  # (p, A*q): X'R at B
     out = np.empty((L, p, q))
-    # (A, p): each level's nonzero rows before the window's last sweep, taken
-    # after its next-to-last; set here so that compaction can carry it
-    support = _row_norms(B).T > 0
-    since = 0                                      # sweeps since the window began
 
     def refresh():
         # H = H_s - G D with D = B - B_s, recomputed from B, not updated
@@ -689,11 +695,12 @@ def _cd_path(data, weights, lambdas, init, settings):
         pen = 2.0 * np.einsum("pa,pa->a", half, _row_norms(B))
         return resid.reshape(-1, q).sum(axis=1) + pen
 
-    def finish(obj):
-        # the due levels run the Newton finish; those whose summed computed
-        # change is negative keep it unless their refreshed objective is not
-        # finite.  Sets obj to the kept levels' refreshed objective and H to
-        # the kept B
+    def finish(obj, support):
+        # the levels whose nonzero rows equal ``support`` (A, p), those before
+        # the sweep, and are not empty run the Newton finish; those whose
+        # summed computed change is negative keep it unless their refreshed
+        # objective is above obj or not finite.  Sets obj to the kept levels'
+        # refreshed objective and H to the kept B
         nonzero = _row_norms(B).T > 0
         due = np.flatnonzero(np.all(nonzero == support, axis=1) & nonzero.any(axis=1))
         new, _, change = _newton_finish(G, H.reshape(B.shape)[:, due].transpose(1, 0, 2),
@@ -707,7 +714,7 @@ def _cd_path(data, weights, lambdas, init, settings):
         B[:, take] = new[kept].transpose(1, 0, 2)
         refresh()
         trial = objectives()[take]
-        bad = ~np.isfinite(trial)
+        bad = ~(trial <= obj[take])
         if np.any(bad):
             B[:, take[bad]] = before[:, bad]
             refresh()
@@ -730,8 +737,8 @@ def _cd_path(data, weights, lambdas, init, settings):
             Bs, Hs, H = (np.compress(cols, M, axis=1) for M in (Bs, Hs, H))
             rs = rs[cols]
             half = np.ascontiguousarray(half[:, keep])
-            support = support[keep]
         A = len(act)
+        support = _row_norms(B).T > 0              # (A, p): each level's nonzero rows
         changed = False
         for j in range(p):
             b_old = B[j]                           # (A, q) view
@@ -750,12 +757,7 @@ def _cd_path(data, weights, lambdas, init, settings):
             # the traces and the finishes never read the row updates' drift
             refresh()
         obj = objectives()
-        since += 1
-        if since == _FINISH_WINDOW - 1:
-            support = _row_norms(B).T > 0
-        elif since == _FINISH_WINDOW:
-            finish(obj)
-            since = 0
+        finish(obj, support)
         for l, v in zip(act.tolist(), obj.tolist()):
             traces[l].append(v)
     out[act] = B.transpose(1, 0, 2)
@@ -784,8 +786,9 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
         Solution with exact zeros on thresholded rows.
     trace : list of float
         Objective value at the start and after each sweep; nonincreasing up
-        to rounding (a Newton finish is kept when its computed objective
-        change is negative).  At q = 1 the start is whichever of ``init``
+        to rounding (a Newton finish is kept only when its computed
+        objective change is negative, and a kept finish never raises the
+        recorded objective).  At q = 1 the start is whichever of ``init``
         and the weighted lasso's homotopy point is lower, and the trace
         begins there.
 

@@ -68,8 +68,8 @@ class CvGrid:
             self.thresholds = np.sort(np.asarray(thresholds, dtype=float))
             if self.thresholds.size == 0:
                 raise ValueError("threshold grid is empty")
-            if np.any(self.thresholds < 0):
-                raise ValueError("thresholds must be nonnegative")
+            if np.any(self.thresholds < 0) or not np.all(np.isfinite(self.thresholds)):
+                raise ValueError("thresholds must be finite and nonnegative")
             n_thresholds = self.thresholds.size
         if n_thresholds < 1:
             raise ValueError("n_thresholds must be positive")

@@ -126,8 +126,8 @@ def soft_threshold_depth(z, lam, pen, exact=False):
     z_arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z_arr)):
         raise ValueError("z must be finite")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     absz = np.abs(z_arr)
     mag = np.maximum(absz - lam * pen.derivative_fn(absz), 0.0)
     if exact:

@@ -50,6 +50,21 @@ def assert_fold_failure_exit_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def assert_bad_thresholds_exit_2(tmp_path, command, bad):
+    # a NaN or infinite threshold level was written to the JSON output as
+    # NaN or Infinity, which is not valid JSON; now the run exits 2 and
+    # writes nothing
+    rng = np.random.default_rng(1)
+    write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((12, 3)))
+    write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
+    out = tmp_path / command
+    rc = run([command, "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+              "--out-dir", str(out), "--lambdas", "0.1,1", "--thresholds", f"0,{bad}",
+              "--folds", "3"])
+    assert rc == 2
+    assert not out.exists()
+
+
 REQUIRED = "required"
 
 # every subcommand's options and their defaults; REQUIRED marks a required one
@@ -261,10 +276,10 @@ class TestFit:
         assert payload["certified"] is True
 
     def test_uncertified_fit_exit_3(self, tmp_path, capsys, monkeypatch):
-        # sweeps that end before the first finish leave the selected fit
+        # three sweeps with no Newton finish leave the selected fit
         # uncertified: its outputs are written, flagged, and the run exits 3
-        monkeypatch.setattr(SolverSettings.__init__, "__defaults__",
-                            (group_solver._FINISH_WINDOW - 2, 1e-6))
+        monkeypatch.setattr(SolverSettings.__init__, "__defaults__", (3, 1e-6))
+        monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 0)
         rng = np.random.default_rng(6)
         write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
         write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
@@ -282,6 +297,10 @@ class TestFit:
 
     def test_fold_failure_exit_1(self, tmp_path, capsys):
         assert_fold_failure_exit_1(tmp_path, capsys, "fit")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_threshold_exit_2(self, tmp_path, bad):
+        assert_bad_thresholds_exit_2(tmp_path, "fit", bad)
 
     def test_linalg_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, yet it exits 1, not 2
@@ -341,12 +360,16 @@ class TestCv:
     def test_fold_failure_exit_1(self, tmp_path, capsys):
         assert_fold_failure_exit_1(tmp_path, capsys, "cv")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_threshold_exit_2(self, tmp_path, bad):
+        assert_bad_thresholds_exit_2(tmp_path, "cv", bad)
+
     def test_uncertified_selection_exit_3(self, tmp_path, capsys, monkeypatch):
-        # sweeps that end before the first finish leave the selected
-        # full-data fit uncertified: the surface and best pair are written,
-        # flagged, and the run exits 3
-        monkeypatch.setattr(SolverSettings.__init__, "__defaults__",
-                            (group_solver._FINISH_WINDOW - 2, 1e-6))
+        # three sweeps with no Newton finish leave the selected full-data
+        # fit uncertified: the surface and best pair are written, flagged,
+        # and the run exits 3
+        monkeypatch.setattr(SolverSettings.__init__, "__defaults__", (3, 1e-6))
+        monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 0)
         rng = np.random.default_rng(6)
         write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
         write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
@@ -410,6 +433,21 @@ class TestThresholdCurve:
     def test_bad_step_exit_2(self, tmp_path):
         assert run(["threshold-curve", "--out", str(tmp_path / "c.csv"),
                     "--step", "-1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--zmax", "inf"), ("--zmax", "nan"),
+                                             ("--step", "inf"), ("--step", "nan")])
+    def test_non_finite_range_exit_2(self, tmp_path, flag, value):
+        # --zmax inf overflowed the point count with a traceback
+        out = tmp_path / "c.csv"
+        assert run(["threshold-curve", "--out", str(out), f"{flag}={value}"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2(self, tmp_path, lam):
+        # --lambda nan wrote an all-zero curve and exited 0
+        out = tmp_path / "c.csv"
+        assert run(["threshold-curve", "--out", str(out), f"--lambda={lam}"]) == 2
+        assert not out.exists()
 
 
 class TestMinimaxCheck:

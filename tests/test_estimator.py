@@ -136,10 +136,11 @@ class TestLarnFit:
         assert np.max(fit.kkt_residuals) <= 1e-6
         assert fit.certified is True
 
-    def test_uncertified_fit_warns(self):
-        # sweeps that end before the first finish leave the level uncertified
+    def test_uncertified_fit_warns(self, monkeypatch):
+        # three sweeps with no Newton finish leave the level uncertified
+        monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 0)
         data, _ = sparse_instance(12)
-        cfg = LarnConfig(solver=SolverSettings(max_sweeps=group_solver._FINISH_WINDOW - 2))
+        cfg = LarnConfig(solver=SolverSettings(max_sweeps=3))
         with pytest.warns(RuntimeWarning,
                           match=r"lambda = 4 .* KKT residual .* tolerance 1e-06"):
             fit = larn_fit(data, cfg, 4.0)

@@ -178,31 +178,18 @@ class TestConvergence:
         assert np.all(B[1:] == 0.0)
 
 
-def residual_form_sweeps(X, Y, w, lam, B, sweeps, finish=True):
-    # plain cyclic block updates that read x_j'R and update R; at the end of
-    # every window of group_solver._FINISH_WINDOW sweeps (never when finish
-    # is False) the kernel's Newton finish when the nonzero rows did not
-    # change over the window's last sweep, kept only when it lowers the
-    # objective
+def residual_form_sweeps(X, Y, w, lam, B, sweeps):
+    # plain cyclic block updates that read x_j'R and update R
     B = B.copy()
     R = Y - X @ B
     s = np.einsum("ij,ij->j", X, X)
-    for sweep in range(1, sweeps + 1):
-        before = np.linalg.norm(B, axis=1) > 0
+    for _ in range(sweeps):
         for j in range(X.shape[1]):
             g = X[:, j] @ R + s[j] * B[j]
             norm = np.linalg.norm(g)
             b = max(0.0, 1.0 - lam * w[j] / (2.0 * norm)) * g / s[j] if norm > 0 else 0.0 * g
             R -= np.outer(X[:, j], b - B[j])
             B[j] = b
-        rows = np.linalg.norm(B, axis=1) > 0
-        if (finish and sweep % group_solver._FINISH_WINDOW == 0
-                and np.array_equal(before, rows) and rows.any()):
-            Bn, steps, df = _newton_finish(X.T @ X, (X.T @ (Y - X @ B))[None], B[None],
-                                           (lam * w)[None], 1e-6)
-            if steps[0] and df[0] < 0:
-                B = Bn[0]
-                R = Y - X @ B
     return B
 
 
@@ -215,13 +202,14 @@ def gram_form_instance(n, p):
 
 class TestGramForm:
     @pytest.mark.parametrize("n, p", [(80, 12), (12, 15)])
-    def test_gram_updates_match_residual_form(self, n, p):
-        # each level equals the residual-form iterate after as many sweeps,
-        # Newton-finished on the same schedule.  Nine sweeps take in one
-        # window; over longer runs the Newton finish takes levels
-        # to the same optimum whatever the sweeps did, so a wrong Gram update
-        # would no longer show, and the converged path is compared by the
-        # next test instead
+    def test_gram_updates_match_residual_form(self, n, p, monkeypatch):
+        # with no Newton step, each level equals the residual-form iterate
+        # after as many sweeps.  The sweeps alone are compared: a finish
+        # takes levels to the same optimum whatever the sweeps did, so a
+        # wrong Gram update would no longer show, and two finishes that
+        # stop on either side of kkt_tol differ by more than the rounding
+        # of the two forms; the converged path is compared by the next test
+        monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 0)
         d, w, lambdas, B0 = gram_form_instance(n, p)
         stack, traces = bcd_solve_path(d, w, lambdas, init=B0,
                                        settings=SolverSettings(max_sweeps=9))
@@ -241,7 +229,7 @@ class TestGramForm:
                 continue
             ref = B0
             for _ in range(30):
-                ref = residual_form_sweeps(d.X, d.Y, w, lam, ref, 100, finish=False)
+                ref = residual_form_sweeps(d.X, d.Y, w, lam, ref, 100)
                 if np.max(kkt_residual(d, ref, w, lam)) <= 1e-9:
                     break
             else:
@@ -256,8 +244,8 @@ class TestFinishWindow:
     def test_level_that_stops_moving(self):
         # on an identity design each sweep reproduces the fixed point bit for
         # bit; no level is certified at kkt_tol = 1e-300, so the Newton
-        # finish runs at the end of all ten windows and must leave that
-        # exact fixed point bitwise alone
+        # finish runs after all 50 sweeps and must leave that exact fixed
+        # point bitwise alone
         rng = np.random.default_rng(0)
         d = Dataset(np.eye(3), rng.uniform(1.0, 2.0, (3, 4)))
         w = np.ones(3)
@@ -270,11 +258,10 @@ class TestFinishWindow:
             assert np.array_equal(B, B1)
 
     def test_wide_instance_traces_nonincreasing(self):
-        # p > n: Newton finishes run at the end of each window, and each is
-        # kept only when it lowers the objective.  The largest trace is 20
-        # sweeps: a level leaves once a finish certifies it.  It was 21 when a
-        # certified level swept once more, and 31 with the rows compared with
-        # those at the window's start
+        # p > n: a Newton finish runs after every sweep its level's rows held
+        # over, and each is kept only when it lowers the objective.  The
+        # largest trace is 5 sweeps: a level leaves once a finish certifies
+        # it.  It was 20 with a finish only every fifth sweep
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             B0 = initial_estimate(data)
@@ -282,32 +269,36 @@ class TestFinishWindow:
         _, traces = bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
         for trace in traces:
             assert np.all(np.diff(trace) <= 1e-12)
-        assert max(len(t) - 1 for t in traces) <= 20
+        assert max(len(t) - 1 for t in traces) <= 5
 
-    def test_level_due_once_its_rows_hold_over_the_last_sweep(self):
-        # from least squares this level drops rows in sweeps 1 and 4, and its
-        # rows hold over sweep W: the finish at the window's end certifies
-        # it, and it retires before another sweep.  Its rows at the window's
-        # start differ from those at its end, so a snapshot taken as the
-        # window began kept it to plain sweeps until sweep 2W + 1
-        W = group_solver._FINISH_WINDOW
+    def test_level_due_once_its_rows_hold_over_the_last_sweep(self, monkeypatch):
+        # from least squares this level drops rows in sweep 1, and its rows
+        # hold over sweep 2: it is not due after sweep 1, and its first
+        # finish starts from its sweep-2 iterate
         d = random_instance(2, n=30, p=8, q=3)
         w = np.random.default_rng(2).uniform(0.5, 1.5, d.p)
         lam = 80.0
         B0 = np.linalg.lstsq(d.X, d.Y, rcond=None)[0]
-        rows = [np.linalg.norm(residual_form_sweeps(d.X, d.Y, w, lam, B0, k, finish=False),
-                               axis=1) > 0 for k in range(W + 1)]
-        assert not np.array_equal(rows[0], rows[W - 1])
-        assert np.array_equal(rows[W - 1], rows[W])
-        B, trace = bcd_solve(d, w, lam, init=B0)
-        assert len(trace) - 1 == W
+        rows = [np.linalg.norm(residual_form_sweeps(d.X, d.Y, w, lam, B0, k), axis=1) > 0
+                for k in range(3)]
+        assert not np.array_equal(rows[0], rows[1])
+        assert np.array_equal(rows[1], rows[2])
+        starts = []
+
+        def recording(G, H, B, c, kkt_tol):
+            starts.append(B.copy())
+            return _newton_finish(G, H, B, c, kkt_tol)
+
+        monkeypatch.setattr(group_solver, "_newton_finish", recording)
+        B, _ = bcd_solve(d, w, lam, init=B0)
+        assert [len(b) for b in starts[:2]] == [0, 1]
+        ref = residual_form_sweeps(d.X, d.Y, w, lam, B0, 2)
+        assert np.max(np.abs(starts[1][0] - ref)) <= 1e-12
         assert np.max(kkt_residual(d, B, w, lam)) <= 1e-6
-        plain = residual_form_sweeps(d.X, d.Y, w, lam, B0, 2 * W, finish=False)
-        assert np.max(kkt_residual(d, plain, w, lam)) > 1e-6
 
     def test_paper_path_sweep_count(self):
         # plain cyclic sweeps certify this path in 10394 level-sweeps; with
-        # the Newton finish every five sweeps it takes 580
+        # the Newton finish after every sweep the rows held over it takes 185
         data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=[1, 0]))
         B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
@@ -405,21 +396,48 @@ class TestNewtonFinish:
     def test_wide_instance_no_finish_reaches_the_step_cap(self, monkeypatch):
         # p > n: with the support fixed, rows whose step passed through zero
         # made the line search shrink every step, and 2 of the 12 finishes
-        # on this path (63 of 133 in a cross-validated fit) stopped at the cap
+        # on this path (63 of 133 in a cross-validated fit) stopped at the
+        # cap.  The 8 levels due after five plain sweeps are finished here
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
-        steps = []
+        calls = []
 
         def recording(*args):
-            out = _newton_finish(*args)
-            steps.extend(out[1])
-            return out
+            calls.append(args)
+            return _newton_finish(*args)
 
-        monkeypatch.setattr(group_solver, "_newton_finish", recording)
-        bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0)
-        assert steps and max(steps) < group_solver._NEWTON_STEPS
+        with monkeypatch.context() as m:
+            m.setattr(group_solver, "_newton_finish", recording)
+            m.setattr(group_solver, "_NEWTON_STEPS", 0)
+            bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0,
+                           settings=SolverSettings(max_sweeps=5))
+        assert len(calls) == 5 and len(calls[-1][2]) == 8
+        _, steps, _ = _newton_finish(*calls[-1])
+        assert np.all(steps >= 1) and max(steps) < group_solver._NEWTON_STEPS
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_finish_near_the_optimum_certifies(self, scale):
+        # steps of about 1e-7 on rows of norm about 1e3 s: the norm change
+        # ||b + t d|| - ||b|| taken as a difference cancels to a rounding
+        # error near the true change, so on some of these starts the full
+        # step failed Armijo and the finish spent all its steps short of the
+        # KKT test
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 6))
+        Y = X @ (scale * rng.standard_normal((6, 5))) + rng.standard_normal((40, 5))
+        d, w, lam = Dataset(X, Y), np.ones(6), 0.2 * scale
+        B, _ = bcd_solve(d, w, lam, settings=SolverSettings(kkt_tol=1e-10))
+        S = row_support(B)
+        for _ in range(8):
+            start = B.copy()
+            start[S] += 1e-7 * rng.standard_normal((len(S), 5))
+            assert np.max(kkt_residual(d, start, w, lam)) > 1e-6
+            new, steps, change = _newton_finish(*gram_args(d, start), (lam * w)[None], 1e-6)
+            assert steps[0] == 1 and change[0] < 0
+            assert np.array_equal(row_support(new[0]), S)
+            assert np.max(kkt_residual(d, new[0], w, lam)) <= 1e-6
 
     @pytest.mark.parametrize("sim, singular", [
         pytest.param(dict(n=50, p=60, q=10, seed=1), False, id="False"),
@@ -428,8 +446,8 @@ class TestNewtonFinish:
     ])
     def test_levels_finished_together_equal_each_finished_alone(self, sim, singular,
                                                                 monkeypatch):
-        # three levels one sweep short of their first finish, on the p > n
-        # instance and on the tall one of the CLI workload.  The singular case
+        # three levels after four plain sweeps, on the p > n instance and on
+        # the tall one of the CLI workload.  The singular case
         # duplicates design column 1 into column 0 and adds a level with zero
         # weights whose support is those two rows, so its A = 2 G_SS is
         # exactly singular: the batch is solved level by level, that level
@@ -444,8 +462,10 @@ class TestNewtonFinish:
             B0 = initial_estimate(data)
         w = group_weights(B0, LarnConfig().penalty)
         lambdas = np.array([0.05, 2.0, 50.0])
-        stack, _ = bcd_solve_path(data, w, lambdas, init=B0, settings=SolverSettings(
-            max_sweeps=group_solver._FINISH_WINDOW - 1))
+        with monkeypatch.context() as m:
+            m.setattr(group_solver, "_NEWTON_STEPS", 0)
+            stack, _ = bcd_solve_path(data, w, lambdas, init=B0,
+                                      settings=SolverSettings(max_sweeps=4))
         weights = np.tile(w, (3, 1))
         if singular:
             flat = np.zeros((data.p, data.q))
@@ -591,8 +611,8 @@ class TestSingleResponse:
 
     @pytest.mark.parametrize("unit", [False, True])
     def test_wide_path_never_runs_newton(self, unit, monkeypatch):
-        # the homotopy start alone certifies these levels: each retires after
-        # one sweep, before any finish window ends
+        # the homotopy start alone certifies these levels: each retires at
+        # its start, before any sweep or finish
         monkeypatch.setattr(group_solver, "_newton_finish", fail)
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             fits = larn_path(wide_single_response(), LarnConfig(unit_weights=unit),

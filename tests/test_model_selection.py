@@ -134,6 +134,11 @@ class TestGrids:
         with pytest.raises(ValueError):
             CvGrid(thresholds=[-0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CvGrid(thresholds=[0.1, bad])
+
 
 class TestCrossValidate:
     def test_degenerate_grid_equals_heldout_least_squares(self):
@@ -334,11 +339,13 @@ class TestFitWithSelection:
         assert fit.objective_trace == ref.objective_trace
         assert fit.outer_iters == ref.outer_iters
 
-    def test_uncertified_selection_warns_once(self):
-        # in either mode: the selected fit warns, the (fold, lambda) fits do not
+    def test_uncertified_selection_warns_once(self, monkeypatch):
+        # in either mode: the selected fit warns, the (fold, lambda) fits do
+        # not.  Three sweeps with no Newton finish leave it uncertified
+        monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 0)
         data = make_data(15)
         grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=4, k=3, seed=0)
-        solver = SolverSettings(max_sweeps=group_solver._FINISH_WINDOW - 2)
+        solver = SolverSettings(max_sweeps=3)
         # full mode runs rounds until a level is certified, so it is capped at one
         for config in (LarnConfig(solver=solver),
                        LarnConfig(one_step=False, max_outer_iters=1, solver=solver)):

@@ -79,6 +79,12 @@ class TestRule:
         with pytest.raises(ValueError):
             soft_threshold_depth(np.nan, 1.0, HALF_MAX)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_lambda(self, lam):
+        # a NaN level compared false everywhere and gave an all-zero rule
+        with pytest.raises(ValueError, match="lam"):
+            soft_threshold_depth(np.array([-1.0, 2.0]), lam, HALF_MAX)
+
 
 class TestExactVariant:
     def test_fixed_point_satisfies_equation(self):
