@@ -28,8 +28,7 @@ form (the covariance updates of Friedman, Hastie and Tibshirani, JSS
 so a row costs O(p) instead of the O(n) of reading x_j'R and updating R.
 R itself is formed once, at each level's start B_s.  With G = X'X,
 D = B - B_s, H_s = X'(Y - X B_s) and r_s = ||Y - X B_s||^2 per column, H
-is recomputed as H_s - G D after every sweep that moved a row, and the fit
-term is read as
+is recomputed as H_s - G D after every sweep, and the fit term is read as
 
     ||Y - XB||^2 = r_s - <D, H_s> - <D, H>,
 
@@ -61,24 +60,26 @@ batched inverse and one batched solve over the levels, and a level's
 arithmetic does not depend on which other levels share the call.  The
 finish reads the design only through G = X'X and the kernel's H = X'R,
 and tracks H across its steps as the sweeps do.  Along a step d the fit
-term changes by t^2 <d, Gd> - 2t <d, H>, so the line search is in closed
-form: a trial point costs only its row norms.  Rows may leave S:
-a row j crosses when its full step d_j passes through zero,
-<b_j, b_j + d_j> < 0, and the candidates are then the full step with every
-crossing row set to zero and, for each crossing row, the point of the
+term changes by t^2 <d, Gd> - 2t <d, H>, and row j's norm by
+m_j / (||b_j + t d_j|| + ||b_j||), where m_j = t (2<b_j, d_j> + t ||d_j||^2)
+and ||b_j + t d_j|| = sqrt(||b_j||^2 + m_j).  This form does not cancel when
+the step is short next to the row, as it is when a finish starts one sweep
+from the optimum.  So the line search reads every trial point from dot
+products taken once per step, at O(p) a trial, and never forms it.
+
+Rows may leave S: a row j crosses when its full step d_j passes through
+zero, <b_j, b_j + d_j> < 0, and the candidates are then the full step with
+every crossing row set to zero and, for each crossing row, the point of the
 segment where its norm is smallest with that row set to zero, whose change
 of fit reads G_jj and row j of H and Gd.  The lowest is taken if it lowers
-the objective, and the rows it zeroes leave S; the step backtracks (Armijo)
-only when no row crosses or no candidate is lower.
+the objective, and the rows it zeroes leave S.  Only when no row crosses
+or no candidate is lower does the step backtrack: every length 1, 1/2, ...
+is read at once, and the longest that satisfies Armijo is taken.
 Each step is accepted on its computed objective change, which must be
 finite and negative, not on the difference of two rounded objectives; the
-trace then records the refreshed objective.  A row's norm change
-||b + t d|| - ||b|| enters that change as
-t (2<b, d> + t ||d||^2) / (||b + t d|| + ||b||), which does not cancel
-when the step is short next to the row, as it is when a finish starts one
-sweep from the optimum.  A level's finish stops once the rows in S pass
-the KKT test, when the line search fails, or after a fixed number of
-steps.
+trace then records the refreshed objective.  A level's finish stops once
+the rows in S pass the KKT test, when the line search fails, or after a
+fixed number of steps.
 This is what certifies p > n levels that sweeps alone leave uncertified
 after 1000.
 
@@ -217,13 +218,10 @@ def _kkt_rows(G3, B3, shrink):
     """
     gn = _row_norms(G3)
     bn = _row_norms(B3)
-    res = np.maximum(gn - 0.5 * shrink, 0.0)
     nz = bn > 0
-    if np.any(nz):
-        inv = np.divide(1.0, bn, out=np.zeros_like(bn), where=nz)
-        stat = 2.0 * G3 - (shrink * inv)[..., None] * B3
-        res = np.where(nz, _row_norms(stat), res)
-    return res
+    inv = np.divide(1.0, bn, out=np.zeros_like(bn), where=nz)
+    stat = 2.0 * G3 - (shrink * inv)[..., None] * B3
+    return np.where(nz, _row_norms(stat), np.maximum(gn - 0.5 * shrink, 0.0))
 
 
 def _group_prox(g, half, s):
@@ -239,7 +237,10 @@ _ARMIJO = 1e-4
 _NEWTON_BACKTRACKS = 30
 
 # entries (0.5 MB) of all the work arrays of a block of Newton-finished
-# levels, so memory does not grow with the number of levels
+# levels, so memory does not grow with the number of levels.  The line
+# search reads its trial points from row dots into (K, p) arrays, with at
+# most max(_NEWTON_BACKTRACKS, p + 1) rows per level; the count of a level's
+# work arrays in _newton_finish leaves them out
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -358,20 +359,19 @@ def _newton_finish(G, H, B, c, kkt_tol):
     Each step follows :func:`_newton_direction` on S; zero rows stay zero.
     The objective change at B + t d is
     t^2 <d, Gd> - 2t <d, H> + c'(||b + t d|| - ||b||), each row's norm
-    change read as t (2<b, d> + t ||d||^2) / (||b + t d|| + ||b||) from row
-    dots taken once per step, and setting rows V of that point to zero
-    adds <V, G V + 2 H - 2t Gd> to the fit term and -||b_j|| per zeroed
-    row to the norm term.  When rows cross,
+    change read as m / (sqrt(||b||^2 + m) + ||b||), m = t (2<b, d> + t ||d||^2),
+    from row dots taken once per step, so no trial point is formed; setting
+    rows V of that point to zero adds <V, G V + 2 H - 2t Gd> to the fit term
+    and -||b_j|| per zeroed row to the norm term.  When rows cross,
     <b_j, b_j + d_j> < 0, the candidates are the full step with every
     crossing row zeroed and, per crossing row j, the step
     t_j = -<b_j, d_j> / ||d_j||^2 with row j zeroed; the lowest is taken when
     its change is negative, and the zeroed rows leave S.  Otherwise the
-    lengths 1, 1/2, ... (``_NEWTON_BACKTRACKS`` of them) are tried, the full
-    step first and the rest at once, and the longest that satisfies Armijo
-    is taken.  A level stops when its rows in S pass the KKT test at
-    ``kkt_tol``, when S is empty, when the direction is not finite or not a
-    descent direction, when the line search fails, or after
-    ``_NEWTON_STEPS`` steps.  Never raises.
+    lengths 1, 1/2, ... (``_NEWTON_BACKTRACKS`` of them) are all read in one
+    pass, and the longest that satisfies Armijo is taken.  A level stops
+    when its rows in S pass the KKT test at ``kkt_tol``, when S is empty,
+    when the direction is not finite or not a descent direction, when the
+    line search fails, or after ``_NEWTON_STEPS`` steps.  Never raises.
 
     Returns the new B (a copy), the steps taken (A,) and the sum of each
     level's computed objective changes (A,), negative for every level that
@@ -382,20 +382,20 @@ def _newton_finish(G, H, B, c, kkt_tol):
     A, p, q = B.shape
     steps = np.zeros(A, dtype=int)
     total = np.zeros(A)
-    # a level's work arrays: about nine (p, q) and three (p, p); a trial
-    # point's: three (p, q)
+    # a level's work arrays: about nine (p, q) and three (p, p)
     size = max(1, _BLOCK_ENTRIES // (9 * p * q + 3 * p * p))
-    chunk = max(1, _BLOCK_ENTRIES // (3 * p * q))
     with np.errstate(all="ignore"):
         for lo in range(0, A, size):
             blk = slice(lo, lo + size)
-            _newton_steps(G, H[blk], B[blk], c[blk], kkt_tol, steps[blk], total[blk], chunk)
+            _newton_steps(G, H[blk], B[blk], c[blk], kkt_tol, steps[blk], total[blk])
     return B, steps, total
 
 
-def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
-    """The steps of :func:`_newton_finish` on one block of levels, trial points
-    evaluated ``chunk`` at a time; updates B, H, steps and total in place."""
+def _newton_steps(G, H, B, c, kkt_tol, steps, total):
+    """The steps of :func:`_newton_finish` on one block of levels; updates B,
+    H, steps and total in place.  A trial point is never formed: its change
+    is read from the step's row dots, as (K, p) arithmetic per batch of K
+    trials."""
     p = B.shape[1]
     lengths = 0.5 ** np.arange(_NEWTON_BACKTRACKS)           # 1, 1/2, 1/4, ...
     live = np.flatnonzero(np.any(B != 0, axis=(1, 2)))
@@ -423,26 +423,21 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
         def changes(lv, t, zero=None, extra=None):
             # objective change at Bl[lv] + t d[lv] with the rows in zero (K, p)
             # set to zero, whose change of fit is ``extra`` (K,); non-finite
-            # as +inf, in chunks of (K, p, q) trials.  A row's norm change
-            # ||b + t d|| - ||b|| is read as t (2<b, d> + t ||d||^2) /
-            # (||b + t d|| + ||b||), which does not cancel when the step is
-            # short; a zeroed row's is -||b||
-            out = np.empty(len(lv))
-            for i in range(0, len(lv), chunk):
-                s = slice(i, i + chunk)
-                l, ts = lv[s], t[s]
-                P = d[l]
-                P *= ts[:, None, None]
-                P += Bl[l]
-                fit = ts * (ts * dgd[l] - 2.0 * dh[l])
-                den = _row_norms(P) + nrm[l]
-                tk = ts[:, None]
-                pen = np.divide(tk * (2.0 * bd[l] + tk * dd[l]), den,
-                                out=np.zeros_like(den), where=den > 0)
-                if zero is not None:
-                    pen[zero[s]] = -nrm[l][zero[s]]
-                    fit += extra[s]
-                out[s] = fit + np.einsum("kp,kp->k", cl[l], pen)
+            # as +inf.  A row's norm change ||b + t d|| - ||b|| is read as
+            # m / (||b + t d|| + ||b||), m = t (2<b, d> + t ||d||^2), which
+            # does not cancel when the step is short; a zeroed row's is
+            # -||b||.  ||b + t d|| = sqrt(||b||^2 + m) cancels only where the
+            # trial nearly zeroes the row, and there its error, about
+            # sqrt(eps) ||b||, sits in a denominator of at least ||b||
+            tk = t[:, None]
+            m = tk * (2.0 * bd[lv] + tk * dd[lv])
+            den = np.sqrt(np.maximum(nrm[lv] ** 2 + m, 0.0)) + nrm[lv]
+            pen = np.divide(m, den, out=np.zeros_like(den), where=den > 0)
+            fit = t * (t * dgd[lv] - 2.0 * dh[lv])
+            if zero is not None:
+                pen[zero] = -nrm[lv][zero]
+                fit += extra
+            out = fit + np.einsum("kp,kp->k", cl[lv], pen)
             return np.where(np.isfinite(out), out, np.inf)
 
         a = len(live)
@@ -472,21 +467,17 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total, chunk):
             order = np.lexsort((dfc, lv))
             best = order[np.r_[True, lv[order][1:] != lv[order][:-1]]]
             df[hl], t[hl], zero[hl] = dfc[best], tc[best], zc[best]
-        # the others backtrack: the full step, then all halvings at once for
-        # the levels it does not satisfy, each taking the longest that does
+        # the others backtrack: all lengths at once, each level taking the
+        # longest that satisfies Armijo
         back = np.flatnonzero(~(df < 0))
         df[back], zero[back] = np.inf, False
-        for ts in (lengths[:1], lengths[1:]):
-            if back.size == 0:
-                break
-            dfs = changes(np.repeat(back, ts.size), np.tile(ts, back.size))
-            dfs = dfs.reshape(back.size, ts.size)
-            armijo = (dfs < 0) & (dfs <= (_ARMIJO * ts) * slope[back, None])
-            m = armijo.argmax(axis=1)
-            found = armijo[np.arange(back.size), m]
-            df[back[found]] = dfs[found, m[found]]
-            t[back[found]] = ts[m[found]]
-            back = back[~found]
+        dfs = changes(np.repeat(back, lengths.size), np.tile(lengths, back.size))
+        dfs = dfs.reshape(back.size, lengths.size)
+        armijo = (dfs < 0) & (dfs <= (_ARMIJO * lengths) * slope[back, None])
+        k = armijo.argmax(axis=1)
+        found = armijo[np.arange(back.size), k]
+        df[back[found]] = dfs[found, k[found]]
+        t[back[found]] = lengths[k[found]]
         take = df < 0
         live, t, zero, df = live[take], t[take], zero[take], df[take]
         new = Bl[take] + t[:, None, None] * d[take]
@@ -634,19 +625,20 @@ def _cd_path(data, weights, lambdas, init, settings):
     are taken at the top of each sweep, after retire and compaction).
     They go to one :func:`_newton_finish` call: each takes at
     most ``_NEWTON_STEPS`` Woodbury-form Newton steps on its rows, padded to
-    all p rows so that the levels step together with a closed-form line
-    search, where a row whose step passes through zero may leave them,
-    stopping early once the remaining rows pass the KKT test.  A level
-    keeps its finish when the summed computed objective change of its steps
-    is negative and its refreshed objective is not above the sweep's (nor
-    NaN); else it is restored.
+    all p rows so that the levels step together with a line search read
+    from row dots, where a row whose step passes through zero may leave
+    them, stopping early once the remaining rows pass the KKT test.  A
+    level keeps its finish when the summed computed objective change of its
+    steps is negative and its refreshed objective is not above the sweep's
+    (nor NaN); else it is restored.
     The finish reads the kernel's G and H.  The kernel forms R = Y - XB
     only at the starts B_s, keeping H_s = X'R and r_s = ||R||^2 there per
-    column; H is recomputed as H_s - G (B - B_s) after every sweep that
-    moved a row, so a finish reads a fresh H, and again after a kept
-    finish.  Compaction carries each level's B_s, H_s and r_s.  Rows the
-    finish zeroes, like the other zero rows, are left to the sweeps and to
-    the KKT retire test.  A trace holds one value per sweep, a kept finish
+    column; H is recomputed as H_s - G (B - B_s) after every sweep, so a
+    finish reads a fresh H, and again after a kept finish.  Compaction
+    carries each level's B_s, H_s and r_s.  Rows the finish zeroes, like
+    the other zero rows, are left to the sweeps and to the KKT retire test.
+    The kernel returns as soon as no level is active, so an empty grid
+    takes no sweep.  A trace holds one value per sweep, a kept finish
     included.
     """
     X, p = data.X, data.p
@@ -729,17 +721,16 @@ def _cd_path(data, weights, lambdas, init, settings):
             out[act[retire]] = B[:, retire].transpose(1, 0, 2)
             keep = ~retire
             act = act[keep]
-            if act.size == 0:
-                return out, traces
             cols = np.repeat(keep, q)
             B = np.ascontiguousarray(B[:, keep, :])
             B2 = B.reshape(p, -1)
             Bs, Hs, H = (np.compress(cols, M, axis=1) for M in (Bs, Hs, H))
             rs = rs[cols]
             half = np.ascontiguousarray(half[:, keep])
+        if act.size == 0:
+            return out, traces
         A = len(act)
         support = _row_norms(B).T > 0              # (A, p): each level's nonzero rows
-        changed = False
         for j in range(p):
             b_old = B[j]                           # (A, q) view
             g = col_ss[j] * b_old
@@ -749,13 +740,12 @@ def _cd_path(data, weights, lambdas, init, settings):
             if delta.any():
                 H -= G[j][:, None] * delta.reshape(A * q)[None, :]
                 B[j] = b_new
-                changed = True
-        if changed:
-            if not np.all(np.isfinite(B)):
-                bad = int(np.flatnonzero(~np.isfinite(B).all(axis=(1, 2)))[0])
-                raise SolverError(f"non-finite update in row {bad}")
-            # the traces and the finishes never read the row updates' drift
-            refresh()
+        if not np.all(np.isfinite(B)):
+            bad = int(np.flatnonzero(~np.isfinite(B).all(axis=(1, 2)))[0])
+            raise SolverError(f"non-finite update in row {bad}")
+        # the traces and the finishes never read the row updates' drift; with
+        # no row moved, H comes back bit for bit
+        refresh()
         obj = objectives()
         finish(obj, support)
         for l, v in zip(act.tolist(), obj.tolist()):

@@ -33,14 +33,24 @@ from .model_selection import CvGrid, _best_cell, fit_with_selection, kfold_split
 METHODS = ("larn", "tgl", "seplasso")
 
 
+def _is_int(value):
+    # a JSON config gives floats and booleans too; neither is a count or a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class SimConfig:
     """Generator and benchmark settings."""
 
     def __init__(self, n=50, p=20, q=20, rho=0.7, design_ar=0.7,
                  signal_mean=2.0, signal_sd=1.0, within_row_prob=0.3,
                  row_prob=0.125, seed=0, replications=20):
-        if min(n, p, q) < 1:
-            raise ValueError("n, p, q must be positive integers")
+        for name, value in (("n", n), ("p", p), ("q", q), ("replications", replications)):
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        seeds = seed if isinstance(seed, (list, tuple)) else [seed]
+        if not all(_is_int(v) and v >= 0 for v in seeds):
+            raise ValueError("seed must be a nonnegative integer or a list of them, "
+                             f"got {seed!r}")
         for name, value in (("rho", rho), ("design_ar", design_ar)):
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
@@ -50,8 +60,6 @@ class SimConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if signal_sd < 0:
             raise ValueError("signal_sd must be nonnegative")
-        if replications < 1:
-            raise ValueError("replications must be a positive integer")
         self.n = int(n)
         self.p = int(p)
         self.q = int(q)
@@ -181,7 +189,8 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     zero and that start.  Each column stops on its own once every entry
     meets the KKT conditions, or when ``max_sweeps`` runs out.  Warns once
     (``RuntimeWarning``, naming the worst level) when a level is not
-    certified.  Returns (L, p, q).
+    certified.  Returns (L, p, q); an empty grid gives (0, p, q) with no
+    sweep and no warning.
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
@@ -191,6 +200,8 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     columns = _cd_path(data, np.broadcast_to(1.0, (p, L * q)), np.repeat(lambdas, q),
                        np.zeros((L * q, p, 1)), settings)[0]
     stack = columns.reshape(L, q, p).transpose(0, 2, 1)
+    if L == 0:
+        return stack
     G = data.X.T @ (data.Y - data.X @ stack)               # (L, p, q)
     worst = _kkt_rows(G[..., None], stack[..., None], lambdas[:, None, None]).max(axis=(1, 2))
     i = int(np.argmax(worst))
@@ -261,6 +272,8 @@ def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
     Failed replications are skipped with a note through ``progress``.
     Returns a list of MetricsRow in (replication, method) order.
     """
+    if len(methods) == 0:
+        raise ValueError(f"no methods given; choose from {METHODS}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")

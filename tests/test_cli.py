@@ -179,6 +179,19 @@ class TestSimulate:
         assert run(["simulate", "--config", str(tmp_path / "nope.json"),
                     "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", "abc"), ("n", 20.7)])
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_non_integer_config_field_exit_2(self, tmp_path, capsys, command, field, value):
+        # a bad seed failed with a traceback (exit 1) once the instance was
+        # drawn, and n = 20.7 simulated n = 20; both exit 2 and write nothing
+        cfg_path = tmp_path / "sim.json"
+        write_sim_config(cfg_path, **{field: value})
+        out = tmp_path / "out"
+        dest = ["--out-dir", str(out)] if command == "simulate" else ["--out", str(out)]
+        assert run([command, "--config", str(cfg_path)] + dest) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_missing_file_exit_2(self, tmp_path, capsys):
@@ -534,6 +547,17 @@ class TestBenchmark:
         out = tmp_path / "m.csv"
         assert run(["benchmark", "--config", str(cfg_path),
                     "--out", str(out), "--methods", "larn,oops"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_method_list_exit_2(self, tmp_path, capsys, methods):
+        # an empty list wrote a header-only CSV and exited 0
+        cfg_path = tmp_path / "sim.json"
+        write_sim_config(cfg_path)
+        out = tmp_path / "m.csv"
+        assert run(["benchmark", "--config", str(cfg_path), "--out", str(out),
+                    f"--methods={methods}"]) == 2
+        assert "no methods" in capsys.readouterr().err
         assert not out.exists()
 
     def test_explicit_lambdas(self, tmp_path):

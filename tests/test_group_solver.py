@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from larn.group_solver import (Dataset, SolverError, SolverSettings,
                                _newton_direction, _newton_finish, bcd_solve,
                                bcd_solve_path, kkt_residual, objective,
                                row_support)
-from larn.simbench import SimConfig, generate_instance
+from larn.simbench import SimConfig, generate_instance, lasso_path
 
 from oracle_gridsearch import grid_min_objective
 
@@ -393,15 +394,13 @@ class TestNewtonFinish:
         assert np.all(np.diff(objs) <= 1e-12)
         assert objs[-1] - objs[0] == pytest.approx(change, rel=1e-12)
 
-    def test_wide_instance_no_finish_reaches_the_step_cap(self, monkeypatch):
-        # p > n: with the support fixed, rows whose step passed through zero
-        # made the line search shrink every step, and 2 of the 12 finishes
-        # on this path (63 of 133 in a cross-validated fit) stopped at the
-        # cap.  The 8 levels due after five plain sweeps are finished here
+    @staticmethod
+    def wide_finish_calls(monkeypatch):
+        # the p > n instance, and the arguments of the finishes due in five
+        # plain sweeps of its path (the finishes recorded, not run)
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             B0 = initial_estimate(data)
-        w = group_weights(B0, LarnConfig().penalty)
         calls = []
 
         def recording(*args):
@@ -411,11 +410,50 @@ class TestNewtonFinish:
         with monkeypatch.context() as m:
             m.setattr(group_solver, "_newton_finish", recording)
             m.setattr(group_solver, "_NEWTON_STEPS", 0)
-            bcd_solve_path(data, w, np.logspace(-2, 4, 10), init=B0,
+            bcd_solve_path(data, group_weights(B0, LarnConfig().penalty),
+                           np.logspace(-2, 4, 10), init=B0,
                            settings=SolverSettings(max_sweeps=5))
+        return data, calls
+
+    def test_wide_instance_no_finish_reaches_the_step_cap(self, monkeypatch):
+        # p > n: with the support fixed, rows whose step passed through zero
+        # made the line search shrink every step, and 2 of the 12 finishes
+        # on this path (63 of 133 in a cross-validated fit) stopped at the
+        # cap.  The 8 levels due after five plain sweeps are finished here
+        _, calls = self.wide_finish_calls(monkeypatch)
         assert len(calls) == 5 and len(calls[-1][2]) == 8
         _, steps, _ = _newton_finish(*calls[-1])
         assert np.all(steps >= 1) and max(steps) < group_solver._NEWTON_STEPS
+
+    def test_halved_step_is_the_longest_that_meets_armijo(self, monkeypatch):
+        # level 3 of the last finish above: no row's full step crosses zero,
+        # the full step fails Armijo and the step is halved.  The line search
+        # reads each trial's change from row dots; here every trial point is
+        # formed and its objective recomputed from the data
+        data, calls = self.wide_finish_calls(monkeypatch)
+        G, H, B, c, kkt_tol = calls[-1]
+        H, B, c = H[3], B[3], c[3]
+        monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 1)
+        new, steps, total = _newton_finish(G, H[None], B[None], c[None], kkt_tol)
+        new = new[0]
+        nrm = np.linalg.norm(B, axis=1)
+        assert np.all(nrm > 0) and steps[0] == 1
+        grad = (c / nrm)[:, None] * B - 2.0 * H
+        d = _newton_direction(G, B[None], grad[None], c[None])[0]
+        lengths = 0.5 ** np.arange(group_solver._NEWTON_BACKTRACKS)
+        t = lengths[np.argmin([np.abs(new - (B + s * d)).max() for s in lengths])]
+        assert t == 0.5 and np.all(np.linalg.norm(new, axis=1) > 0)
+        assert np.abs(new - (B + t * d)).max() <= 1e-12 * np.abs(B).max()
+        # c holds lam w, so the objective is read at weights c and lam = 1
+        before = objective(data, B, c, 1.0)
+        margin = 1e-12 * before
+        assert abs(objective(data, new, c, 1.0) - before - total[0]) <= margin
+        # every longer length fails Armijo, and t meets it
+        slope = np.sum(grad * d)
+        for s in lengths[lengths >= t]:
+            excess = (objective(data, B + s * d, c, 1.0) - before
+                      - group_solver._ARMIJO * s * slope)
+            assert excess <= margin if s == t else excess > margin
 
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     def test_finish_near_the_optimum_certifies(self, scale):
@@ -637,6 +675,33 @@ class TestSingleResponse:
             assert fit.certified
             assert fit.b_hat[3, 0] != 0.0
             assert np.all(np.diff(fit.objective_trace) <= 1e-10)
+
+
+class TestEmptyGrid:
+    # an empty grid returns at once: the kernel runs no sweep over zero
+    # levels, and the lasso path does not warn about them
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a sweep ran on an empty grid")
+
+        monkeypatch.setattr(group_solver, "_group_prox", fail)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_bcd_solve_path(self, q):
+        d = random_instance(0, n=30, p=8, q=q)
+        stack, traces = bcd_solve_path(d, np.ones(d.p), [])
+        assert stack.shape == (0, d.p, q) and traces == []
+
+    @pytest.mark.parametrize("one_step", [True, False])
+    def test_larn_path(self, one_step):
+        assert larn_path(random_instance(0, n=30, p=8), LarnConfig(one_step=one_step), []) == []
+
+    def test_lasso_path(self):
+        d = random_instance(0, n=30, p=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lasso_path(d, []).shape == (0, d.p, d.q)
 
 
 class TestKktResidual:

@@ -260,6 +260,14 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown methods"):
             run_benchmark(cfg, methods=["larn", "ridge"])
 
+    def test_empty_method_list_rejected(self):
+        # rejected before any replication is drawn, not scored as no rows
+        cfg = SimConfig(n=15, p=4, q=2, replications=1)
+        with mock.patch.object(simbench, "generate_instance") as draw:
+            with pytest.raises(ValueError, match="no methods"):
+                run_benchmark(cfg, methods=[])
+        draw.assert_not_called()
+
     def test_failed_replication_skipped_and_reported(self):
         # a replication whose solve fails adds no rows but a note; the next
         # one still runs
@@ -289,6 +297,20 @@ class TestSimConfigValidation:
     def test_bad_rho(self):
         with pytest.raises(ValueError, match="rho"):
             SimConfig(rho=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 20.7), ("p", 5.0), ("q", "3"), ("replications", True), ("n", 0),
+        ("seed", 1.5), ("seed", "abc"), ("seed", -1), ("seed", [1, 2.5]), ("seed", None),
+    ])
+    def test_non_integer_counts_and_seeds_named(self, field, value):
+        # a JSON config reaches the constructor as is: a float count was
+        # truncated, and a bad seed failed only when an instance was drawn
+        with pytest.raises(ValueError, match=field):
+            SimConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), [1, 0], (8, 3)])
+    def test_integer_seeds_accepted(self, seed):
+        assert SimConfig(seed=seed).seed is seed
 
     def test_roundtrip(self):
         cfg = SimConfig(n=11, p=3, q=2, rho=0.9, seed=5)
