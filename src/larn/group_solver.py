@@ -73,8 +73,9 @@ every crossing row set to zero and, for each crossing row, the point of the
 segment where its norm is smallest with that row set to zero, whose change
 of fit reads G_jj and row j of H and Gd.  The lowest is taken if it lowers
 the objective, and the rows it zeroes leave S.  Only when no row crosses
-or no candidate is lower does the step backtrack: every length 1, 1/2, ...
-is read at once, and the longest that satisfies Armijo is taken.
+or no candidate is lower does the step backtrack: the full step is read
+first, and only where it fails Armijo are the lengths 1/2, 1/4, ... read,
+all at once, the longest that satisfies Armijo taken.
 Each step is accepted on its computed objective change, which must be
 finite and negative, not on the difference of two rounded objectives; the
 trace then records the refreshed objective.  A level's finish stops once
@@ -236,12 +237,14 @@ _NEWTON_STEPS = 20
 _ARMIJO = 1e-4
 _NEWTON_BACKTRACKS = 30
 
-# entries (0.5 MB) of all the work arrays of a block of Newton-finished
-# levels, so memory does not grow with the number of levels.  The line
+# entries (8 MB) of all the work arrays of a block of Newton-finished
+# levels, so memory does not grow with the number of levels; a finish pays
+# per batched step, so a block should hold most finishes' due levels (218
+# levels at p = q = 20, 34 at p = q = 50).  The line
 # search reads its trial points from row dots into (K, p) arrays, with at
 # most max(_NEWTON_BACKTRACKS, p + 1) rows per level; the count of a level's
 # work arrays in _newton_finish leaves them out
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _column_norms_squared(X):
@@ -366,9 +369,10 @@ def _newton_finish(G, H, B, c, kkt_tol):
     <b_j, b_j + d_j> < 0, the candidates are the full step with every
     crossing row zeroed and, per crossing row j, the step
     t_j = -<b_j, d_j> / ||d_j||^2 with row j zeroed; the lowest is taken when
-    its change is negative, and the zeroed rows leave S.  Otherwise the
-    lengths 1, 1/2, ... (``_NEWTON_BACKTRACKS`` of them) are all read in one
-    pass, and the longest that satisfies Armijo is taken.  A level stops
+    its change is negative, and the zeroed rows leave S.  Otherwise the full
+    step is read first, and a level it fails reads the shorter lengths 1/2,
+    1/4, ... (``_NEWTON_BACKTRACKS`` lengths in all) in one pass, taking the
+    longest that satisfies Armijo.  A level stops
     when its rows in S pass the KKT test at ``kkt_tol``, when S is empty,
     when the direction is not finite or not a descent direction, when the
     line search fails, or after ``_NEWTON_STEPS`` steps.  Never raises.
@@ -467,17 +471,19 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total):
             order = np.lexsort((dfc, lv))
             best = order[np.r_[True, lv[order][1:] != lv[order][:-1]]]
             df[hl], t[hl], zero[hl] = dfc[best], tc[best], zc[best]
-        # the others backtrack: all lengths at once, each level taking the
-        # longest that satisfies Armijo
+        # the others read the full step, and those it fails all shorter
+        # lengths at once, each level taking the longest that satisfies Armijo
         back = np.flatnonzero(~(df < 0))
-        df[back], zero[back] = np.inf, False
-        dfs = changes(np.repeat(back, lengths.size), np.tile(lengths, back.size))
-        dfs = dfs.reshape(back.size, lengths.size)
-        armijo = (dfs < 0) & (dfs <= (_ARMIJO * lengths) * slope[back, None])
-        k = armijo.argmax(axis=1)
-        found = armijo[np.arange(back.size), k]
-        df[back[found]] = dfs[found, k[found]]
-        t[back[found]] = lengths[k[found]]
+        zero[back] = False
+        for ts in (lengths[:1], lengths[1:]):
+            dfs = changes(np.repeat(back, ts.size), np.tile(ts, back.size))
+            dfs = dfs.reshape(back.size, ts.size)
+            armijo = (dfs < 0) & (dfs <= (_ARMIJO * ts) * slope[back, None])
+            k = armijo.argmax(axis=1)
+            found = armijo[np.arange(back.size), k]
+            df[back] = np.where(found, dfs[np.arange(back.size), k], np.inf)
+            t[back] = ts[k]
+            back = back[~found]
         take = df < 0
         live, t, zero, df = live[take], t[take], zero[take], df[take]
         new = Bl[take] + t[:, None, None] * d[take]

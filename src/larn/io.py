@@ -43,7 +43,7 @@ def read_matrix_csv(path):
     if not lines:
         raise ValueError(f"{path}: file is empty")
     header = lines[0].split(",")
-    rows, linenos = [], []
+    vals, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -52,14 +52,14 @@ def read_matrix_csv(path):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
                              f"found {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            vals.extend(map(float, cells))
         except ValueError:
             bad = next(c for c in cells if not _is_float(c))
             raise ValueError(f"{path}:{lineno}: non-numeric cell {bad!r}") from None
         linenos.append(lineno)
-    if not rows:
+    if not linenos:
         raise ValueError(f"{path}: no data rows")
-    M = np.asarray(rows, dtype=float)
+    M = np.array(vals).reshape(len(linenos), len(header))
     finite = np.isfinite(M).all(axis=1)
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]

@@ -6,7 +6,10 @@ pre-threshold model is fit, then the whole threshold grid is applied to
 that fit.  A run therefore performs k * len(lambdas) inner solves, never
 k * len(lambdas) * len(thresholds).  The full-data fit at each lambda sets
 its threshold grid, and the one at the selected lambda is the returned
-estimate: no (training set, lambda) pair is solved twice.
+estimate: no (training set, lambda) pair is solved twice.  A fold's fits
+are scored together, each at all its thresholds from one cumulative sum
+(:func:`_sse_over_thresholds`), so the threshold axis costs
+O(n_test p q + q p min(n_test, p)) per fit, not per threshold.
 
 Each training set is fit by one :func:`larn.estimator.larn_path` call over
 the lambda grid, in either mode.  Fits along the lambda axis share the
@@ -47,12 +50,18 @@ def threshold_grid(max_abs, num=100):
     return np.linspace(0.0, 0.9 * max_abs, num)
 
 
+def _is_int(value):
+    # a JSON config gives floats and booleans too; neither is a count or a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class CvGrid:
     """Tuning grids and fold layout for cross-validation.
 
     ``thresholds=None`` (the default) builds a per-lambda grid of
     ``n_thresholds`` levels up to 0.9 * max|B| of the full-data fit at that
-    lambda; an explicit array is shared across lambdas.
+    lambda; an explicit array is shared across lambdas.  ``seed``, a
+    nonnegative integer, lays out the ``k`` folds.
     """
 
     def __init__(self, lambdas=None, thresholds=None, n_thresholds=100,
@@ -77,6 +86,8 @@ class CvGrid:
         if k < 2:
             raise ValueError("fold count k must be at least 2")
         self.k = int(k)
+        if not _is_int(seed) or seed < 0:
+            raise ValueError(f"fold seed must be a nonnegative integer, got {seed!r}")
         self.seed = seed
 
 
@@ -146,21 +157,72 @@ def kfold_split(n, k, seed):
     return [np.sort(f) for f in np.array_split(perm, k)]
 
 
-# thresholds are scored in blocks whose stacked fits and residuals hold at
-# most this many entries (2 MB), so the work memory does not grow with n_test
+# fits are scored in blocks whose work arrays each hold at most this many
+# entries (2 MB): a fit's held-out residual (n_test, q) and its gathered
+# factor columns and their prefix sums (q, p, min(n_test, p)), so the work
+# memory grows with neither the number of fits nor n_test
 _SCORE_BLOCK_ENTRIES = 1 << 18
 
 
-def _sse_over_thresholds(X_test, Y_test, B, thresholds):
-    """Held-out sum of squares of the thresholded fit at every level."""
-    thresholds = np.asarray(thresholds)
-    absB = np.abs(B)
-    step = max(1, _SCORE_BLOCK_ENTRIES // (max(X_test.shape[0], B.shape[0]) * B.shape[1]))
-    out = np.empty(len(thresholds))
-    for s in range(0, len(thresholds), step):
-        R = X_test @ np.where(absB > thresholds[s:s + step, None, None], B, 0.0)
-        np.subtract(Y_test, R, out=R)              # (block, n_test, q)
-        out[s:s + step] = np.sum(np.square(R, out=R), axis=(1, 2))
+def _sse_over_thresholds(X_test, Y_test, stack, thresholds):
+    """Held-out sums of squares (L, T) of every fit of a stack (L, p, q), each
+    thresholded at every level of its row of ``thresholds`` (L, T), rows
+    sorted ascending.
+
+    An entry b is zeroed at threshold t when |b| <= t, so within a column of
+    a fit the zeroed entries are a prefix of the order by ascending |b|.
+    With R0 = Y_test - X_test B the fit's held-out residual, c = X_test'R0, F
+    the triangular factor of X_test (F'F = X_test'X_test, min(n_test, p)
+    rows), and f_i, v_i the column of F and the value of the i-th entry of
+    column k in that order,
+
+        SSE(t) = ||R0||^2 + sum_k [2 sum_{i<=m} c_i v_i + ||sum_{i<=m} f_i v_i||^2],
+
+    m = m_k(t) the number of entries |b| <= t.  Each entry's increment,
+    2 c_i v_i + <P_i + P_{i-1}, f_i v_i> with P_i = sum_{i'<=i} f_i' v_i', is
+    binned at the first threshold that zeroes it (one ``searchsorted`` per
+    fit, one ``bincount``), and a cumulative sum over the bins gives every
+    threshold's sum: O(n_test p q + q p min(n_test, p)) per fit, not per
+    threshold.  Thresholds that zero the same entries get bitwise-equal
+    sums, as the bins between them hold exactly 0.0.  The anchor is R0, not
+    zero: the zero-anchored ||Y_test||^2 - 2<X_test'Y_test, B_t> +
+    ||X_test B_t||^2 cancels when the fit leaves a small residual, down to
+    negative sums at noise 1e-8.  A threshold of at least the fit's max |b|
+    zeroes the whole fit, and its cell is set to ||Y_test||^2 exactly, so
+    all-zero cells tie across fits.  Fits are taken in blocks of about
+    ``_SCORE_BLOCK_ENTRIES`` work entries each.
+    """
+    L, _, q = stack.shape
+    n_test, T = X_test.shape[0], thresholds.shape[1]
+    F = np.linalg.qr(X_test, mode="r").T.copy()            # row j is f_j
+    all_zero = np.sum(np.square(Y_test))
+    out = np.empty((L, T))
+    step = max(1, _SCORE_BLOCK_ENTRIES // (q * max(n_test, F.size)))
+    for s in range(0, L, step):
+        B, levels = stack[s:s + step], thresholds[s:s + step]
+        nb = len(B)
+        R0 = Y_test - X_test @ B                           # (nb, n_test, q)
+        r0 = np.einsum("lnq,lnq->l", R0, R0)
+        c = (X_test.T @ R0).transpose(0, 2, 1)             # (nb, q, p)
+        Bt = B.transpose(0, 2, 1)
+        order = np.argsort(np.abs(Bt), axis=-1)            # per column by |b|
+        v = np.take_along_axis(Bt, order, -1)
+        fv = F[order]                                      # (nb, q, p, min(n_test, p))
+        fv *= v[..., None]
+        P = np.cumsum(fv, axis=2)
+        P *= 2.0
+        P -= fv                                            # P_i + P_{i-1}
+        inc = np.einsum("lqpm,lqpm->lqp", P, fv)
+        del P, fv                                          # before the next block's
+        inc += 2.0 * np.take_along_axis(c, order, -1) * v
+        size = np.abs(v).reshape(nb, -1)
+        first = np.stack([np.searchsorted(t, a) for t, a in zip(levels, size)])
+        first += (T + 1) * np.arange(nb)[:, None]         # past T: never zeroed
+        bins = np.bincount(first.ravel(), inc.ravel(), nb * (T + 1))
+        sse = np.cumsum(bins.reshape(nb, T + 1)[:, :T], axis=1)
+        sse += r0[:, None]
+        sse[levels >= size.max(axis=1)[:, None]] = all_zero
+        out[s:s + step] = sse
     return out
 
 
@@ -201,9 +263,8 @@ def cross_validate(data, config, grid, jobs=1):
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise SolverError(f"fold {fold_id + 1} of {grid.k}: the training set "
                               f"cannot be solved ({exc})") from exc
-        X_test, Y_test = data.X[test_idx], data.Y[test_idx]
-        return np.stack([_sse_over_thresholds(X_test, Y_test, fit.b_hat, levels)
-                         for fit, levels in zip(fits, thresholds)])
+        return _sse_over_thresholds(data.X[test_idx], data.Y[test_idx],
+                                    np.stack([fit.b_hat for fit in fits]), thresholds)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -28,14 +28,9 @@ import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
 from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _kkt_rows
-from .model_selection import CvGrid, _best_cell, fit_with_selection, kfold_split
+from .model_selection import CvGrid, _best_cell, _is_int, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
-
-
-def _is_int(value):
-    # a JSON config gives floats and booleans too; neither is a count or a seed
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class SimConfig:

@@ -65,6 +65,20 @@ def assert_bad_thresholds_exit_2(tmp_path, command, bad):
     assert not out.exists()
 
 
+def assert_bad_seed_exit_2(tmp_path, capsys, command):
+    # numpy rejected a negative fold seed deep inside the fold split, with a
+    # message that named no flag; now the grid rejects it and names the seed
+    rng = np.random.default_rng(1)
+    write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((12, 3)))
+    write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((12, 2)))
+    out = tmp_path / command
+    rc = run([command, "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+              "--out-dir", str(out), "--lambdas", "0.1,1", "--folds", "3", "--seed", "-1"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 REQUIRED = "required"
 
 # every subcommand's options and their defaults; REQUIRED marks a required one
@@ -315,6 +329,9 @@ class TestFit:
     def test_non_finite_threshold_exit_2(self, tmp_path, bad):
         assert_bad_thresholds_exit_2(tmp_path, "fit", bad)
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert_bad_seed_exit_2(tmp_path, capsys, "fit")
+
     def test_linalg_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, yet it exits 1, not 2
         def no_svd(data):
@@ -376,6 +393,9 @@ class TestCv:
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_threshold_exit_2(self, tmp_path, bad):
         assert_bad_thresholds_exit_2(tmp_path, "cv", bad)
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert_bad_seed_exit_2(tmp_path, capsys, "cv")
 
     def test_uncertified_selection_exit_3(self, tmp_path, capsys, monkeypatch):
         # three sweeps with no Newton finish leave the selected full-data

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,18 @@ def cv_rmse(data, folds, b_per_fold):
         R = data.Y[idx] - data.X[idx] @ np.asarray(B, dtype=float)
         sse += float(np.sum(R * R))
     return np.sqrt(sse) / (data.n * data.q)
+
+
+def direct_sse(X_test, Y_test, stack, thresholds, dtype=float):
+    # reference for _sse_over_thresholds: each thresholded fit's held-out
+    # sum of squares formed directly, one threshold at a time, in ``dtype``
+    X, Y = X_test.astype(dtype), Y_test.astype(dtype)
+    out = np.empty(thresholds.shape, dtype=dtype)
+    for l, (B, levels) in enumerate(zip(stack.astype(dtype), thresholds)):
+        for j, t in enumerate(levels):
+            R = Y - X @ np.where(np.abs(B) > t, B, 0.0)
+            out[l, j] = np.sum(R * R)
+    return out
 
 
 def make_data(seed, n=30, p=6, q=3):
@@ -139,6 +152,16 @@ class TestGrids:
         with pytest.raises(ValueError, match="finite"):
             CvGrid(thresholds=[0.1, bad])
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "0", [1, 2]])
+    def test_bad_fold_seed_rejected(self, bad):
+        # numpy rejected these only later, in the fold split, naming no seed
+        with pytest.raises(ValueError, match="seed"):
+            CvGrid(seed=bad)
+
+    def test_integer_fold_seeds_accepted(self):
+        assert CvGrid(seed=0).seed == 0
+        assert CvGrid(seed=np.uint32(7)).seed == 7
+
 
 class TestCrossValidate:
     def test_degenerate_grid_equals_heldout_least_squares(self):
@@ -183,7 +206,7 @@ class TestCrossValidate:
                     float(np.sum(R * R)), rel=1e-9)
 
     def test_threshold_blocks_do_not_change_scores(self, monkeypatch):
-        # 30 entries per threshold here: blocks of 3, 3 and 2 thresholds
+        # 108 work entries per fit here: one fit per block
         data = make_data(6)
         grid = CvGrid(lambdas=[0.5, 1.3], n_thresholds=8, k=3, seed=3)
         whole = cross_validate(data, LarnConfig(), grid).per_fold_sse
@@ -244,6 +267,97 @@ class TestCrossValidate:
         b = cross_validate(data, LarnConfig(), grid, jobs=4)
         np.testing.assert_array_equal(a.cv_rmse, b.cv_rmse)
         assert a.best == b.best
+
+
+class TestPrefixScoring:
+    @staticmethod
+    def assert_matches_direct(X_test, Y_test, stack, thresholds):
+        got = model_selection._sse_over_thresholds(X_test, Y_test, stack, thresholds)
+        ref = direct_sse(X_test, Y_test, stack, thresholds)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.array_equal(np.diff(got, axis=1) == 0, np.diff(ref, axis=1) == 0)
+        all_zero = thresholds >= np.abs(stack).max(axis=(1, 2))[:, None]
+        assert np.all(got[all_zero] == np.sum(np.square(Y_test)))
+        assert np.array_equal(got[all_zero], ref[all_zero])
+        assert model_selection._best_cell(got) == model_selection._best_cell(ref)
+        return got
+
+    @staticmethod
+    def fold(n_test, p, q=3, L=6, seed=0):
+        # a stack of sparse fits with one all-zero fit and an entry whose |b|
+        # repeats in another column
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_test, p))
+        stack = rng.standard_normal((L, p, q)) * (rng.random((L, p, q)) < 0.5)
+        stack[2] = 0.0
+        stack[1, 0, 0], stack[1, 3, 1] = 0.7, -0.7
+        Y = X @ stack[0] + 0.3 * rng.standard_normal((n_test, q))
+        return X, Y, stack
+
+    @pytest.mark.parametrize("n_test, p", [(8, 12), (40, 6)])
+    def test_per_lambda_grids(self, n_test, p):
+        # the grids cross_validate builds; the all-zero fit's are all 0
+        X, Y, stack = self.fold(n_test, p)
+        thresholds = np.vstack([threshold_grid(np.max(np.abs(B)), 40) for B in stack])
+        assert np.all(thresholds[2] == 0.0)
+        self.assert_matches_direct(X, Y, stack, thresholds)
+
+    @pytest.mark.parametrize("n_test, p", [(8, 12), (40, 6)])
+    def test_shared_grid_with_ties_and_entry_values(self, n_test, p):
+        # one grid for every fit: a repeated level, levels equal to an entry's
+        # |b| (kept only when |b| > t) and levels above every |b|
+        X, Y, stack = self.fold(n_test, p)
+        top = np.abs(stack).max()
+        levels = np.sort(np.r_[np.linspace(0.0, top, 9), 0.7, 0.7,
+                               np.abs(stack[0][stack[0] != 0])[:3], top, 2 * top])
+        thresholds = np.tile(levels, (len(stack), 1))
+        self.assert_matches_direct(X, Y, stack, thresholds)
+
+    @pytest.mark.parametrize("noise", [1e-4, 1e-8])
+    def test_low_noise(self, noise, monkeypatch):
+        # at low noise a zero-anchored expansion, ||Y||^2 - 2<X'Y, B> + ...,
+        # cancels to rounding; anchored at the fit's residual the error
+        # stays that of forming the residual
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((60, 10))
+        B0 = np.zeros((10, 3))
+        B0[:3] = rng.normal(1.5, 0.5, (3, 3))
+        data = Dataset(X, X @ B0 + noise * rng.standard_normal((60, 3)))
+        calls = []
+        score = model_selection._sse_over_thresholds
+
+        def recorded(*args):
+            calls.append(args)
+            return score(*args)
+        monkeypatch.setattr(model_selection, "_sse_over_thresholds", recorded)
+        grid = CvGrid(np.logspace(-6, 2, 30), n_thresholds=50, k=5, seed=0)
+        cv = cross_validate(data, LarnConfig(), grid)
+        assert np.all(np.isfinite(cv.per_fold_sse)) and np.all(cv.per_fold_sse >= 0)
+        ref = np.stack([direct_sse(*args) for args in calls])
+        surface = np.sqrt(ref.sum(axis=0)) / (data.n * data.q)
+        assert cv.best_index == model_selection._best_cell(surface)
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        exact = np.stack([direct_sse(*args, dtype=np.longdouble) for args in calls])
+
+        def worst(sse):
+            return float(np.max(np.abs(sse - exact) / exact))
+        assert worst(cv.per_fold_sse) <= 4.0 * worst(ref)
+
+    def test_work_memory_bounded_by_the_block(self):
+        # a fold of the larger case: 100 fits, p = q = 50, n_test = 200
+        rng = np.random.default_rng(0)
+        X, Y = rng.standard_normal((200, 50)), rng.standard_normal((200, 50))
+        stack = rng.standard_normal((100, 50, 50))
+        thresholds = np.tile(np.linspace(0.0, 3.0, 100), (100, 1))
+        tracemalloc.start()
+        try:
+            model_selection._sse_over_thresholds(X, Y, stack, thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's two (q, p, min(n_test, p)) work arrays and its small ones
+        assert peak <= 3 * model_selection._SCORE_BLOCK_ENTRIES * 8
 
 
 class TestBestOnEdge:

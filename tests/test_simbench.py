@@ -268,6 +268,14 @@ class TestRunBenchmark:
                 run_benchmark(cfg, methods=[])
         draw.assert_not_called()
 
+    def test_bad_fold_seed_rejected(self):
+        # checked with the grid, before any replication is drawn
+        cfg = SimConfig(n=15, p=4, q=2, replications=1)
+        with mock.patch.object(simbench, "generate_instance") as draw:
+            with pytest.raises(ValueError, match="seed"):
+                run_benchmark(cfg, cv_seed=-1)
+        draw.assert_not_called()
+
     def test_failed_replication_skipped_and_reported(self):
         # a replication whose solve fails adds no rows but a note; the next
         # one still runs
