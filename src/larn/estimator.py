@@ -35,7 +35,7 @@ import numpy as np
 
 from . import group_solver
 from .depth_penalty import PenaltySpec, inverse_depth, penalty_weight
-from .group_solver import SolverSettings, _cd_path, _path_kkt, row_support
+from .group_solver import SolverSettings, _cd_path, _is_int, _path_kkt, row_support
 # not called here; perfbench/spans.py wraps this name in this module
 from .group_solver import bcd_solve  # noqa: F401
 
@@ -69,8 +69,9 @@ class LarnConfig:
                  unit_weights=False, solver=None):
         self.penalty = PenaltySpec() if penalty is None else penalty
         self.one_step = bool(one_step)
-        if max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be a positive integer")
+        if not _is_int(max_outer_iters) or max_outer_iters < 1:
+            raise ValueError(f"max_outer_iters must be a positive integer, "
+                             f"got {max_outer_iters!r}")
         self.max_outer_iters = int(max_outer_iters)
         self.unit_weights = bool(unit_weights)
         self.solver = SolverSettings() if solver is None else solver

@@ -44,12 +44,16 @@ column's trace by 1.1e-12 on an objective of 0.149.  :func:`kkt_residual`
 still reads X'(Y - XB) from the data.
 
 After every sweep, the levels whose nonzero rows S held over that sweep
-(and are not empty) take a Newton finish on S (proximal Newton, Lee, Sun
-and Saunders, SIAM J. Optim. 2014; Newton steps on the identified support,
-Bareilles, Iutzeler and Malick, Math. Programming), all of them in one
-call that steps them together.  A finish is kept when the summed computed
-objective change of its steps is negative and its refreshed objective is
-not above the sweep's; a trace still holds one value per sweep.
+(and are not empty) are due for a Newton finish on S (proximal Newton, Lee,
+Sun and Saunders, SIAM J. Optim. 2014; Newton steps on the identified
+support, Bareilles, Iutzeler and Malick, Math. Programming).  A due level
+parks: it leaves the sweeping levels, and once none is left sweeping,
+every parked level takes its finish in one call that steps them together,
+then rejoins.  So each level runs the same sweeps and finishes as when
+solved alone, and a kernel call pays for few batched steps.  A finish is
+kept when the summed computed objective change of its steps is negative
+and its refreshed objective is not above the sweep's; a trace still holds
+one value per sweep.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -141,20 +145,28 @@ class Dataset:
         return Dataset(self.X[idx], self.Y[idx])
 
 
+def _is_int(value):
+    # a JSON config gives floats and booleans too; neither is a count or a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class SolverSettings:
     """Stopping parameters for the block coordinate descent loop.
 
-    A level stops once its largest KKT residual is at most ``kkt_tol``,
-    tested at its start and after every sweep, or after ``max_sweeps``
-    sweeps.  ``kkt_tol`` is also the certificate: a fit whose residual
-    exceeds it is flagged as not certified.
+    A level stops once its largest KKT residual is at most ``kkt_tol``
+    (positive and finite), tested at its start and after every sweep and
+    Newton finish, or when the kernel has run ``max_sweeps`` iterations (a
+    positive integer).  Each iteration sweeps the levels that are not
+    waiting for a finish, so a level sweeps at most ``max_sweeps`` times.
+    ``kkt_tol`` is also the certificate: a fit whose residual exceeds it is
+    flagged as not certified.
     """
 
     def __init__(self, max_sweeps=1000, kkt_tol=1e-6):
-        if max_sweeps < 1:
-            raise ValueError("max_sweeps must be a positive integer")
-        if kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
+        if not _is_int(max_sweeps) or max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
+        if not 0.0 < kkt_tol < np.inf:
+            raise ValueError(f"kkt_tol must be positive and finite, got {kkt_tol!r}")
         self.max_sweeps = int(max_sweeps)
         self.kkt_tol = float(kkt_tol)
 
@@ -357,7 +369,8 @@ def _newton_finish(G, H, B, c, kkt_tol):
     H - G (B_new - B), zeroed rows included.  The levels step together, in
     blocks whose work arrays hold about ``_BLOCK_ENTRIES`` entries in all;
     each level is padded to all p rows, so its arithmetic does not depend on
-    the other levels.
+    the other levels.  :func:`_cd_path` calls it once each time no level is
+    left sweeping, with every level parked since its last call.
 
     Each step follows :func:`_newton_direction` on S; zero rows stay zero.
     The objective change at B + t d is
@@ -370,12 +383,12 @@ def _newton_finish(G, H, B, c, kkt_tol):
     crossing row zeroed and, per crossing row j, the step
     t_j = -<b_j, d_j> / ||d_j||^2 with row j zeroed; the lowest is taken when
     its change is negative, and the zeroed rows leave S.  Otherwise the full
-    step is read first, and a level it fails reads the shorter lengths 1/2,
-    1/4, ... (``_NEWTON_BACKTRACKS`` lengths in all) in one pass, taking the
-    longest that satisfies Armijo.  A level stops
-    when its rows in S pass the KKT test at ``kkt_tol``, when S is empty,
-    when the direction is not finite or not a descent direction, when the
-    line search fails, or after ``_NEWTON_STEPS`` steps.  Never raises.
+    step is read first, for every level at once, and only a level it fails
+    reads the shorter lengths 1/2, 1/4, ... (``_NEWTON_BACKTRACKS`` lengths
+    in all) in one pass, taking the longest that satisfies Armijo.  A level
+    stops when its rows in S pass the KKT test at ``kkt_tol``, when S is
+    empty, when the direction is not finite or not a descent direction, when
+    the line search fails, or after ``_NEWTON_STEPS`` steps.  Never raises.
 
     Returns the new B (a copy), the steps taken (A,) and the sum of each
     level's computed objective changes (A,), negative for every level that
@@ -399,26 +412,29 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total):
     """The steps of :func:`_newton_finish` on one block of levels; updates B,
     H, steps and total in place.  A trial point is never formed: its change
     is read from the step's row dots, as (K, p) arithmetic per batch of K
-    trials."""
+    trials.  Each level's B and H are carried from its accepted step to the
+    next, and the work arrays are gathered again only when a level stops."""
     p = B.shape[1]
-    lengths = 0.5 ** np.arange(_NEWTON_BACKTRACKS)           # 1, 1/2, 1/4, ...
+    shorter = 0.5 ** np.arange(1, _NEWTON_BACKTRACKS)        # 1/2, 1/4, ...
     live = np.flatnonzero(np.any(B != 0, axis=(1, 2)))
+    Bl, Hl, cl = B[live], H[live], c[live]
     for _ in range(_NEWTON_STEPS):
-        Bl, Hl, cl = B[live], H[live], c[live]
         nrm = _row_norms(Bl)
         S = nrm > 0
         # on S, row j's KKT residual is ||grad_j||
         grad = np.divide(cl, nrm, out=np.zeros_like(nrm), where=S)[:, :, None] * Bl - 2.0 * Hl
         grad[~S] = 0.0
         go = _row_norms(grad).max(axis=1) > kkt_tol
-        live, Bl, Hl, cl, nrm, S, grad = (v[go] for v in (live, Bl, Hl, cl, nrm, S, grad))
+        if not go.all():
+            live, Bl, Hl, cl, nrm, S, grad = (v[go] for v in (live, Bl, Hl, cl, nrm, S, grad))
         if live.size == 0:
             break
         d = _newton_direction(G, Bl, grad, cl)
         slope = np.einsum("apq,apq->a", grad, d)
         ok = np.isfinite(d).all(axis=(1, 2)) & (slope < 0)
-        live, Bl, Hl, nrm, S, cl, d, slope = (
-            v[ok] for v in (live, Bl, Hl, nrm, S, cl, d, slope))
+        if not ok.all():
+            live, Bl, Hl, nrm, S, cl, d, slope = (
+                v[ok] for v in (live, Bl, Hl, nrm, S, cl, d, slope))
         Gd = G @ d
         dgd = np.einsum("apq,apq->a", d, Gd)
         dh = np.einsum("apq,apq->a", d, Hl)
@@ -426,14 +442,15 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total):
 
         def changes(lv, t, zero=None, extra=None):
             # objective change at Bl[lv] + t d[lv] with the rows in zero (K, p)
-            # set to zero, whose change of fit is ``extra`` (K,); non-finite
-            # as +inf.  A row's norm change ||b + t d|| - ||b|| is read as
-            # m / (||b + t d|| + ||b||), m = t (2<b, d> + t ||d||^2), which
-            # does not cancel when the step is short; a zeroed row's is
-            # -||b||.  ||b + t d|| = sqrt(||b||^2 + m) cancels only where the
-            # trial nearly zeroes the row, and there its error, about
-            # sqrt(eps) ||b||, sits in a denominator of at least ||b||
-            tk = t[:, None]
+            # set to zero, whose change of fit is ``extra`` (K,); t broadcasts
+            # against lv.  Non-finite as +inf.  A row's norm change
+            # ||b + t d|| - ||b|| is read as m / (||b + t d|| + ||b||),
+            # m = t (2<b, d> + t ||d||^2), which does not cancel when the step
+            # is short; a zeroed row's is -||b||.  ||b + t d|| =
+            # sqrt(||b||^2 + m) cancels only where the trial nearly zeroes the
+            # row, and there its error, about sqrt(eps) ||b||, sits in a
+            # denominator of at least ||b||
+            tk = t[..., None]
             m = tk * (2.0 * bd[lv] + tk * dd[lv])
             den = np.sqrt(np.maximum(nrm[lv] ** 2 + m, 0.0)) + nrm[lv]
             pen = np.divide(m, den, out=np.zeros_like(den), where=den > 0)
@@ -441,12 +458,15 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total):
             if zero is not None:
                 pen[zero] = -nrm[lv][zero]
                 fit += extra
-            out = fit + np.einsum("kp,kp->k", cl[lv], pen)
+            out = fit + np.einsum("...p,...p->...", cl[lv], pen)
             return np.where(np.isfinite(out), out, np.inf)
 
+        # every level reads the full step; a crossing level's lowest candidate
+        # replaces it below when that lowers the objective
         a = len(live)
-        df = np.full(a, np.inf)
         t = np.ones(a)
+        df = changes(slice(None), t)
+        df[~((df < 0) & (df <= _ARMIJO * slope))] = np.inf
         zero = np.zeros((a, p), dtype=bool)
         cross = S & (np.einsum("apq,apq->ap", Bl, Bl + d) < 0)
         lc, jc = np.nonzero(cross)
@@ -470,26 +490,28 @@ def _newton_steps(G, H, B, c, kkt_tol, steps, total):
             # to the earlier one: the all-crossing step, then rows in order
             order = np.lexsort((dfc, lv))
             best = order[np.r_[True, lv[order][1:] != lv[order][:-1]]]
-            df[hl], t[hl], zero[hl] = dfc[best], tc[best], zc[best]
-        # the others read the full step, and those it fails all shorter
-        # lengths at once, each level taking the longest that satisfies Armijo
+            best = best[dfc[best] < 0]
+            won = lv[best]
+            df[won], t[won], zero[won] = dfc[best], tc[best], zc[best]
+        # the levels the full step fails read all shorter lengths at once,
+        # each taking the longest that satisfies Armijo
         back = np.flatnonzero(~(df < 0))
-        zero[back] = False
-        for ts in (lengths[:1], lengths[1:]):
-            dfs = changes(np.repeat(back, ts.size), np.tile(ts, back.size))
-            dfs = dfs.reshape(back.size, ts.size)
-            armijo = (dfs < 0) & (dfs <= (_ARMIJO * ts) * slope[back, None])
+        if back.size:
+            dfs = changes(back[:, None], shorter)
+            armijo = (dfs < 0) & (dfs <= (_ARMIJO * shorter) * slope[back, None])
             k = armijo.argmax(axis=1)
             found = armijo[np.arange(back.size), k]
             df[back] = np.where(found, dfs[np.arange(back.size), k], np.inf)
-            t[back] = ts[k]
-            back = back[~found]
+            t[back] = shorter[k]
         take = df < 0
-        live, t, zero, df = live[take], t[take], zero[take], df[take]
-        new = Bl[take] + t[:, None, None] * d[take]
+        if not take.all():
+            live, Bl, Hl, cl, d, t, zero, df = (
+                v[take] for v in (live, Bl, Hl, cl, d, t, zero, df))
+        new = Bl + t[:, None, None] * d
         new[zero] = 0.0
-        H[live] = Hl[take] - G @ (new - Bl[take])
-        B[live] = new
+        Hl = Hl - G @ (new - Bl)
+        Bl = new
+        B[live], H[live] = Bl, Hl
         steps[live] += 1
         total[live] += df
 
@@ -622,29 +644,38 @@ def _cd_path(data, weights, lambdas, init, settings):
 
     A level retires as soon as every row passes the KKT test at
     ``settings.kkt_tol``, read from the kernel's H.  The test runs before
-    every sweep: at the start, and after each sweep and the finish that may
-    follow it.  A level certified at its start takes no sweep and keeps a
-    one-value trace.
+    every sweep of a level: at the start, and after each sweep that does
+    not make it due for a finish, and after each finish.  A level certified
+    at its start takes no sweep and keeps a one-value trace.
 
-    After every sweep the due levels run the Newton finish: the active
-    ones whose nonzero rows are not empty and held over the sweep (the rows
-    are taken at the top of each sweep, after retire and compaction).
-    They go to one :func:`_newton_finish` call: each takes at
-    most ``_NEWTON_STEPS`` Woodbury-form Newton steps on its rows, padded to
-    all p rows so that the levels step together with a line search read
-    from row dots, where a row whose step passes through zero may leave
-    them, stopping early once the remaining rows pass the KKT test.  A
-    level keeps its finish when the summed computed objective change of its
-    steps is negative and its refreshed objective is not above the sweep's
-    (nor NaN); else it is restored.
+    Each kernel iteration sweeps the active levels once.  After the sweep,
+    the levels whose nonzero rows are not empty and held over it (the rows
+    are taken at the top of each sweep, after retire and compaction) are
+    due for the Newton finish.  They park: they leave the active arrays
+    through the compaction the retire test uses, carrying B, H, B_s, H_s,
+    r_s and lam w; the sweep's objective is the last value of the trace.
+    When no level is left active, every parked level goes to one
+    :func:`_newton_finish` call: each takes at most ``_NEWTON_STEPS``
+    Woodbury-form Newton steps on its rows, padded to all p rows so that
+    the levels step together with a line search read from row dots, where
+    a row whose step passes through zero may leave them, stopping early
+    once the remaining rows pass the KKT test.  A level keeps its finish
+    when the summed computed objective change of its steps is negative and
+    its refreshed objective is not above the sweep's (nor NaN); else it is
+    restored.  Then the parked levels are the active ones and meet the
+    retire test.  So each level runs the sweeps and finishes it would run
+    alone, and its arithmetic does not depend on when it parks.
+    ``settings.max_sweeps`` caps the kernel iterations: a parked level takes
+    no sweep in one, so a level sweeps at most that many times, and the
+    levels still parked at the cap are finished before the return.
     The finish reads the kernel's G and H.  The kernel forms R = Y - XB
     only at the starts B_s, keeping H_s = X'R and r_s = ||R||^2 there per
     column; H is recomputed as H_s - G (B - B_s) after every sweep, so a
-    finish reads a fresh H, and again after a kept finish.  Compaction
-    carries each level's B_s, H_s and r_s.  Rows the finish zeroes, like
-    the other zero rows, are left to the sweeps and to the KKT retire test.
-    The kernel returns as soon as no level is active, so an empty grid
-    takes no sweep.  A trace holds one value per sweep, a kept finish
+    finish reads a fresh H, and again after a finish.  Compaction carries
+    each level's B_s, H_s and r_s.  Rows the finish zeroes, like the other
+    zero rows, are left to the sweeps and to the KKT retire test.  The
+    kernel returns as soon as no level is active or parked, so an empty
+    grid takes no sweep.  A trace holds one value per sweep, a kept finish
     included.
     """
     X, p = data.X, data.p
@@ -685,56 +716,55 @@ def _cd_path(data, weights, lambdas, init, settings):
 
     def refresh():
         # H = H_s - G D with D = B - B_s, recomputed from B, not updated
-        np.subtract(Hs, G @ (B2 - Bs), out=H)
+        np.subtract(Hs, G @ (B.reshape(p, -1) - Bs), out=H)
 
     def objectives():
         # ||R||^2 = r_s - <D, H_s> - <D, H> per column
-        resid = rs - np.einsum("pa,pa->a", B2 - Bs, Hs + H)
+        resid = rs - np.einsum("pa,pa->a", B.reshape(p, -1) - Bs, Hs + H)
         pen = 2.0 * np.einsum("pa,pa->a", half, _row_norms(B))
         return resid.reshape(-1, q).sum(axis=1) + pen
 
-    def finish(obj, support):
-        # the levels whose nonzero rows equal ``support`` (A, p), those before
-        # the sweep, and are not empty run the Newton finish; those whose
-        # summed computed change is negative keep it unless their refreshed
-        # objective is above obj or not finite.  Sets obj to the kept levels'
-        # refreshed objective and H to the kept B
-        nonzero = _row_norms(B).T > 0
-        due = np.flatnonzero(np.all(nonzero == support, axis=1) & nonzero.any(axis=1))
-        new, _, change = _newton_finish(G, H.reshape(B.shape)[:, due].transpose(1, 0, 2),
-                                        B[:, due].transpose(1, 0, 2),
-                                        2.0 * half[:, due].T, settings.kkt_tol)
-        kept = change < 0
-        take = due[kept]
-        if take.size == 0:
-            return
-        before = B[:, take]
-        B[:, take] = new[kept].transpose(1, 0, 2)
-        refresh()
-        trial = objectives()[take]
-        bad = ~(trial <= obj[take])
-        if np.any(bad):
-            B[:, take[bad]] = before[:, bad]
-            refresh()
-        obj[take[~bad]] = trial[~bad]
+    def levels(keep):
+        # the state of the active levels where keep (A,) holds, in the order
+        # act, B, half, B_s, H_s, H, r_s; the level axis is second when
+        # there is one
+        cols = np.repeat(keep, q)
+        return (act[keep], np.ascontiguousarray(B[:, keep]), np.ascontiguousarray(half[:, keep]),
+                *(np.compress(cols, M, axis=1) for M in (Bs, Hs, H)), rs[cols])
 
-    obj = objectives()
-    traces = [[v] for v in obj.tolist()]
-
-    for _ in range(settings.max_sweeps):
+    parked = levels(np.zeros(L, dtype=bool))
+    traces = [[v] for v in objectives().tolist()]
+    swept = 0                                      # kernel iterations, each one sweep
+    while True:
         retire = _kkt_rows(H.reshape(B.shape), B, 2.0 * half).max(axis=0) <= settings.kkt_tol
+        retire |= swept == settings.max_sweeps     # at the cap every level leaves
         if np.any(retire):
             out[act[retire]] = B[:, retire].transpose(1, 0, 2)
-            keep = ~retire
-            act = act[keep]
-            cols = np.repeat(keep, q)
-            B = np.ascontiguousarray(B[:, keep, :])
-            B2 = B.reshape(p, -1)
-            Bs, Hs, H = (np.compress(cols, M, axis=1) for M in (Bs, Hs, H))
-            rs = rs[cols]
-            half = np.ascontiguousarray(half[:, keep])
+            act, B, half, Bs, Hs, H, rs = levels(~retire)
         if act.size == 0:
-            return out, traces
+            if parked[0].size == 0:
+                return out, traces
+            # no level is left sweeping: the parked ones rejoin (the emptied
+            # active state is the new, empty parked one), take one finish
+            # together and meet the retire test.  Those whose summed computed
+            # change is negative keep it unless their refreshed objective is
+            # above the sweep's or not finite
+            (act, B, half, Bs, Hs, H, rs), parked = parked, (act, B, half, Bs, Hs, H, rs)
+            new, _, change = _newton_finish(G, H.reshape(B.shape).transpose(1, 0, 2),
+                                            B.transpose(1, 0, 2), 2.0 * half.T,
+                                            settings.kkt_tol)
+            take = np.flatnonzero(change < 0)
+            before = B[:, take]
+            B[:, take] = new[take].transpose(1, 0, 2)
+            refresh()
+            trial = objectives()[take]
+            bad = ~(trial <= [traces[l][-1] for l in act[take]])
+            if np.any(bad):
+                B[:, take[bad]] = before[:, bad]
+                refresh()
+            for l, v in zip(act[take[~bad]].tolist(), trial[~bad].tolist()):
+                traces[l][-1] = v
+            continue
         A = len(act)
         support = _row_norms(B).T > 0              # (A, p): each level's nonzero rows
         for j in range(p):
@@ -752,12 +782,17 @@ def _cd_path(data, weights, lambdas, init, settings):
         # the traces and the finishes never read the row updates' drift; with
         # no row moved, H comes back bit for bit
         refresh()
-        obj = objectives()
-        finish(obj, support)
-        for l, v in zip(act.tolist(), obj.tolist()):
+        swept += 1
+        for l, v in zip(act.tolist(), objectives().tolist()):
             traces[l].append(v)
-    out[act] = B.transpose(1, 0, 2)
-    return out, traces
+        # the levels whose nonzero rows held over the sweep and are not empty
+        # park until no level is left sweeping
+        nonzero = _row_norms(B).T > 0
+        due = np.all(nonzero == support, axis=1) & nonzero.any(axis=1)
+        if np.any(due):
+            parked = tuple(np.concatenate(v, axis=int(v[0].ndim > 1))
+                           for v in zip(parked, levels(due)))
+            act, B, half, Bs, Hs, H, rs = levels(~due)
 
 
 def bcd_solve(data, weights, lam, init=None, settings=None):

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .estimator import FitResult, _warn_uncertified, larn_path, within_row_threshold
-from .group_solver import SolverError
+from .group_solver import SolverError, _is_int
 # not called here; perfbench/spans.py wraps these names in this module
 from .estimator import group_weights, initial_estimate, larn_fit  # noqa: F401
 from .group_solver import bcd_solve_path  # noqa: F401
@@ -48,11 +48,6 @@ def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
 def threshold_grid(max_abs, num=100):
     """num threshold levels equally spaced from 0 to 0.9 * max_abs."""
     return np.linspace(0.0, 0.9 * max_abs, num)
-
-
-def _is_int(value):
-    # a JSON config gives floats and booleans too; neither is a count or a seed
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class CvGrid:

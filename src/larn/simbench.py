@@ -27,8 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
-from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _kkt_rows
-from .model_selection import CvGrid, _best_cell, _is_int, fit_with_selection, kfold_split
+from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _is_int, _kkt_rows
+from .model_selection import CvGrid, _best_cell, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
 

@@ -147,6 +147,12 @@ class TestLarnFit:
         assert np.max(fit.kkt_residuals) > 1e-6
         assert fit.certified is False
 
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_max_outer_iters_is_a_positive_integer(self, value):
+        # 2.7 was truncated to 2 rounds and True taken as 1
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            LarnConfig(max_outer_iters=value)
+
 
 class TestFullIteration:
     def test_q_descends_every_outer_step(self):

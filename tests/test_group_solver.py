@@ -274,8 +274,8 @@ class TestFinishWindow:
 
     def test_level_due_once_its_rows_hold_over_the_last_sweep(self, monkeypatch):
         # from least squares this level drops rows in sweep 1, and its rows
-        # hold over sweep 2: it is not due after sweep 1, and its first
-        # finish starts from its sweep-2 iterate
+        # hold over sweep 2: it is not due after sweep 1, and the first
+        # finish holds this one level at its sweep-2 iterate
         d = random_instance(2, n=30, p=8, q=3)
         w = np.random.default_rng(2).uniform(0.5, 1.5, d.p)
         lam = 80.0
@@ -292,9 +292,9 @@ class TestFinishWindow:
 
         monkeypatch.setattr(group_solver, "_newton_finish", recording)
         B, _ = bcd_solve(d, w, lam, init=B0)
-        assert [len(b) for b in starts[:2]] == [0, 1]
+        assert len(starts[0]) == 1
         ref = residual_form_sweeps(d.X, d.Y, w, lam, B0, 2)
-        assert np.max(np.abs(starts[1][0] - ref)) <= 1e-12
+        assert np.max(np.abs(starts[0][0] - ref)) <= 1e-12
         assert np.max(kkt_residual(d, B, w, lam)) <= 1e-6
 
     def test_paper_path_sweep_count(self):
@@ -305,6 +305,42 @@ class TestFinishWindow:
         w = group_weights(B0, LarnConfig().penalty)
         _, traces = bcd_solve_path(data, w, np.logspace(-2, 4, 100), init=B0)
         assert sum(len(t) - 1 for t in traces) <= 0.2 * 10394
+
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_paper_path_parks_and_stays_batch_free(self, unit, monkeypatch):
+        # the due levels park until no level is left sweeping, and then take
+        # one finish together: 2 finishes per path and 14 (depth) or 15
+        # (unit) batched directions, against 7 finishes and 41 or 34
+        # directions when each sweep's due levels are finished at once.  Each
+        # level still takes its own sweeps and finishes, 333 or 307 Newton
+        # steps in all, and equals the level solved alone
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, seed=[1, 0]))
+        B0 = initial_estimate(data)
+        w = np.ones(data.p) if unit else group_weights(B0, LarnConfig().penalty)
+        lambdas = np.logspace(-2, 4, 100)
+        sizes, steps, directions = [], [], 0
+
+        def finish(*args):
+            result = _newton_finish(*args)
+            sizes.append(len(args[2]))
+            steps.append(result[1].sum())
+            return result
+
+        def direction(*args):
+            nonlocal directions
+            directions += 1
+            return _newton_direction(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(group_solver, "_newton_finish", finish)
+            m.setattr(group_solver, "_newton_direction", direction)
+            stack, traces = bcd_solve_path(data, w, lambdas, init=B0)
+        assert min(sizes) >= 1 and len(sizes) <= 3 and directions <= 20
+        assert sum(steps) == (307 if unit else 333)
+        for B, trace, lam in zip(stack, traces, lambdas):
+            single, single_trace = bcd_solve(data, w, lam, init=B0)
+            assert np.max(np.abs(B - single)) <= 1e-12
+            assert len(trace) == len(single_trace)
 
 
 def dense_newton_direction(X, Y, B, c):
@@ -395,43 +431,41 @@ class TestNewtonFinish:
         assert objs[-1] - objs[0] == pytest.approx(change, rel=1e-12)
 
     @staticmethod
-    def wide_finish_calls(monkeypatch):
-        # the p > n instance, and the arguments of the finishes due in five
-        # plain sweeps of its path (the finishes recorded, not run)
+    def wide_finish_args():
+        # the p > n instance, and the finish arguments (G, H, B, c, kkt_tol)
+        # of the levels of its path whose nonzero rows held over the fifth
+        # of five plain sweeps from B0
         data, _ = generate_instance(SimConfig(n=50, p=60, q=10, seed=1))
         with pytest.warns(RuntimeWarning, match="rank deficient"):
             B0 = initial_estimate(data)
-        calls = []
+        w = group_weights(B0, LarnConfig().penalty)
+        X, Y = data.X, data.Y
+        due = []
+        for lam in np.logspace(-2, 4, 10):
+            rows = [np.linalg.norm(residual_form_sweeps(X, Y, w, lam, B0, k), axis=1) > 0
+                    for k in (4, 5)]
+            if np.array_equal(*rows) and rows[1].any():
+                due.append((lam, residual_form_sweeps(X, Y, w, lam, B0, 5)))
+        lam, B = (np.array(v) for v in zip(*due))
+        return data, (X.T @ X, X.T @ (Y - X @ B), B, lam[:, None] * w,
+                      SolverSettings().kkt_tol)
 
-        def recording(*args):
-            calls.append(args)
-            return _newton_finish(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(group_solver, "_newton_finish", recording)
-            m.setattr(group_solver, "_NEWTON_STEPS", 0)
-            bcd_solve_path(data, group_weights(B0, LarnConfig().penalty),
-                           np.logspace(-2, 4, 10), init=B0,
-                           settings=SolverSettings(max_sweeps=5))
-        return data, calls
-
-    def test_wide_instance_no_finish_reaches_the_step_cap(self, monkeypatch):
+    def test_wide_instance_no_finish_reaches_the_step_cap(self):
         # p > n: with the support fixed, rows whose step passed through zero
         # made the line search shrink every step, and 2 of the 12 finishes
         # on this path (63 of 133 in a cross-validated fit) stopped at the
         # cap.  The 8 levels due after five plain sweeps are finished here
-        _, calls = self.wide_finish_calls(monkeypatch)
-        assert len(calls) == 5 and len(calls[-1][2]) == 8
-        _, steps, _ = _newton_finish(*calls[-1])
+        _, args = self.wide_finish_args()
+        assert len(args[2]) == 8
+        _, steps, _ = _newton_finish(*args)
         assert np.all(steps >= 1) and max(steps) < group_solver._NEWTON_STEPS
 
     def test_halved_step_is_the_longest_that_meets_armijo(self, monkeypatch):
-        # level 3 of the last finish above: no row's full step crosses zero,
-        # the full step fails Armijo and the step is halved.  The line search
+        # level 3 of the finish above: no row's full step crosses zero, the
+        # full step fails Armijo and the step is halved.  The line search
         # reads each trial's change from row dots; here every trial point is
         # formed and its objective recomputed from the data
-        data, calls = self.wide_finish_calls(monkeypatch)
-        G, H, B, c, kkt_tol = calls[-1]
+        data, (G, H, B, c, kkt_tol) = self.wide_finish_args()
         H, B, c = H[3], B[3], c[3]
         monkeypatch.setattr(group_solver, "_NEWTON_STEPS", 1)
         new, steps, total = _newton_finish(G, H[None], B[None], c[None], kkt_tol)
@@ -745,3 +779,16 @@ class TestErrors:
         d = random_instance(0)
         with pytest.raises(ValueError):
             bcd_solve(d, np.ones(d.p), 1.0, init=np.zeros((d.p, d.q + 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_kkt_tol_is_positive_and_finite(self, value):
+        # at NaN no level passes the KKT test and every level ran all its
+        # sweeps; at inf every start passed it unswept and was certified
+        with pytest.raises(ValueError, match="kkt_tol"):
+            SolverSettings(kkt_tol=value)
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_max_sweeps_is_a_positive_integer(self, value):
+        # 2.7 was truncated to 2 sweeps and True taken as 1
+        with pytest.raises(ValueError, match="max_sweeps"):
+            SolverSettings(max_sweeps=value)
