@@ -28,6 +28,7 @@ level sqrt(8 log(q*|S|) / (C_min * n)) of :func:`theory_threshold` for an
 estimated nonzero-row set S.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import group_solver
 from .depth_penalty import PenaltySpec, inverse_depth, penalty_weight
-from .group_solver import SolverSettings, _cd_path, _is_int, _path_kkt, row_support
+from .group_solver import SolverSettings, _cd_path, _count, _levels, _path_kkt, row_support
 # not called here; perfbench/spans.py wraps this name in this module
 from .group_solver import bcd_solve  # noqa: F401
 
@@ -62,21 +63,25 @@ class LarnConfig:
         also the certificate of every fit, and full mode's stop rule.
 
     Every fit starts from the minimum-norm least-squares estimate
-    (:func:`initial_estimate`).
+    (:func:`initial_estimate`).  A ``one_step`` or ``unit_weights`` that is
+    not a bool, or a ``max_outer_iters`` that is not an integer of at least
+    1, raises ``ValueError``.
     """
 
     def __init__(self, penalty=None, one_step=True, max_outer_iters=50,
                  unit_weights=False, solver=None):
+        for name, value in (("one_step", one_step), ("unit_weights", unit_weights)):
+            # bool("false") is True
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         self.penalty = PenaltySpec() if penalty is None else penalty
         self.one_step = bool(one_step)
-        if not _is_int(max_outer_iters) or max_outer_iters < 1:
-            raise ValueError(f"max_outer_iters must be a positive integer, "
-                             f"got {max_outer_iters!r}")
-        self.max_outer_iters = int(max_outer_iters)
+        self.max_outer_iters = _count("max_outer_iters", max_outer_iters)
         self.unit_weights = bool(unit_weights)
         self.solver = SolverSettings() if solver is None else solver
 
 
+@dataclasses.dataclass(eq=False)
 class FitResult:
     """Fit output: estimates, tuning values, and per-solve diagnostics.
 
@@ -84,15 +89,13 @@ class FitResult:
     solver's ``kkt_tol``.
     """
 
-    def __init__(self, b_hat, lam, threshold, objective_trace, kkt_residuals,
-                 outer_iters, certified):
-        self.b_hat = b_hat
-        self.lam = lam
-        self.threshold = threshold
-        self.objective_trace = objective_trace
-        self.kkt_residuals = kkt_residuals
-        self.outer_iters = outer_iters
-        self.certified = certified
+    b_hat: np.ndarray
+    lam: float
+    threshold: float
+    objective_trace: list
+    kkt_residuals: np.ndarray
+    outer_iters: int
+    certified: bool
 
     def to_dict(self):
         """JSON-ready summary (matrices reported through their supports)."""
@@ -234,8 +237,7 @@ def theory_threshold(n, q, s_hat_size, c_min):
     """Closed-form within-row threshold sqrt(8 log(q*s) / (C_min * n))."""
     if c_min <= 0:
         raise ValueError("C_min must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _count("n", n)
     qs = q * s_hat_size
     if qs <= 1:
         raise ValueError(f"q * |S| = {qs} must exceed 1 for a positive log")
@@ -245,10 +247,10 @@ def theory_threshold(n, q, s_hat_size, c_min):
 def within_row_threshold(B, t):
     """Zero the entries of nonzero rows whose magnitude is at most ``t``.
 
-    ``t`` is a float level, such as a cross-validated one or
-    :func:`theory_threshold`.  Surviving entries are kept unchanged (hard
+    ``t`` is a finite nonnegative float level, such as a cross-validated one
+    or :func:`theory_threshold`.  Surviving entries are kept unchanged (hard
     thresholding, no re-shrinkage); rows that are already zero stay zero.
     """
     out = np.array(B, dtype=float)
-    out[np.abs(out) <= float(t)] = 0.0
+    out[np.abs(out) <= float(_levels("t", t))] = 0.0
     return out

@@ -50,10 +50,10 @@ support, Bareilles, Iutzeler and Malick, Math. Programming).  A due level
 parks: it leaves the sweeping levels, and once none is left sweeping,
 every parked level takes its finish in one call that steps them together,
 then rejoins.  So each level runs the same sweeps and finishes as when
-solved alone, and a kernel call pays for few batched steps.  A finish is
-kept when the summed computed objective change of its steps is negative
-and its refreshed objective is not above the sweep's; a trace still holds
-one value per sweep.
+solved alone, and a kernel call pays for few batched steps.  A level keeps
+its finish unless its refreshed objective is above the sweep's or NaN; a
+step is taken only on a negative computed change, so a level that took
+none comes back unchanged.  A trace still holds one value per sweep.
 On S the objective is smooth.  With c_j = lam w_j, u_j = b_j/||b_j|| and
 k_j = c_j/||b_j||, its gradient is -2 X_S'R + c u and its Hessian is
 (2 G_SS + diag k) (x) I_q - W W', where column j of W is
@@ -150,6 +150,23 @@ def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _count(name, value, least=1):
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integer (not a float or a bool) of at least ``least``."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _levels(name, values):
+    """``values`` as a float array; a ValueError naming ``name`` unless every
+    entry is finite and nonnegative."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return values
+
+
 class SolverSettings:
     """Stopping parameters for the block coordinate descent loop.
 
@@ -163,11 +180,9 @@ class SolverSettings:
     """
 
     def __init__(self, max_sweeps=1000, kkt_tol=1e-6):
-        if not _is_int(max_sweeps) or max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
         if not 0.0 < kkt_tol < np.inf:
             raise ValueError(f"kkt_tol must be positive and finite, got {kkt_tol!r}")
-        self.max_sweeps = int(max_sweeps)
+        self.max_sweeps = _count("max_sweeps", max_sweeps)
         self.kkt_tol = float(kkt_tol)
 
 
@@ -178,14 +193,10 @@ def row_support(B):
 
 
 def _check_problem(data, weights, lam, B=None):
-    weights = np.asarray(weights, dtype=float)
+    weights = _levels("weights", weights)
     if weights.shape != (data.p,):
         raise ValueError(f"weights must have shape ({data.p},), got {weights.shape}")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("weights must be finite and nonnegative")
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-        raise ValueError("lam must be nonnegative and finite")
+    lam = _levels("lam", lam)
     if B is not None:
         B = np.asarray(B, dtype=float)
         if B.shape != (data.p, data.q):
@@ -292,8 +303,7 @@ def bcd_solve_path(data, weights, lambdas, init=None, settings=None):
     traces : list of per-level objective traces (the chosen start plus one
         value per sweep).
     """
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    weights, lambdas, init = _check_problem(data, weights, lambdas, init)
+    weights, lambdas, init = _check_problem(data, weights, np.atleast_1d(lambdas), init)
     L = len(lambdas)
     start = np.zeros((data.p, data.q)) if init is None else init
     return _cd_path(data, np.broadcast_to(weights[:, None], (data.p, L)), lambdas,
@@ -660,11 +670,12 @@ def _cd_path(data, weights, lambdas, init, settings):
     the levels step together with a line search read from row dots, where
     a row whose step passes through zero may leave them, stopping early
     once the remaining rows pass the KKT test.  A level keeps its finish
-    when the summed computed objective change of its steps is negative and
-    its refreshed objective is not above the sweep's (nor NaN); else it is
-    restored.  Then the parked levels are the active ones and meet the
-    retire test.  So each level runs the sweeps and finishes it would run
-    alone, and its arithmetic does not depend on when it parks.
+    unless its refreshed objective is above the sweep's or NaN, and is
+    restored then; a step is taken only on a negative computed change, so
+    a level that took none comes back unchanged.  Then the parked levels
+    are the active ones and meet the retire test.  So each level runs the
+    sweeps and finishes it would run alone, and its arithmetic does not
+    depend on when it parks.
     ``settings.max_sweeps`` caps the kernel iterations: a parked level takes
     no sweep in one, so a level sweeps at most that many times, and the
     levels still parked at the cap are finished before the return.
@@ -746,23 +757,21 @@ def _cd_path(data, weights, lambdas, init, settings):
                 return out, traces
             # no level is left sweeping: the parked ones rejoin (the emptied
             # active state is the new, empty parked one), take one finish
-            # together and meet the retire test.  Those whose summed computed
-            # change is negative keep it unless their refreshed objective is
-            # above the sweep's or not finite
+            # together and meet the retire test.  Each keeps its finish unless
+            # its refreshed objective is above the sweep's or NaN; a level
+            # that took no step comes back unchanged
             (act, B, half, Bs, Hs, H, rs), parked = parked, (act, B, half, Bs, Hs, H, rs)
-            new, _, change = _newton_finish(G, H.reshape(B.shape).transpose(1, 0, 2),
-                                            B.transpose(1, 0, 2), 2.0 * half.T,
-                                            settings.kkt_tol)
-            take = np.flatnonzero(change < 0)
-            before = B[:, take]
-            B[:, take] = new[take].transpose(1, 0, 2)
+            before = B.copy()
+            B[...] = _newton_finish(G, H.reshape(B.shape).transpose(1, 0, 2),
+                                    B.transpose(1, 0, 2), 2.0 * half.T,
+                                    settings.kkt_tol)[0].transpose(1, 0, 2)
             refresh()
-            trial = objectives()[take]
-            bad = ~(trial <= [traces[l][-1] for l in act[take]])
+            trial = objectives()
+            bad = ~(trial <= [traces[l][-1] for l in act])
             if np.any(bad):
-                B[:, take[bad]] = before[:, bad]
+                B[:, bad] = before[:, bad]
                 refresh()
-            for l, v in zip(act[take[~bad]].tolist(), trial[~bad].tolist()):
+            for l, v in zip(act[~bad].tolist(), trial[~bad].tolist()):
                 traces[l][-1] = v
             continue
         A = len(act)
@@ -817,9 +826,9 @@ def bcd_solve(data, weights, lam, init=None, settings=None):
         Solution with exact zeros on thresholded rows.
     trace : list of float
         Objective value at the start and after each sweep; nonincreasing up
-        to rounding (a Newton finish is kept only when its computed
-        objective change is negative, and a kept finish never raises the
-        recorded objective).  At q = 1 the start is whichever of ``init``
+        to rounding (a Newton step is taken only on a negative computed
+        objective change, and a finish is kept only when it does not raise
+        the recorded objective).  At q = 1 the start is whichever of ``init``
         and the weighted lasso's homotopy point is lower, and the trace
         begins there.
 

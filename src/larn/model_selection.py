@@ -19,12 +19,13 @@ from another level's solution, and full mode re-solves the unfinished
 levels as one batched call per round, each from its own iterate.
 """
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .estimator import FitResult, _warn_uncertified, larn_path, within_row_threshold
-from .group_solver import SolverError, _is_int
+from .group_solver import SolverError, _count, _levels
 # not called here; perfbench/spans.py wraps these names in this module
 from .estimator import group_weights, initial_estimate, larn_fit  # noqa: F401
 from .group_solver import bcd_solve_path  # noqa: F401
@@ -50,47 +51,45 @@ def threshold_grid(max_abs, num=100):
     return np.linspace(0.0, 0.9 * max_abs, num)
 
 
+def _grid(name, values):
+    """A tuning grid, sorted; a ValueError naming ``name`` unless it is one
+    nonempty axis of finite nonnegative levels."""
+    values = _levels(name, values)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D grid, got shape {values.shape}")
+    return np.sort(values)
+
+
 class CvGrid:
     """Tuning grids and fold layout for cross-validation.
 
     ``thresholds=None`` (the default) builds a per-lambda grid of
     ``n_thresholds`` levels up to 0.9 * max|B| of the full-data fit at that
-    lambda; an explicit array is shared across lambdas.  ``seed``, a
-    nonnegative integer, lays out the ``k`` folds.
+    lambda; an explicit array is shared across lambdas.  Each grid given
+    must be one nonempty axis of finite nonnegative levels, and is sorted;
+    ``n_thresholds`` must be an integer of at least 1 and ``k`` one of at
+    least 2.  ``seed``, a nonnegative integer, lays out the ``k`` folds.
     """
 
     def __init__(self, lambdas=None, thresholds=None, n_thresholds=100,
                  k=5, seed=0):
-        self.lambdas = default_lambdas() if lambdas is None else np.sort(
-            np.asarray(lambdas, dtype=float))
-        if self.lambdas.size == 0:
-            raise ValueError("lambda grid is empty")
-        if np.any(self.lambdas < 0) or not np.all(np.isfinite(self.lambdas)):
-            raise ValueError("lambda grid must be finite and nonnegative")
-        self.thresholds = None
-        if thresholds is not None:
-            self.thresholds = np.sort(np.asarray(thresholds, dtype=float))
-            if self.thresholds.size == 0:
-                raise ValueError("threshold grid is empty")
-            if np.any(self.thresholds < 0) or not np.all(np.isfinite(self.thresholds)):
-                raise ValueError("thresholds must be finite and nonnegative")
+        self.lambdas = default_lambdas() if lambdas is None else _grid("lambdas", lambdas)
+        self.thresholds = None if thresholds is None else _grid("thresholds", thresholds)
+        if self.thresholds is not None:
             n_thresholds = self.thresholds.size
-        if n_thresholds < 1:
-            raise ValueError("n_thresholds must be positive")
-        self.n_thresholds = int(n_thresholds)
-        if k < 2:
-            raise ValueError("fold count k must be at least 2")
-        self.k = int(k)
-        if not _is_int(seed) or seed < 0:
-            raise ValueError(f"fold seed must be a nonnegative integer, got {seed!r}")
-        self.seed = seed
+        self.n_thresholds = _count("n_thresholds", n_thresholds)
+        self.k = _count("k", k, least=2)
+        self.seed = _count("seed", seed, least=0)
 
 
+@dataclasses.dataclass(eq=False)
 class CvResult:
     """Cross-validation surface and the selected pair.
 
     Attributes
     ----------
+    lambdas : ndarray (L,)
+        The lambda grid, ascending.
     cv_rmse : ndarray (L, T)
         Pooled held-out error for every (lambda, threshold) cell.
     thresholds : ndarray (L, T)
@@ -100,8 +99,11 @@ class CvResult:
         then larger threshold.
     per_fold_sse : ndarray (k, L, T)
         Held-out sum of squares per fold.
+    best_index : (int, int)
+        Row and column of the selected cell.
     fit_count : int
-        Inner solves performed for scoring: k * L, one per (fold, lambda).
+        Inner solves performed for scoring: k * L, one per (fold, lambda);
+        read from ``per_fold_sse`` and ``lambdas``.
     full_fit : FitResult
         Pre-threshold full-data fit at the selected lambda.
     best_on_edge : bool
@@ -109,15 +111,16 @@ class CvResult:
         the true optimum may lie outside it.
     """
 
-    def __init__(self, lambdas, thresholds, cv_rmse, per_fold_sse, best_index,
-                 fit_count, full_fit):
-        self.lambdas = lambdas
-        self.thresholds = thresholds
-        self.cv_rmse = cv_rmse
-        self.per_fold_sse = per_fold_sse
-        self.best_index = best_index
-        self.fit_count = fit_count
-        self.full_fit = full_fit
+    lambdas: np.ndarray
+    thresholds: np.ndarray
+    cv_rmse: np.ndarray
+    per_fold_sse: np.ndarray
+    best_index: tuple
+    full_fit: FitResult
+
+    @property
+    def fit_count(self):
+        return len(self.per_fold_sse) * len(self.lambdas)
 
     @property
     def best_on_edge(self):
@@ -136,7 +139,7 @@ class CvResult:
             "best_threshold": t,
             "best_cv_rmse": float(self.cv_rmse[i, j]),
             "best_on_edge": self.best_on_edge,
-            "fit_count": int(self.fit_count),
+            "fit_count": self.fit_count,
             "per_fold_sse_at_best": [float(v) for v in self.per_fold_sse[:, i, j]],
         }
 
@@ -146,8 +149,8 @@ def kfold_split(n, k, seed):
 
     Fold sizes differ by at most one; the folds partition the index range.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"fold count k = {k} must satisfy 2 <= k <= n = {n}")
+    if _count("k", k, least=2) > n:
+        raise ValueError(f"fold count k = {k} must not exceed n = {n}")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(f) for f in np.array_split(perm, k)]
 
@@ -236,8 +239,7 @@ def cross_validate(data, config, grid, jobs=1):
     least 1) bounds how many run concurrently, with results identical at
     any level of parallelism.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    jobs = _count("jobs", jobs)
     L = len(grid.lambdas)
     T = grid.n_thresholds
     folds = kfold_split(data.n, grid.k, grid.seed)
@@ -270,7 +272,7 @@ def cross_validate(data, config, grid, jobs=1):
     surface = np.sqrt(per_fold_sse.sum(axis=0)) / (data.n * data.q)
     best_index = _best_cell(surface)
     return CvResult(grid.lambdas, thresholds, surface, per_fold_sse, best_index,
-                    grid.k * L, full_fits[best_index[0]])
+                    full_fits[best_index[0]])
 
 
 def _best_cell(surface):
@@ -293,5 +295,4 @@ def fit_with_selection(data, config, grid, jobs=1):
     lam, t = cv.best
     fit = cv.full_fit
     _warn_uncertified(lam, fit.kkt_residuals, config.solver.kkt_tol)
-    return FitResult(within_row_threshold(fit.b_hat, t), lam, t, fit.objective_trace,
-                     fit.kkt_residuals, fit.outer_iters, fit.certified), cv
+    return dataclasses.replace(fit, b_hat=within_row_threshold(fit.b_hat, t), threshold=t), cv

@@ -74,8 +74,10 @@ def _bound_grid():
 def depth_scalar_penalty(spec):
     """Depth-based scalar penalty: d = p'(|theta|) for the given spec."""
     c1 = None
-    if spec.transform == "max":
-        # derivative is maximal at the origin for both closed forms
+    if spec.transform == "max" or spec.depth == "projection":
+        # the derivative is maximal at the origin: both "max" forms decrease
+        # in r, and projection + exp is (u^2/c) e^-u with u = c/(c+r), which
+        # rises with u on (0, 1]; the grid starts at r = 1e-6 and reads it low
         c1 = float(penalty_weight(0.0, spec))
     return ScalarPenalty(lambda t: np.asarray(penalty_weight(t, spec)),
                          p0=float(penalty_weight(0.0, spec)), c1=c1,

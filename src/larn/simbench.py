@@ -22,95 +22,98 @@ selected level, and scored by held-out error, mean absolute error, and
 the true-positive / true-negative rates of the recovered support.
 """
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .estimator import LarnConfig, _warn_uncertified
-from .group_solver import Dataset, SolverError, SolverSettings, _cd_path, _is_int, _kkt_rows
+from .group_solver import (Dataset, SolverError, SolverSettings, _cd_path, _count, _is_int,
+                           _kkt_rows, _levels)
 from .model_selection import CvGrid, _best_cell, fit_with_selection, kfold_split
 
 METHODS = ("larn", "tgl", "seplasso")
 
 
+@dataclasses.dataclass(eq=False)
 class SimConfig:
-    """Generator and benchmark settings."""
+    """Generator and benchmark settings.
 
-    def __init__(self, n=50, p=20, q=20, rho=0.7, design_ar=0.7,
-                 signal_mean=2.0, signal_sd=1.0, within_row_prob=0.3,
-                 row_prob=0.125, seed=0, replications=20):
-        for name, value in (("n", n), ("p", p), ("q", q), ("replications", replications)):
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        seeds = seed if isinstance(seed, (list, tuple)) else [seed]
+    ``n``, ``p``, ``q`` and ``replications`` are integers of at least 1;
+    ``seed`` is a nonnegative integer or a list of them, kept as given.
+    ``rho`` and ``design_ar`` lie in [0, 1), the two probabilities in
+    [0, 1], ``signal_mean`` is finite and ``signal_sd`` finite and
+    nonnegative.
+    """
+
+    n: int = 50
+    p: int = 20
+    q: int = 20
+    rho: float = 0.7
+    design_ar: float = 0.7
+    signal_mean: float = 2.0
+    signal_sd: float = 1.0
+    within_row_prob: float = 0.3
+    row_prob: float = 0.125
+    seed: object = 0
+    replications: int = 20
+
+    def __post_init__(self):
+        for name in ("n", "p", "q", "replications"):
+            setattr(self, name, _count(name, getattr(self, name)))
+        seeds = self.seed if isinstance(self.seed, (list, tuple)) else [self.seed]
         if not all(_is_int(v) and v >= 0 for v in seeds):
             raise ValueError("seed must be a nonnegative integer or a list of them, "
-                             f"got {seed!r}")
-        for name, value in (("rho", rho), ("design_ar", design_ar)):
+                             f"got {self.seed!r}")
+        for name in ("rho", "design_ar"):
+            value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        for name, value in (("within_row_prob", within_row_prob),
-                            ("row_prob", row_prob)):
+        for name in ("within_row_prob", "row_prob"):
+            value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if signal_sd < 0:
-            raise ValueError("signal_sd must be nonnegative")
-        self.n = int(n)
-        self.p = int(p)
-        self.q = int(q)
-        self.rho = float(rho)
-        self.design_ar = float(design_ar)
-        self.signal_mean = float(signal_mean)
-        self.signal_sd = float(signal_sd)
-        self.within_row_prob = float(within_row_prob)
-        self.row_prob = float(row_prob)
-        self.seed = seed
-        self.replications = int(replications)
+        if not np.isfinite(self.signal_mean):
+            raise ValueError(f"signal_mean must be finite, got {self.signal_mean!r}")
+        for name in ("rho", "design_ar", "signal_mean", "within_row_prob", "row_prob"):
+            setattr(self, name, float(getattr(self, name)))
+        self.signal_sd = float(_levels("signal_sd", self.signal_sd))
 
     def to_dict(self):
-        return {
-            "n": self.n, "p": self.p, "q": self.q, "rho": self.rho,
-            "design_ar": self.design_ar, "signal_mean": self.signal_mean,
-            "signal_sd": self.signal_sd, "within_row_prob": self.within_row_prob,
-            "row_prob": self.row_prob, "seed": self.seed,
-            "replications": self.replications,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        known = {"n", "p", "q", "rho", "design_ar", "signal_mean", "signal_sd",
-                 "within_row_prob", "row_prob", "seed", "replications"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown simulation config fields: {sorted(unknown)}")
         return cls(**d)
 
 
+@dataclasses.dataclass(eq=False)
 class MetricsRow:
-    """One scored (replication, method) cell of the benchmark table."""
+    """One scored (replication, method) cell of the benchmark table; ``FIELDS``
+    names its columns in order."""
 
-    FIELDS = ("setting", "rho", "replication", "method", "cv_rmse", "mae",
-              "tp", "tn")
-
-    def __init__(self, setting, rho, replication, method, cv_rmse, mae, tp, tn):
-        self.setting = setting
-        self.rho = rho
-        self.replication = replication
-        self.method = method
-        self.cv_rmse = cv_rmse
-        self.mae = mae
-        self.tp = tp
-        self.tn = tn
+    setting: str
+    rho: float
+    replication: int
+    method: str
+    cv_rmse: float
+    mae: float
+    tp: float
+    tn: float
 
     def astuple(self):
-        return (self.setting, self.rho, self.replication, self.method,
-                self.cv_rmse, self.mae, self.tp, self.tn)
+        return dataclasses.astuple(self)
+
+
+MetricsRow.FIELDS = tuple(f.name for f in dataclasses.fields(MetricsRow))
 
 
 def ar1_covariance(dim, rho):
     """AR(1) covariance matrix: entry (i, j) = rho^|i-j|; positive definite."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    dim = _count("dim", dim)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     idx = np.arange(dim)
@@ -187,9 +190,7 @@ def lasso_path(data, lambdas, max_sweeps=1000):
     certified.  Returns (L, p, q); an empty grid gives (0, p, q) with no
     sweep and no warning.
     """
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
-        raise ValueError("lam must be nonnegative and finite")
+    lambdas = np.atleast_1d(_levels("lambdas", lambdas))
     settings = SolverSettings(max_sweeps=max_sweeps)
     L, p, q = len(lambdas), data.p, data.q
     columns = _cd_path(data, np.broadcast_to(1.0, (p, L * q)), np.repeat(lambdas, q),
@@ -232,8 +233,7 @@ def select_lasso(data, lambdas, k, seed):
 
 def _score_replication(cfg, rep, methods, grid):
     """Generate one instance, tune and score every method on it over ``grid``."""
-    rep_cfg = SimConfig(**{**cfg.to_dict(), "seed": [_seed_scalar(cfg.seed), rep]})
-    data, B0 = generate_instance(rep_cfg)
+    data, B0 = generate_instance(dataclasses.replace(cfg, seed=[_seed_scalar(cfg.seed), rep]))
     setting = f"p{cfg.p}_q{cfg.q}"
     rows = []
     for method in methods:
@@ -243,9 +243,7 @@ def _score_replication(cfg, rep, methods, grid):
             fit, cv = fit_with_selection(data, LarnConfig(unit_weights=(method == "tgl")), grid)
             i, j = cv.best_index
             B_hat, err = fit.b_hat, float(cv.cv_rmse[i, j])
-        m = metrics(B_hat, B0, err)
-        rows.append(MetricsRow(setting, cfg.rho, rep, method,
-                               m["cv_rmse"], m["mae"], m["tp"], m["tn"]))
+        rows.append(MetricsRow(setting, cfg.rho, rep, method, **metrics(B_hat, B0, err)))
     return rows
 
 
@@ -272,8 +270,7 @@ def run_benchmark(cfg, methods=METHODS, lambdas=None, n_thresholds=100,
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs}")
+    jobs = _count("jobs", jobs)
     grid = CvGrid(lambdas, n_thresholds=n_thresholds, k=k, seed=cv_seed)
 
     def one(rep):

@@ -153,6 +153,14 @@ class TestLarnFit:
         with pytest.raises(ValueError, match="max_outer_iters"):
             LarnConfig(max_outer_iters=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("one_step", "false"), ("one_step", None), ("unit_weights", 1),
+    ])
+    def test_flags_are_bools(self, field, value):
+        # bool("false") is True, so one_step="false" gave a one-step fit
+        with pytest.raises(ValueError, match=f"^{field} must be a bool"):
+            LarnConfig(**{field: value})
+
 
 class TestFullIteration:
     def test_q_descends_every_outer_step(self):
@@ -259,6 +267,18 @@ class TestThreshold:
     def test_degenerate_theory_configuration(self):
         with pytest.raises(ValueError, match="exceed 1"):
             theory_threshold(100, 1, 1, 1.0)
+
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_theory_sample_size_is_a_count(self, n):
+        # n = 2.5 gave 2.39
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            theory_threshold(n, 3, 2, 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, -1.0, np.inf])
+    def test_bad_level_named(self, t):
+        # NaN and -1 zeroed nothing
+        with pytest.raises(ValueError, match="^t must be finite and nonnegative"):
+            within_row_threshold(np.ones((2, 2)), t)
 
 
 class TestFitResultInvariants:

@@ -74,6 +74,12 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(5, 1, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_non_integer_k_named(self, k):
+        # 2.5 gave 2 folds
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            kfold_split(10, k, 0)
+
 
 class TestCvRmse:
     def test_perfect_predictions(self):
@@ -157,6 +163,16 @@ class TestGrids:
         # numpy rejected these only later, in the fold split, naming no seed
         with pytest.raises(ValueError, match="seed"):
             CvGrid(seed=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.7), ("k", True), ("n_thresholds", 3.9), ("n_thresholds", 0),
+        ("lambdas", [0.1, np.nan]), ("lambdas", 1.0), ("thresholds", [[0.1], [0.2]]),
+    ])
+    def test_bad_counts_and_grids_named(self, field, value):
+        # k = 2.7 ran 2 folds and n_thresholds = 3.9 gave 3 levels; a 2-D
+        # lambda grid failed only in the fits, on a broadcast
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            CvGrid(**{field: value})
 
     def test_integer_fold_seeds_accepted(self):
         assert CvGrid(seed=0).seed == 0
@@ -259,6 +275,13 @@ class TestCrossValidate:
             config = LarnConfig(penalty=PenaltySpec(transform=EXP_NEG), one_step=one_step)
             with pytest.warns(RuntimeWarning, match="concavity"):
                 cross_validate(data, config, grid)
+
+    @pytest.mark.parametrize("jobs", [1.5, True, 0])
+    def test_jobs_is_a_positive_integer(self, jobs):
+        # 1.5 and True ran
+        grid = CvGrid(lambdas=[0.5, 2.0], n_thresholds=3, k=3, seed=0)
+        with pytest.raises(ValueError, match="^jobs must be an integer"):
+            cross_validate(make_data(9), LarnConfig(), grid, jobs=jobs)
 
     def test_determinism_across_jobs(self):
         data = make_data(9)

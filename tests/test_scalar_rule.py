@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from larn.depth_penalty import (HALFSPACE, MAX_MINUS, PROJECTION, PROJECTION_C,
+from larn.depth_penalty import (EXP_NEG, HALFSPACE, MAX_MINUS, PROJECTION, PROJECTION_C,
                                 PenaltySpec, std_normal_pdf)
 from larn.estimator import LarnConfig, larn_fit
 from larn.group_solver import Dataset
@@ -142,6 +142,11 @@ class TestSpecialCases:
     def test_derivative_bounds_analytic_c1(self):
         assert HALF_MAX.c1 == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-15)
         assert PROJ_MAX.c1 == pytest.approx(1 / PROJECTION_C, abs=1e-12)
+        # projection + exp: p'(r) = (u^2/c) e^-u with u = c/(c+r) peaks at
+        # r = 0; the grid from r = 1e-6 read it 1.5e-6 low
+        proj_exp = depth_scalar_penalty(PenaltySpec(PROJECTION, EXP_NEG))
+        assert proj_exp.c1 == pytest.approx(math.exp(-1) / PROJECTION_C, rel=1e-15)
+        assert proj_exp.c1 >= np.max(proj_exp.derivative(np.linspace(0.0, 50.0, 500001)))
         c1, c2 = HALF_MAX.derivative_bounds()
         # sup |phi'| = phi(1), attained at r = 1
         assert c2 == pytest.approx(std_normal_pdf(1.0), abs=1e-4)

@@ -34,6 +34,12 @@ class TestAr1Covariance:
         with pytest.raises(ValueError):
             ar1_covariance(3, -0.1)
 
+    @pytest.mark.parametrize("dim", [2.5, True, 0])
+    def test_dim_is_a_count(self, dim):
+        # 2.5 gave a 3 x 3 matrix
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            ar1_covariance(dim, 0.5)
+
 
 class TestSampling:
     def test_seed_repeat_identical(self):
@@ -268,6 +274,15 @@ class TestRunBenchmark:
                 run_benchmark(cfg, methods=[])
         draw.assert_not_called()
 
+    @pytest.mark.parametrize("jobs", [2.5, True])
+    def test_jobs_is_a_positive_integer(self, jobs):
+        # both ran; checked before any replication is drawn
+        cfg = SimConfig(n=15, p=4, q=2, replications=1)
+        with mock.patch.object(simbench, "generate_instance") as draw:
+            with pytest.raises(ValueError, match="^jobs must be an integer"):
+                run_benchmark(cfg, jobs=jobs)
+        draw.assert_not_called()
+
     def test_bad_fold_seed_rejected(self):
         # checked with the grid, before any replication is drawn
         cfg = SimConfig(n=15, p=4, q=2, replications=1)
@@ -315,6 +330,16 @@ class TestSimConfigValidation:
         # truncated, and a bad seed failed only when an instance was drawn
         with pytest.raises(ValueError, match=field):
             SimConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("signal_mean", np.nan), ("signal_mean", -np.inf), ("signal_sd", np.inf),
+        ("signal_sd", -1.0),
+    ])
+    def test_bad_signal_named(self, field, value):
+        # NaN and inf were accepted, and drawing an instance then failed on
+        # a non-finite Y
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimConfig(**{field: value})
 
     @pytest.mark.parametrize("seed", [0, 7, np.int64(3), [1, 0], (8, 3)])
     def test_integer_seeds_accepted(self, seed):
