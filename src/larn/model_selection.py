@@ -17,6 +17,14 @@ split's initial estimate B0 (whose weights do not depend on lambda); the
 first round is one batched solve in which every level starts from B0, not
 from another level's solution, and full mode re-solves the unfinished
 levels as one batched call per round, each from its own iterate.
+
+Every cross-validation in larn runs through one fold driver,
+:func:`_cv_surface`: :func:`cross_validate` here, and
+:func:`larn.simbench.select_lasso` for the per-response lasso baseline,
+each passing only the function that fits a training set and returns its
+held-out sums of squares.  The driver owns the fold split, the error that
+names a fold whose training set cannot be solved, the choice between the
+calling thread and a thread pool, the pooled error and the tie rule.
 """
 
 import dataclasses
@@ -37,8 +45,9 @@ def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
     ``scale="linear-positive"`` instead spaces num values linearly over the
     positive part (max(low, 0), high), endpoints excluded; a literal linear
     grid on (-2, 2) would contain nonpositive penalty levels, which are
-    ill-posed.
+    ill-posed.  ``num`` must be an integer of at least 1.
     """
+    num = _count("num", num)
     if scale == "log10":
         return np.logspace(low, high, num)
     if scale == "linear-positive":
@@ -47,8 +56,9 @@ def default_lambdas(num=100, scale="log10", low=-2.0, high=2.0):
 
 
 def threshold_grid(max_abs, num=100):
-    """num threshold levels equally spaced from 0 to 0.9 * max_abs."""
-    return np.linspace(0.0, 0.9 * max_abs, num)
+    """num (an integer of at least 1) threshold levels equally spaced from 0
+    to 0.9 * max_abs."""
+    return np.linspace(0.0, 0.9 * max_abs, _count("num", num))
 
 
 def _grid(name, values):
@@ -148,8 +158,9 @@ def kfold_split(n, k, seed):
     """Shuffle 0..n-1 deterministically and split into k folds.
 
     Fold sizes differ by at most one; the folds partition the index range.
+    ``n`` and ``k`` must be integers, with 2 <= k <= n.
     """
-    if _count("k", k, least=2) > n:
+    if _count("k", k, least=2) > _count("n", n):
         raise ValueError(f"fold count k = {k} must not exceed n = {n}")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(f) for f in np.array_split(perm, k)]
@@ -229,48 +240,65 @@ def _fold_fits(data, config, lambdas, train_idx):
     return larn_path(data.subset(train_idx), config, lambdas)
 
 
+def _cv_surface(data, grid, fold_sse, jobs=1):
+    """Pooled k-fold error surface of one fold scorer, and its best cell.
+
+    The folds are :func:`kfold_split`'s ``grid.k`` folds under ``grid.seed``;
+    ``fold_sse(train_idx, test_idx)`` fits one training set and returns its
+    held-out sums of squares (L, T).  A fold that raises a
+    :class:`SolverError` or ``LinAlgError`` stops the run with a
+    :class:`SolverError` naming the fold and the cause.  At ``jobs`` above 1
+    the folds run in a thread pool of that size, at 1 on the calling thread;
+    the results are identical either way.  Returns (surface, per_fold_sse,
+    best_index): the surface is sqrt(sum of the folds' SSE) / (n q), and the
+    best cell is :func:`_best_cell`'s.
+    """
+    folds = kfold_split(data.n, grid.k, grid.seed)
+
+    def run_fold(fold_id, test_idx):
+        try:
+            return fold_sse(np.setdiff1d(np.arange(data.n), test_idx), test_idx)
+        except (SolverError, np.linalg.LinAlgError) as exc:
+            raise SolverError(f"fold {fold_id + 1} of {grid.k}: the training set "
+                              f"cannot be solved ({exc})") from exc
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_fold_sse = np.stack(list(pool.map(run_fold, range(grid.k), folds)))
+    else:
+        per_fold_sse = np.stack([run_fold(f, test_idx) for f, test_idx in enumerate(folds)])
+    surface = np.sqrt(per_fold_sse.sum(axis=0)) / (data.n * data.q)
+    return surface, per_fold_sse, _best_cell(surface)
+
+
 def cross_validate(data, config, grid, jobs=1):
     """Score every (lambda, threshold) cell by k-fold cross-validation.
 
-    Each training set is fit by one :func:`larn_path` call over the whole
-    lambda grid, so a training set that cannot be solved leaves no cell of
-    its fold to score: the run stops with a :class:`SolverError` naming the
-    fold and the cause.  Fold computations are independent; ``jobs`` (at
-    least 1) bounds how many run concurrently, with results identical at
-    any level of parallelism.
+    The folds run through the shared fold driver :func:`_cv_surface`, which
+    :func:`larn.simbench.select_lasso` uses too.  Each training set is fit
+    by one :func:`larn_path` call over the whole lambda grid and scored at
+    every threshold by :func:`_sse_over_thresholds`, so a training set that
+    cannot be solved leaves no cell of its fold to score: the run stops
+    with a :class:`SolverError` naming the fold and the cause.  Fold
+    computations are independent; ``jobs`` (at least 1) bounds how many
+    run concurrently, with results identical at any level of parallelism.
     """
     jobs = _count("jobs", jobs)
-    L = len(grid.lambdas)
-    T = grid.n_thresholds
-    folds = kfold_split(data.n, grid.k, grid.seed)
 
     # full-data fits set the per-lambda threshold grids; the selected one is the estimate
     full_fits = _fold_fits(data, config, grid.lambdas, np.arange(data.n))
     if grid.thresholds is not None:
-        thresholds = np.tile(grid.thresholds, (L, 1))
+        thresholds = np.tile(grid.thresholds, (len(grid.lambdas), 1))
     else:
-        thresholds = np.vstack([threshold_grid(np.max(np.abs(f.b_hat)), T)
+        thresholds = np.vstack([threshold_grid(np.max(np.abs(f.b_hat)), grid.n_thresholds)
                                 for f in full_fits])
 
-    def run_fold(fold_id):
-        test_idx = folds[fold_id]
-        train_idx = np.setdiff1d(np.arange(data.n), test_idx)
-        try:
-            fits = _fold_fits(data, config, grid.lambdas, train_idx)
-        except (SolverError, np.linalg.LinAlgError) as exc:
-            raise SolverError(f"fold {fold_id + 1} of {grid.k}: the training set "
-                              f"cannot be solved ({exc})") from exc
+    def fold_sse(train_idx, test_idx):
+        fits = _fold_fits(data, config, grid.lambdas, train_idx)
         return _sse_over_thresholds(data.X[test_idx], data.Y[test_idx],
                                     np.stack([fit.b_hat for fit in fits]), thresholds)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold, range(grid.k)))
-    else:
-        results = [run_fold(f) for f in range(grid.k)]
-    per_fold_sse = np.stack(results)
-    surface = np.sqrt(per_fold_sse.sum(axis=0)) / (data.n * data.q)
-    best_index = _best_cell(surface)
+    surface, per_fold_sse, best_index = _cv_surface(data, grid, fold_sse, jobs)
     return CvResult(grid.lambdas, thresholds, surface, per_fold_sse, best_index,
                     full_fits[best_index[0]])
 

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from .depth_penalty import penalty_weight
+from .group_solver import _count
 
 
 class ScalarPenalty:
@@ -211,15 +212,14 @@ def minimax_check(n, theta, pen, replications=2000, seed=0):
     Simulates z = theta + standard normal noise, applies the rule at
     lam = (sqrt(0.5 log n) - 1) / c1, and averages the total squared error
     over independent replications (one RNG stream per call, derived from
-    ``seed``).  At least two replications are needed for a standard error.
+    ``seed``).  ``n`` must be an integer of at least 64 and
+    ``replications`` one of at least 2, as a standard error needs two.
     """
+    n = _count("n", n, least=64)
+    replications = _count("replications", replications, least=2)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n,):
         raise ValueError(f"theta must have shape ({n},), got {theta.shape}")
-    if n < 64:
-        raise ValueError("n must be at least 64")
-    if replications < 2:
-        raise ValueError(f"replications must be at least 2, got {replications}")
     root = math.sqrt(0.5 * math.log(n)) - 1.0
     lam = root / pen.c1
 

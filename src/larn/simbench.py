@@ -17,9 +17,10 @@ Methods scored by the benchmark:
 * the same solver with unit row weights plus thresholding ("tgl")
 * one lasso per response column with a shared penalty level ("seplasso")
 
-Each is tuned by k-fold cross-validation, fit on the full data at the
-selected level, and scored by held-out error, mean absolute error, and
-the true-positive / true-negative rates of the recovered support.
+Each is tuned by k-fold cross-validation through the one fold driver of
+:mod:`larn.model_selection`, fit on the full data at the selected level,
+and scored by held-out error, mean absolute error, and the true-positive /
+true-negative rates of the recovered support.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ import numpy as np
 from .estimator import LarnConfig, _warn_uncertified
 from .group_solver import (Dataset, SolverError, SolverSettings, _cd_path, _count, _is_int,
                            _kkt_rows, _levels)
-from .model_selection import CvGrid, _best_cell, fit_with_selection, kfold_split
+from .model_selection import CvGrid, _cv_surface, fit_with_selection
 
 METHODS = ("larn", "tgl", "seplasso")
 
@@ -213,22 +214,29 @@ def separate_lasso(data, lam):
 def select_lasso(data, lambdas, k, seed):
     """Tune the shared lasso level by k-fold CV; refit on the full data.
 
-    Returns (B_final, best_lambda, best_cv_rmse).  Ties go to the larger
-    (sparser) penalty level.
+    The folds run through the fold driver of
+    :func:`larn.model_selection.cross_validate`: each training set's
+    :func:`lasso_path` over the grid is scored by its held-out sum of
+    squares, the error at a level is sqrt(sum over folds) / (n q), and ties
+    go to the larger (sparser) level.  ``lambdas``, ``k`` and ``seed`` pass
+    :class:`CvGrid`'s checks: the grid must be one nonempty axis of finite
+    nonnegative levels (it is sorted; None gives the default grid, as
+    there), ``k`` an integer of at least 2 and at most n, and ``seed`` a
+    nonnegative integer; a ValueError names the argument otherwise.  A
+    training set that cannot be solved stops the run with a
+    :class:`SolverError` naming the fold.  The selected level is then fit
+    alone on the full data.  Returns (B_final, best_lambda, best_cv_rmse).
     """
-    lambdas = np.sort(np.asarray(lambdas, dtype=float))
-    folds = kfold_split(data.n, k, seed)
-    sse = np.zeros(len(lambdas))
-    for test_idx in folds:
-        train_idx = np.setdiff1d(np.arange(data.n), test_idx)
-        stack = lasso_path(data.subset(train_idx), lambdas)
-        preds = data.X[test_idx] @ stack           # (L, n_test, q)
-        Rt = data.Y[test_idx][None, :, :] - preds
-        sse += np.einsum("lab,lab->l", Rt, Rt)
-    errors = np.sqrt(sse) / (data.n * data.q)
-    best = _best_cell(errors[:, None])[0]
-    B_final = separate_lasso(data, lambdas[best])
-    return B_final, float(lambdas[best]), float(errors[best])
+    grid = CvGrid(lambdas, k=k, seed=seed)
+
+    def fold_sse(train_idx, test_idx):
+        stack = lasso_path(data.subset(train_idx), grid.lambdas)
+        R = data.Y[test_idx] - data.X[test_idx] @ stack    # (L, n_test, q)
+        return np.einsum("lab,lab->l", R, R)[:, None]
+
+    errors, _, (best, _) = _cv_surface(data, grid, fold_sse)
+    B_final = separate_lasso(data, grid.lambdas[best])
+    return B_final, float(grid.lambdas[best]), float(errors[best, 0])
 
 
 def _score_replication(cfg, rep, methods, grid):

@@ -80,6 +80,12 @@ class TestKfoldSplit:
         with pytest.raises(ValueError, match="^k must be an integer"):
             kfold_split(10, k, 0)
 
+    @pytest.mark.parametrize("n", [10.5, np.float64(10.0), True])
+    def test_non_integer_n_named(self, n):
+        # 10.5 failed inside numpy's permutation with an AxisError
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            kfold_split(n, 3, 0)
+
 
 class TestCvRmse:
     def test_perfect_predictions(self):
@@ -142,6 +148,17 @@ class TestGrids:
         assert len(t) == 100
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(1.8)
+
+    @pytest.mark.parametrize("make", [
+        lambda num: default_lambdas(num=num),
+        lambda num: default_lambdas(num=num, scale="linear-positive"),
+        lambda num: threshold_grid(2.0, num=num),
+    ], ids=["log10", "linear-positive", "threshold_grid"])
+    @pytest.mark.parametrize("num", [2.5, True, 0])
+    def test_level_count_named(self, make, num):
+        # 2.5 raised a TypeError from numpy, and 0 gave an empty grid
+        with pytest.raises(ValueError, match="^num must be an integer"):
+            make(num)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

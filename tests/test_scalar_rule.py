@@ -220,3 +220,13 @@ class TestRiskReport:
         # one replication gives no standard error, and none gives no mean
         with pytest.raises(ValueError, match="replications"):
             minimax_check(128, np.zeros(128), HALF_MAX, replications=replications)
+
+    @pytest.mark.parametrize("n, replications, name", [
+        (64.0, 50, "n"), (128.5, 50, "n"), (128, 2.5, "replications"),
+        (128, True, "replications"),
+    ])
+    def test_counts_named(self, n, replications, name):
+        # replications = 2.5 raised a TypeError from np.empty
+        theta = np.zeros(int(n))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            minimax_check(n, theta, HALF_MAX, replications=replications)

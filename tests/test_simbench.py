@@ -6,7 +6,7 @@ import pytest
 
 from larn import group_solver, simbench
 from larn.estimator import LarnConfig, larn_fit
-from larn.group_solver import Dataset, bcd_solve, kkt_residual
+from larn.group_solver import Dataset, SolverError, bcd_solve, kkt_residual
 from larn.model_selection import default_lambdas, kfold_split
 from larn.simbench import (METHODS, SimConfig, ar1_covariance,
                            generate_instance, lasso_path, metrics,
@@ -195,7 +195,59 @@ class TestSeparateLasso:
             assert np.max(res) <= 1e-6
 
 
+def reference_select_lasso(data, lambdas, k, seed):
+    # the explicit fold loop select_lasso ran before it shared
+    # cross_validate's fold driver; kept as the reference it must equal bitwise
+    lambdas = np.sort(np.asarray(lambdas, dtype=float))
+    sse = np.zeros(len(lambdas))
+    for test_idx in kfold_split(data.n, k, seed):
+        train_idx = np.setdiff1d(np.arange(data.n), test_idx)
+        stack = lasso_path(data.subset(train_idx), lambdas)
+        Rt = data.Y[test_idx][None, :, :] - data.X[test_idx] @ stack
+        sse += np.einsum("lab,lab->l", Rt, Rt)
+    errors = np.sqrt(sse) / (data.n * data.q)
+    best = max(np.flatnonzero(errors == np.min(errors)))
+    return separate_lasso(data, lambdas[best]), float(lambdas[best]), float(errors[best])
+
+
+def zero_column_data():
+    # column 3 is nonzero only on row 5, which kfold_split(12, 3, 0) puts in
+    # fold 2's test set, so that fold's training design has a zero column
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((12, 4))
+    X[:, 3] = 0.0
+    X[5, 3] = 1.0
+    return Dataset(X, rng.standard_normal((12, 2)))
+
+
 class TestSelectLasso:
+    def test_equals_fold_loop_reference_on_paper_instance(self):
+        data, _ = generate_instance(SimConfig(n=50, p=20, q=20, rho=0.7, seed=[1, 0]))
+        lambdas = np.logspace(-2, 4, 100)
+        B, lam, err = select_lasso(data, lambdas, 5, 0)
+        B_ref, lam_ref, err_ref = reference_select_lasso(data, lambdas, 5, 0)
+        np.testing.assert_array_equal(B, B_ref)
+        assert lam == lam_ref
+        assert err == err_ref
+
+    def test_unsolvable_training_set_names_the_fold(self):
+        # raised the kernel's error alone, naming no fold
+        assert 5 in kfold_split(12, 3, 0)[1]
+        with pytest.raises(SolverError, match="fold 2 of 3: .*column 3"):
+            select_lasso(zero_column_data(), [0.5, 2.0], 3, 0)
+
+    @pytest.mark.parametrize("lambdas", [[], [[0.5, 2.0]]])
+    def test_bad_grid_named(self, lambdas):
+        # an empty grid failed in numpy's minimum, on a zero-size array
+        with pytest.raises(ValueError, match="^lambdas"):
+            select_lasso(zero_column_data(), lambdas, 3, 0)
+
+    @pytest.mark.parametrize("k, seed, name", [(3, -1, "seed"), (2.5, 0, "k")])
+    def test_bad_fold_layout_named(self, k, seed, name):
+        # seed = -1 failed in numpy's generator, naming no argument
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            select_lasso(zero_column_data(), [0.5, 2.0], k, seed)
+
     def test_all_zero_fits_tie_to_the_largest_lambda(self):
         # every level lies above the lasso's zero threshold 2 max |X'Y| on
         # the full data and on each training set, so every fit is zero, every
