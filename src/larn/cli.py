@@ -15,6 +15,11 @@ KKT-certified (``fit`` and ``cv``; ``fit.json`` or ``cv_best.json`` then
 holds ``certified: false``).  Progress goes to stderr; data only to the
 output files.  ``fit`` and ``cv`` also say on stderr when the selected
 lambda is the first or last of the grid, which leaves the exit code as is.
+
+An exit-2 message names the flag at fault: a check in the library names its
+argument (``k must be ...``), and ``main`` puts the flag (``--folds``) in its
+place.  Files are checked where they are read: a missing one fails in
+``open`` with its path, a malformed one with its path and line.
 """
 
 import argparse
@@ -36,9 +41,12 @@ EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 EXIT_UNCERTIFIED = 3
 
-
-class CliError(Exception):
-    """Configuration or I/O problem; maps to exit code 2."""
+# the flag of each library argument a command passes on, put in the
+# argument's place at the head of an exit-2 message
+_FLAGS = {"k": "--folds", "num": "--n-lambdas", "n_thresholds": "--n-thresholds",
+          "seed": "--seed", "jobs": "--jobs", "lambdas": "--lambdas",
+          "thresholds": "--thresholds", "n": "--n", "replications": "--replications",
+          "lam": "--lambda", "theta": "--theta-csv"}
 
 
 def _log(msg):
@@ -124,36 +132,28 @@ def _penalty_from(args):
 
 def _lambdas_from(args, scale="log10"):
     # an explicit --lambdas overrides --n-lambdas on the default grid
-    if args.lambdas is not None:
-        return _parse_floats(args.lambdas, "--lambdas")
-    return default_lambdas(num=args.n_lambdas, scale=scale)
+    lambdas = _parse_floats(args.lambdas, "--lambdas")
+    return default_lambdas(num=args.n_lambdas, scale=scale) if lambdas is None else lambdas
 
 
 def _grid_from(args):
-    thresholds = None
-    if args.thresholds is not None:
-        thresholds = _parse_floats(args.thresholds, "--thresholds")
-    return CvGrid(lambdas=_lambdas_from(args, args.lambda_scale), thresholds=thresholds,
+    return CvGrid(lambdas=_lambdas_from(args, args.lambda_scale),
+                  thresholds=_parse_floats(args.thresholds, "--thresholds"),
                   n_thresholds=args.n_thresholds, k=args.folds, seed=args.seed)
 
 
 def _parse_floats(text, flag):
+    # None (the flag not given) stays None
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return None if text is None else [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cv_inputs(args):
     """(data, Y's header, config, grid) of a fit or cv run, read from its flags."""
-    for path in (args.x, args.y):
-        if not os.path.exists(path):
-            raise CliError(f"input file not found: {path}")
     X, _ = io.read_matrix_csv(args.x)
     Y, y_header = io.read_matrix_csv(args.y)
-    if X.shape[0] != Y.shape[0]:
-        raise CliError(f"row count mismatch: {args.x} has {X.shape[0]} rows, "
-                       f"{args.y} has {Y.shape[0]}")
     config = LarnConfig(penalty=_penalty_from(args),
                         one_step=(args.one_step == "true"))
     return Dataset(X, Y), y_header, config, _grid_from(args)
@@ -169,18 +169,14 @@ def _exit_code(cv, certified, what):
     return EXIT_OK
 
 
-def _ensure_out_dir(path):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {path}: {exc}") from None
-
-
 def cmd_fit(args):
     data, y_header, config, grid = _cv_inputs(args)
     fit, cv = fit_with_selection(data, config, grid, jobs=args.jobs)
-    # created only now, so a run that fails leaves no empty directory
-    _ensure_out_dir(args.out_dir)
+    # created only now, so a run that fails leaves no empty directory; the
+    # trace's directory too, before any file is written
+    os.makedirs(args.out_dir, exist_ok=True)
+    if args.trace_out:
+        os.makedirs(os.path.dirname(os.path.abspath(args.trace_out)), exist_ok=True)
     io.write_matrix_csv(os.path.join(args.out_dir, "coefficients.csv"),
                         fit.b_hat, header=y_header)
     payload = fit.to_dict()
@@ -197,7 +193,7 @@ def cmd_fit(args):
 def cmd_cv(args):
     data, _, config, grid = _cv_inputs(args)
     cv = cross_validate(data, config, grid, jobs=args.jobs)
-    _ensure_out_dir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     L, T = cv.cv_rmse.shape
     rows = [[cv.lambdas[i], cv.thresholds[i, j], cv.cv_rmse[i, j]]
             for i in range(L) for j in range(T)]
@@ -211,21 +207,16 @@ def cmd_cv(args):
 
 
 def _load_sim_config(path):
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
+    # a JSON or field error is prefixed with the path
     try:
-        payload = io.read_json(path)
-    except ValueError as exc:
-        raise CliError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        return SimConfig.from_dict(payload)
+        return SimConfig.from_dict(io.read_json(path))
     except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_simulate(args):
     cfg = _load_sim_config(args.config)
-    _ensure_out_dir(args.out_dir)
+    os.makedirs(args.out_dir, exist_ok=True)
     data, B0 = generate_instance(cfg)
     io.write_matrix_csv(os.path.join(args.out_dir, "X.csv"), data.X)
     io.write_matrix_csv(os.path.join(args.out_dir, "Y.csv"), data.Y)
@@ -242,7 +233,7 @@ def cmd_benchmark(args):
     rows = run_benchmark(cfg, methods=methods, lambdas=_lambdas_from(args),
                          n_thresholds=args.n_thresholds, k=args.folds,
                          jobs=args.jobs, progress=_log)
-    _ensure_out_dir(os.path.dirname(os.path.abspath(args.out)))
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     io.write_rows(args.out, MetricsRow.FIELDS, [r.astuple() for r in rows])
     _log(f"metrics written to {args.out}")
     return EXIT_OK
@@ -250,7 +241,7 @@ def cmd_benchmark(args):
 
 def cmd_threshold_curve(args):
     if not (0 < args.step < np.inf and 0 < args.zmax < np.inf):
-        raise CliError("--step and --zmax must be positive and finite")
+        raise ValueError("--step and --zmax must be positive and finite")
     pen = depth_scalar_penalty(_penalty_from(args))
     steps = int(round(args.zmax / args.step))
     z = args.step * np.arange(-steps, steps + 1)
@@ -263,20 +254,13 @@ def cmd_threshold_curve(args):
 
 def cmd_minimax_check(args):
     pen = depth_scalar_penalty(_penalty_from(args))
-    if args.theta_csv is not None:
-        if not os.path.exists(args.theta_csv):
-            raise CliError(f"input file not found: {args.theta_csv}")
-        M, _ = io.read_matrix_csv(args.theta_csv)
-        theta = M.ravel()
-        if theta.size != args.n:
-            raise CliError(f"--theta-csv holds {theta.size} values, expected n = {args.n}")
+    # zeros when --theta-csv is omitted, none at a negative --n: minimax_check
+    # checks --n and theta's length
+    if args.theta_csv is None:
+        theta = np.zeros(max(args.n, 0))
     else:
-        theta = np.zeros(args.n)
-    try:
-        report = minimax_check(args.n, theta, pen,
-                               replications=args.replications, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        theta = io.read_matrix_csv(args.theta_csv)[0].ravel()
+    report = minimax_check(args.n, theta, pen, replications=args.replications, seed=args.seed)
     io.write_json(args.out, report.to_dict())
     _log(f"risk report written to {args.out} (within bound: {report.within_bound})")
     return EXIT_OK
@@ -297,15 +281,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except CliError as exc:
-        _log(f"error: {exc}")
-        return EXIT_CONFIG
     # before ValueError: numpy's LinAlgError is a subclass of it
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
-        _log(f"error: {exc}")
+        word, sep, rest = str(exc).partition(" ")
+        _log(f"error: {_FLAGS.get(word, word)}{sep}{rest}")
         return EXIT_CONFIG
 
 

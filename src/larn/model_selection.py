@@ -161,7 +161,7 @@ def kfold_split(n, k, seed):
     ``n`` and ``k`` must be integers, with 2 <= k <= n.
     """
     if _count("k", k, least=2) > _count("n", n):
-        raise ValueError(f"fold count k = {k} must not exceed n = {n}")
+        raise ValueError(f"k must not exceed n = {n}, got {k}")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(f) for f in np.array_split(perm, k)]
 

@@ -212,8 +212,8 @@ def minimax_check(n, theta, pen, replications=2000, seed=0):
     Simulates z = theta + standard normal noise, applies the rule at
     lam = (sqrt(0.5 log n) - 1) / c1, and averages the total squared error
     over independent replications (one RNG stream per call, derived from
-    ``seed``).  ``n`` must be an integer of at least 64 and
-    ``replications`` one of at least 2, as a standard error needs two.
+    ``seed``, a nonnegative integer).  ``n`` must be an integer of at least
+    64 and ``replications`` one of at least 2, as a standard error needs two.
     """
     n = _count("n", n, least=64)
     replications = _count("replications", replications, least=2)
@@ -223,7 +223,7 @@ def minimax_check(n, theta, pen, replications=2000, seed=0):
     root = math.sqrt(0.5 * math.log(n)) - 1.0
     lam = root / pen.c1
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, least=0))
     totals = np.empty(replications)
     for r in range(replications):
         z = theta + rng.standard_normal(n)

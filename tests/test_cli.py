@@ -278,6 +278,19 @@ class TestFit:
         assert trace.shape == (len(payload["objective_trace"]), 1)
         assert np.array_equal(trace[:, 0], payload["objective_trace"])
 
+    def test_trace_out_parent_created(self, tmp_path):
+        # a --trace-out in a missing directory exited 2 after coefficients.csv
+        # and fit.json were written; its directory is now made with --out-dir's
+        rng = np.random.default_rng(2)
+        write_matrix_csv(tmp_path / "x.csv", rng.standard_normal((15, 4)))
+        write_matrix_csv(tmp_path / "y.csv", rng.standard_normal((15, 2)))
+        trace = tmp_path / "nodir" / "trace.csv"
+        rc = run(["fit", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                  "--out-dir", str(tmp_path / "fit"), "--n-lambdas", "5",
+                  "--n-thresholds", "4", "--folds", "3", "--trace-out", str(trace)])
+        assert rc == 0
+        assert read_matrix_csv(trace)[1] == ["objective"]
+
     def test_row_count_mismatch_exit_2(self, tmp_path):
         write_matrix_csv(tmp_path / "x.csv", np.zeros((4, 2)) + 1.0)
         write_matrix_csv(tmp_path / "y.csv", np.ones((5, 1)))
@@ -611,6 +624,86 @@ class TestBenchmark:
         assert run(["benchmark", "--config", str(cfg_path), "--out", str(out),
                     f"--jobs={jobs}"]) == 2
         assert not out.exists()
+
+
+# one bad value per flag of cli._FLAGS, keyed by the library argument whose
+# check rejects it; the "{...}" placeholders are the paths of run_bad
+FIT = ["fit", "--x", "{x}", "--y", "{y}", "--out-dir", "{out}", "--lambdas", "0.1,1",
+       "--n-thresholds", "3", "--folds", "3"]
+MINIMAX = ["minimax-check", "--out", "{out}", "--n", "128", "--replications", "5"]
+CURVE = ["threshold-curve", "--out", "{out}"]
+BAD_VALUES = [
+    ("k", FIT, ["--folds", "1"]),
+    ("num", FIT[:7], ["--n-lambdas", "0"]),
+    ("n_thresholds", FIT, ["--n-thresholds", "0"]),
+    ("seed", FIT, ["--seed", "-1"]),
+    ("seed", MINIMAX, ["--seed", "-1"]),
+    ("jobs", FIT, ["--jobs", "0"]),
+    ("lambdas", FIT, ["--lambdas=-1,2"]),
+    ("thresholds", FIT, ["--thresholds=0,inf"]),
+    ("n", MINIMAX, ["--n", "32"]),
+    ("n", MINIMAX, ["--n", "-1"]),
+    ("replications", MINIMAX, ["--replications", "1"]),
+    ("lam", CURVE, ["--lambda=-1"]),
+    ("theta", MINIMAX, ["--theta-csv", "{theta}"]),
+]
+
+
+def run_bad(tmp_path, capsys, argv):
+    # runs argv, which must exit 2 and write nothing, and returns its error
+    # line; x, y and short are 12 x 3, 12 x 2 and 5 x 2 CSVs, theta 40 values
+    paths = {"x": "x.csv", "y": "y.csv", "short": "short.csv", "theta": "theta.csv",
+             "bad_json": "bad.json", "missing": "missing.csv", "out": "out"}
+    paths = {key: tmp_path / name for key, name in paths.items()}
+    rng = np.random.default_rng(7)
+    write_matrix_csv(paths["x"], rng.standard_normal((12, 3)))
+    write_matrix_csv(paths["y"], rng.standard_normal((12, 2)))
+    write_matrix_csv(paths["short"], np.ones((5, 2)))
+    write_matrix_csv(paths["theta"], np.ones((40, 1)))
+    paths["bad_json"].write_text("{")
+    capsys.readouterr()
+    assert run([a.format(**paths) for a in argv]) == 2
+    assert not paths["out"].exists()
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+class TestErrorMessages:
+    def test_every_flag_has_a_bad_value(self):
+        assert {name for name, _, _ in BAD_VALUES} == set(cli._FLAGS)
+
+    @pytest.mark.parametrize("name, base, bad", BAD_VALUES,
+                             ids=[" ".join(base[:1] + bad) for _, base, bad in BAD_VALUES])
+    def test_bad_value_names_flag(self, tmp_path, capsys, name, base, bad):
+        line = run_bad(tmp_path, capsys, base + bad)
+        assert line.startswith(f"error: {cli._FLAGS[name]} ")
+
+    def test_fold_count_above_n(self, tmp_path, capsys):
+        # kfold_split's message led with "fold count", which named no flag
+        line = run_bad(tmp_path, capsys, FIT + ["--folds", "30"])
+        assert line == "error: --folds must not exceed n = 12, got 30"
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["fit", "--x", "{missing}", "--y", "{y}", "--out-dir", "{out}"],
+                     "missing.csv", id="fit missing --x"),
+        pytest.param(["cv", "--x", "{x}", "--y", "{missing}", "--out-dir", "{out}"],
+                     "missing.csv", id="cv missing --y"),
+        pytest.param(["simulate", "--config", "{missing}", "--out-dir", "{out}"],
+                     "missing.csv", id="simulate missing --config"),
+        pytest.param(["benchmark", "--config", "{missing}", "--out", "{out}"],
+                     "missing.csv", id="benchmark missing --config"),
+        pytest.param(MINIMAX + ["--theta-csv", "{missing}"], "missing.csv",
+                     id="minimax-check missing --theta-csv"),
+        pytest.param(["simulate", "--config", "{bad_json}", "--out-dir", "{out}"],
+                     "bad.json: ", id="simulate bad JSON"),
+        pytest.param(["benchmark", "--config", "{bad_json}", "--out", "{out}"],
+                     "bad.json: ", id="benchmark bad JSON"),
+        pytest.param(["fit", "--x", "{x}", "--y", "{short}", "--out-dir", "{out}"],
+                     "X has 12 rows but Y has 5", id="fit row mismatch"),
+    ])
+    def test_checked_where_read(self, tmp_path, capsys, argv, named):
+        # the CLI's own pre-checks are gone: open, the JSON reader and
+        # Dataset reject these inputs, naming the file
+        assert named in run_bad(tmp_path, capsys, argv)
 
 
 # Runs in a fresh interpreter in which every scipy import fails: the package

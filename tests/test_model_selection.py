@@ -74,6 +74,12 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(5, 1, seed=0)
 
+    def test_k_above_n_named(self):
+        # "fold count k = 6 must not exceed n = 5" did not lead with k, so
+        # the CLI could not put --folds in its place
+        with pytest.raises(ValueError, match="^k must not exceed n = 5, got 6$"):
+            kfold_split(5, 6, seed=0)
+
     @pytest.mark.parametrize("k", [2.5, True])
     def test_non_integer_k_named(self, k):
         # 2.5 gave 2 folds

@@ -221,6 +221,11 @@ class TestRiskReport:
         with pytest.raises(ValueError, match="replications"):
             minimax_check(128, np.zeros(128), HALF_MAX, replications=replications)
 
+    def test_negative_seed_named(self):
+        # numpy rejected it with "expected non-negative integer"
+        with pytest.raises(ValueError, match="^seed must be an integer of at least 0"):
+            minimax_check(128, np.zeros(128), HALF_MAX, replications=5, seed=-1)
+
     @pytest.mark.parametrize("n, replications, name", [
         (64.0, 50, "n"), (128.5, 50, "n"), (128, 2.5, "replications"),
         (128, True, "replications"),
